@@ -201,9 +201,6 @@ class BnSampler:
     def sample(self, count: int) -> np.ndarray:
         return bn_sample(self.net, self._rng, count)
 
-    def spawn(self, key: int):
-        return BnSampler(self.net, np.random.SeedSequence([int(key), 20260808]))
-
 
 class BnMixtureSampler:
     """Stream from (1 - w) p + w U over {0,1}^n, built per draw."""

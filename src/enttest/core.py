@@ -294,8 +294,8 @@ class Sampler:
     """Reproducible categorical sampler over an exact distribution.
 
     A fixed ``(distribution, seed)`` pair always reproduces the same stream.
-    Samplers are single-owner: parallel workers each derive their own via
-    :meth:`spawn`.
+    Samplers are single-owner: parallel workers each build their own from a
+    seed they derive themselves (for instance a spawned ``SeedSequence``).
 
     Besides the literal sample stream (:meth:`draw`), the sampler exposes
     count-level draws (:meth:`poisson_counts`, :meth:`multinomial_counts`,
@@ -306,7 +306,6 @@ class Sampler:
 
     def __init__(self, distribution: DiscreteDistribution, rng_seed):
         self.distribution = distribution
-        self.rng_seed = rng_seed
         self._rng = np.random.default_rng(rng_seed)
         self._alias = None  # built lazily; only .draw() needs it
 
@@ -317,11 +316,6 @@ class Sampler:
     @property
     def probs(self) -> np.ndarray:
         return self.distribution.probs
-
-    def spawn(self, key: int) -> "Sampler":
-        """Derive an independent sampler for the same distribution."""
-        seq = np.random.SeedSequence([_seed_ints(self.rng_seed), int(key)])
-        return Sampler(self.distribution, seq)
 
     def draw(self, k: int) -> np.ndarray:
         """k i.i.d. samples as an int64 index array."""
@@ -380,15 +374,6 @@ class Sampler:
         cond = self.distribution.conditional(index_set)
         child = Sampler(cond.as_distribution(), self._rng.integers(0, 2**63 - 1))
         return cond, child
-
-
-def _seed_ints(seed) -> int:
-    """Collapse any accepted seed object to a stable integer."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        return int(seed.generate_state(1, np.uint64)[0])
-    return int(np.random.SeedSequence(abs(hash(repr(seed)))).generate_state(1, np.uint64)[0])
 
 
 class StreamSampler:

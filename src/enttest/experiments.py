@@ -7,11 +7,18 @@ All suites write a ``results.csv`` whose content is a pure function of
 1-worker and N-worker runs agree byte for byte.  Wall-clock measurements
 go to a separate ``timings.csv`` (excluded from the determinism contract);
 the ``wall_ms`` column of results.csv is fixed at 0 for that reason.
-Plots are SVG files regenerated from the CSV contents.
+No seed passes through Python's ``hash``, so the CSV does not depend on
+``PYTHONHASHSEED`` either.  Plots are SVG files regenerated from the CSV
+contents.
+
+Each cell's instance pair is built at most once per process and shared
+read-only by that cell's trials (see :func:`make_instance_pair`); building
+a pair draws no trial randomness.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -208,8 +215,14 @@ NULL_FAMILIES = ("null:uniform", "null:zipf", "null:dense")
 FAR_FAMILIES = ("far:entropy-gap", "far:mi")
 
 
+@functools.lru_cache(maxsize=1)
 def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
-    """(p, q) for a family; far instances carry exact certificates."""
+    """(p, q) for a family; far instances carry exact certificates.
+
+    Memoized for the last arguments seen: trials reach a process in cell
+    order, so each cell's pair is built once per process.  The returned
+    distributions are immutable and safe to share between trials.
+    """
     if family == "null:uniform":
         p = DiscreteDistribution.uniform(n)
         return p, p
@@ -235,16 +248,10 @@ def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
 # ---------------------------------------------------------------------------
 
 
-def _cfg_from_payload(payload) -> ThresholdConfig:
-    data = payload["cfg"]
-    return ThresholdConfig(**{k: v for k, v in data.items() if k != "sample_multipliers"},
-                           sample_multipliers=dict(data["sample_multipliers"]))
-
-
 def _grid_trial(payload) -> dict:
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(4)
-    cfg = _cfg_from_payload(payload)
+    cfg = payload["cfg"]
     p, q = make_instance_pair(
         payload["family"], payload["n"], payload["eps"], payload["master"], payload["cell"]
     )
@@ -271,7 +278,7 @@ def _grid_trial(payload) -> dict:
 def _bn_trial(payload) -> dict:
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(6)
-    cfg = _cfg_from_payload(payload)
+    cfg = payload["cfg"]
     n, d, eps = payload["n"], payload["d"], payload["eps"]
     gen = np.random.default_rng(child[0])
     family = payload["family"]
@@ -303,7 +310,7 @@ def _bn_trial(payload) -> dict:
 def _reduction_trial(payload) -> dict:
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(4)
-    cfg = _cfg_from_payload(payload)
+    cfg = payload["cfg"]
     n, eps = payload["n"], payload["eps"]
     if payload["family"] == "mi-product":
         pair = inst.make_correlated_pair(n // 2, 2, 0.0)
@@ -354,15 +361,6 @@ def _aggregate(results, cell: int):
 # ---------------------------------------------------------------------------
 
 
-def _cfg_payload(cfg: ThresholdConfig) -> dict:
-    data = {k: getattr(cfg, k) for k in (
-        "c_hellinger_reject", "c_heavy_low", "c_heavy_high", "c_lowmass_mass",
-        "c_mass_diff", "c_T_threshold", "c_l2_threshold", "c_massS_diff",
-        "c_Z_threshold", "c_dec")}
-    data["sample_multipliers"] = dict(cfg.sample_multipliers)
-    return data
-
-
 def run_error_grid(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     families = list(NULL_FAMILIES) + list(FAR_FAMILIES)
     cells = [
@@ -371,13 +369,12 @@ def run_error_grid(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
         for eps in spec.eps_values
         for fam in families
     ]
-    payload_cfg = _cfg_payload(cfg)
     tasks = []
     for cell_idx, (n, eps, fam) in enumerate(cells):
         for trial in range(spec.trials):
             tasks.append({
                 "op": "grid", "tester": "cascade", "family": fam, "n": int(n),
-                "eps": float(eps), "cfg": payload_cfg, "master": spec.seed,
+                "eps": float(eps), "cfg": cfg, "master": spec.seed,
                 "cell": cell_idx, "trial": trial,
             })
     results = _execute(tasks, workers)
@@ -397,13 +394,12 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     eps = float(spec.eps_values[0])
     families = ("null:uniform", "far:entropy-gap")
     cells = [(n, fam) for n in spec.n_values for fam in families]
-    payload_cfg = _cfg_payload(cfg)
     tasks = []
     for cell_idx, (n, fam) in enumerate(cells):
         for trial in range(spec.trials):
             tasks.append({
                 "op": "grid", "tester": "combined", "family": fam, "n": int(n),
-                "eps": eps, "cfg": payload_cfg, "master": spec.seed,
+                "eps": eps, "cfg": cfg, "master": spec.seed,
                 "cell": cell_idx, "trial": trial,
             })
     results = _execute(tasks, workers)
@@ -445,13 +441,12 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
     d = int(spec.d_values[0])
     eps = float(spec.eps_values[0])
     families = ("bn-null", "bn-far", "bn-id-null", "bn-id-far")
-    payload_cfg = _cfg_payload(cfg)
     tasks = []
     for cell_idx, fam in enumerate(families):
         for trial in range(spec.trials):
             tasks.append({
                 "op": "bn", "family": fam, "n": n, "d": d, "eps": eps,
-                "cfg": payload_cfg, "master": spec.seed, "cell": cell_idx,
+                "cfg": cfg, "master": spec.seed, "cell": cell_idx,
                 "trial": trial, "budget_scale": spec.budget_scale,
                 "identity_budget_scale": spec.identity_budget_scale,
             })
@@ -652,14 +647,13 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     record("z-variance-bound", worst_ratio <= 1.0, worst_ratio, trials=20)
 
     # 8. reduction sanity: entropy tester driven by the MI reduction streams
-    payload_cfg = _cfg_payload(cfg)
     red_trials = min(spec.trials, 200)
     tasks = []
     for cell_idx, fam in enumerate(("mi-product", "mi-correlated")):
         for trial in range(red_trials):
             tasks.append({
                 "op": "reduction", "family": fam, "n": 64, "eps": 0.3,
-                "cfg": payload_cfg, "master": seed, "cell": cell_idx, "trial": trial,
+                "cfg": cfg, "master": seed, "cell": cell_idx, "trial": trial,
             })
     results = _execute(tasks, workers)
     acc0, _, mean0, tot0 = _aggregate(results, 0)

@@ -173,20 +173,17 @@ class JointSampler:
 
 
 def mi_reduction_stream_samplers(pair: JointPair, t: int, rng_seed):
-    """StreamSampler pair backing an entropy-equivalence run on the reduction."""
-    js = JointSampler(pair, rng_seed)
+    """StreamSampler pair backing an entropy-equivalence run on the reduction.
+
+    The joint draws use ``rng_seed`` itself; the two pools' own generators
+    use children spawned from it.
+    """
+    seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
+    js = JointSampler(pair, seq)
     p_stream, q_stream = mi_reduction_streams(js, t)
+    p_seed, q_seed = seq.spawn(2)
     n = pair.joint.n
-    return (
-        StreamSampler(p_stream, n, rng_seed=np.random.SeedSequence([_to_int(rng_seed), 1])),
-        StreamSampler(q_stream, n, rng_seed=np.random.SeedSequence([_to_int(rng_seed), 2])),
-    )
-
-
-def _to_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return int(np.random.SeedSequence(abs(hash(repr(seed)))).generate_state(1, np.uint64)[0])
+    return StreamSampler(p_stream, n, rng_seed=p_seed), StreamSampler(q_stream, n, rng_seed=q_seed)
 
 
 # ---------------------------------------------------------------------------

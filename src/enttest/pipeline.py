@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_FLOOR, FairMixSampler, MassFloorSampler
+from .core import LOG_FLOOR, DomainMismatch, FairMixSampler, MassFloorSampler
 from .poisson import CountPair, statistic_l2, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -221,6 +221,8 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
 
 def run_eet(sp, sq, plan: EetPlan, rng=None) -> TestVerdict:
     """Run the full cascade; majority-amplified when plan.delta < 1/10."""
+    if sp.n != plan.n or sq.n != plan.n:
+        raise DomainMismatch(f"plan domain {plan.n} != sampler domains {sp.n}, {sq.n}")
     rng = np.random.default_rng(rng)
     reps = amplification_reps(plan.delta)
     if reps == 1:

@@ -2,9 +2,14 @@
 equivalence, calibration, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import enttest
+from enttest import instances as inst
 from enttest.cli import main as cli_main
 from enttest.experiments import (
     CSV_COLUMNS,
@@ -67,6 +72,23 @@ class TestInstanceFamilies:
         p, q = make_instance_pair("far:mi", 256, 0.3, master=1, cell=0)
         assert abs(entropy(p) - entropy(q)) == pytest.approx(0.3, abs=1e-8)
 
+    def test_pair_built_once_per_cell(self, tmp_path, monkeypatch):
+        make_instance_pair.cache_clear()  # the single entry outlives other tests
+        calls = []
+        build = inst.make_correlated_pair
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(inst, "make_correlated_pair", counted)
+        spec = ExperimentSpec(
+            kind="error_grid", n_values=[1024], eps_values=[0.3], trials=10,
+            seed=2024, out_dir=str(tmp_path / "memo"),
+        )
+        run_experiment(spec, workers=1)
+        assert calls == [(512, 2, 0.3)]  # one far:mi cell, one build
+
 
 class TestReproducibility:
     def _grid_spec(self, out):
@@ -92,6 +114,23 @@ class TestReproducibility:
         assert (tmp_path / "w1" / "results.csv").read_bytes() == (
             tmp_path / "w4" / "results.csv"
         ).read_bytes()
+
+    def test_reduction_trial_independent_of_hash_seed(self):
+        # the MI-reduction streams must not be seeded through str hashing
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        code = (
+            "from enttest.experiments import _reduction_trial\n"
+            "from enttest.testers import DEFAULT_CONFIG\n"
+            "print(_reduction_trial({'family': 'mi-product', 'n': 64, 'eps': 0.3,"
+            " 'cfg': DEFAULT_CONFIG, 'master': 20260808, 'cell': 0, 'trial': 0}))\n"
+        )
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_csv_header(self, tmp_path):
         spec = self._grid_spec(tmp_path / "h")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from enttest.core import DiscreteDistribution, Sampler, entropy
+from enttest.core import DiscreteDistribution, DomainMismatch, Sampler, entropy
 from enttest.instances import make_correlated_pair, make_entropy_gap_pair
 from enttest.pipeline import (
     combined_branch_choice,
@@ -107,6 +107,17 @@ class TestRunEet:
         plan = make_eet_plan(64, 0.4, delta=0.02)
         v = run_eet(*samplers(p, p, 11), plan, rng=12)
         assert v.accepted
+
+    def test_plan_domain_must_match_samplers(self):
+        p = DiscreteDistribution.uniform(8)
+        plan = make_eet_plan(16, 0.3)
+        with pytest.raises(DomainMismatch):
+            run_eet(*samplers(p, p, 13), plan, rng=14)
+        big = DiscreteDistribution.uniform(16)
+        sp, _ = samplers(big, big, 15)
+        _, sq = samplers(p, p, 15)
+        with pytest.raises(DomainMismatch):
+            run_eet(sp, sq, plan, rng=16)
 
 
 class TestTvBaseline:
