@@ -7,6 +7,12 @@ tests over every (d+1)-subset, fed by one shared sample multiset), its
 identity-test variant against a fully known net, and the exact
 KL-to-projection oracle used by the verification suites.
 
+The sweep is batched: one (subset, block, cell) count array holds every
+subset's per-block counts (on small nets one matmul of the per-atom block
+counts with a cached one-hot projection), each local statistic is
+computed for all subsets at once, and the verdict names the first
+rejecting subset in ``combinations`` order.
+
 CPT layout: for node i with sorted parent tuple (p_0 < p_1 < ...), entry
 ``cpt[i][mask]`` is P(X_i = 1 | parents), where bit j of ``mask`` carries
 the value of parent p_j.  Joint atoms are indexed with variable i on bit i.
@@ -14,8 +20,8 @@ the value of parent p_j.  Joint atoms are indexed with variable i on bit i.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -151,20 +157,9 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SubsetMarginal:
-    """Distribution (or counts) of a (d+1)-subset of variables."""
-
-    subset: tuple
-    table: np.ndarray
-    kind: str = "exact"  # "exact" | "counts"
-
-
-def bn_exact_marginal(net: BayesNet, subset) -> SubsetMarginal:
-    """Exact marginal over ``subset`` by summing out the complement."""
-    joint = bn_exact_joint(net)
-    table = joint_marginal(joint, subset, net.n)
-    return SubsetMarginal(subset=tuple(sorted(subset)), table=table, kind="exact")
+def bn_exact_marginal(net: BayesNet, subset) -> np.ndarray:
+    """Exact marginal table over ``subset`` (bit j = j-th smallest variable)."""
+    return joint_marginal(bn_exact_joint(net), subset, net.n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,55 +235,67 @@ def bn_mixture_sampler(net_sampler: BnSampler, n: int, d: int, eps: float, rng_s
 # ---------------------------------------------------------------------------
 
 
-def _subset_cell_maps(subsets, n: int, width: int):
-    atoms = np.arange(2**n, dtype=np.int64)
-    maps = []
-    for sub in subsets:
-        cells = np.zeros(atoms.size, dtype=np.int64)
-        for j, v in enumerate(sub):
-            cells |= ((atoms >> v) & 1) << j
-        onehot = np.zeros((atoms.size, 2**width))
-        onehot[atoms, cells] = 1.0
-        maps.append(onehot)
-    return maps
-
-
-# memory guard for materializing per-subset projection maps:
-# C(n, d+1) maps of 2^n x 2^{d+1} floats must stay modest
+# memory guard for the dense projection: the (2^n, C(n, d+1) 2^{d+1})
+# one-hot map must stay modest
 _PROJECTION_CELL_CAP = 2**26
 
 
-def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, subsets, rng):
-    """Counts[b, cell] per subset from one shared Poissonized multiset.
+@functools.lru_cache(maxsize=1)
+def _subset_projection(n: int, width: int) -> np.ndarray:
+    """Read-only one-hot map from the 2^n atoms to every subset's cells.
+
+    Column ``s * 2^width + c`` is 1 on the atoms whose bits on the s-th
+    ``width``-subset (in ``combinations`` order) spell cell ``c``, so
+    ``counts @ proj`` projects per-atom counts onto all subsets at once.
+    """
+    atoms = np.arange(2**n, dtype=np.int64)
+    subsets = list(combinations(range(n), width))
+    proj = np.zeros((atoms.size, len(subsets) << width))
+    for s, sub in enumerate(subsets):
+        cells = np.full(atoms.size, s << width, dtype=np.int64)
+        for j, v in enumerate(sub):
+            cells |= ((atoms >> v) & 1) << j
+        proj[atoms, cells] = 1.0
+    proj.setflags(write=False)
+    return proj
+
+
+def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
+    """Counts[subset, block, cell] for every ``width``-subset of the
+    variables, from one shared Poissonized multiset.
 
     The multiset of ``Poi(m)`` samples is split uniformly into ``k_blocks``
     majority-vote blocks (Poisson thinning keeps blocks independent).  When
     the exact mixture joint fits the memory guard the per-atom block counts
     are drawn directly as ``Poi(m/k * p_atom)``, identical in law to
-    sampling; otherwise samples are streamed and projected.  Both paths
-    project every sample into all subsets.  Returns
-    ``(list of (k, 2^w) count arrays, total samples drawn)``.
+    sampling, and projected onto every subset by one matmul with the cached
+    one-hot map (the counts are integers far below 2^53, so the product is
+    exact); otherwise samples are streamed and each subset is bincounted.
+    Subsets run in ``combinations(range(n), width)`` order.  Returns
+    ``(float64 array of shape (C(n, width), k_blocks, 2^width), total
+    samples drawn)``.
     """
     n = mix.n
-    width = len(subsets[0])
+    ncells = 2**width
+    subsets = list(combinations(range(n), width))
     if n <= EXACT_GUARD and len(subsets) * 2 ** (n + width) <= _PROJECTION_CELL_CAP:
         joint = mix.exact_joint()
         per_block = rng.poisson(np.outer(np.full(k_blocks, m / k_blocks), joint))
         total = int(per_block.sum())
-        maps = _subset_cell_maps(subsets, n, width)
-        return [per_block @ mp for mp in maps], total
+        flat = per_block @ _subset_projection(n, width)
+        counts = flat.reshape(k_blocks, len(subsets), ncells).transpose(1, 0, 2)
+        return np.ascontiguousarray(counts), total
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
     blocks = rng.integers(0, k_blocks, size=realized)
-    out = []
-    ncells = 2**width
-    for sub in subsets:
+    counts = np.empty((len(subsets), k_blocks, ncells))
+    for s, sub in enumerate(subsets):
         cells = np.zeros(realized, dtype=np.int64)
         for j, v in enumerate(sub):
             cells |= bits[:, v].astype(np.int64) << j
         flat = np.bincount(blocks * ncells + cells, minlength=k_blocks * ncells)
-        out.append(flat.reshape(k_blocks, ncells).astype(np.float64))
-    return out, realized
+        counts[s] = flat.reshape(k_blocks, ncells)
+    return counts, realized
 
 
 def bn_budget(n: int, d: int, eps: float, budget_scale: float) -> int:
@@ -299,7 +306,7 @@ def bn_budget(n: int, d: int, eps: float, budget_scale: float) -> int:
     return math.ceil(budget_scale * (lead + tail))
 
 
-def _local_noise_floor(s_block: float, ncells: int) -> float:
+def _local_noise_floor(s_block: float) -> float:
     # entropy-scale statistical resolution of one block
     return math.log(max(s_block, 3.0)) * math.sqrt(8.0 / max(s_block, 1.0))
 
@@ -309,7 +316,7 @@ def _block_t_statistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     d = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(j > 0, (d * d - j) / np.where(j > 0, j, 1.0), 0.0)
-    return terms.sum(axis=1)
+    return terms.sum(axis=-1)
 
 
 def _block_z_statistic(x: np.ndarray, y: np.ndarray, m_block: float) -> np.ndarray:
@@ -317,7 +324,28 @@ def _block_z_statistic(x: np.ndarray, y: np.ndarray, m_block: float) -> np.ndarr
     d = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(j > 0, -d * np.log(np.where(j > 0, j, 1.0)), 0.0)
-    return terms.sum(axis=1) / m_block
+    return terms.sum(axis=-1) / m_block
+
+
+def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
+    """Miller-Madow entropy of each count row of ``x`` (last axis = cells);
+    rows with no counts get ``empty`` (broadcast against the row shape).
+
+    Rows with the same number of seen cells are summed over those cells
+    alone, so every plug-in sum adds the same terms in the same order as a
+    loop over single rows would.
+    """
+    totals = x.sum(axis=-1)
+    seen = x > 0
+    observed = seen.sum(axis=-1)
+    plugin = np.zeros(totals.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        freq = x / totals[..., None]
+        terms = freq * np.log(np.where(seen, freq, 1.0))
+        for c in np.unique(observed[observed > 0]):
+            rows = observed == c
+            plugin[rows] = -terms[rows][seen[rows]].reshape(-1, c).sum(axis=-1)
+        return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
 
 
 def bn_closeness_test(
@@ -356,11 +384,11 @@ def bn_closeness_test(
     weight = bn_mixture_weight(n, d, eps)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
     mix_q = BnMixtureSampler(sq, weight, rng.integers(0, 2**63 - 1))
-    counts_p, used_p = _blocked_subset_counts(mix_p, m, k_blocks, subsets, rng)
-    counts_q, used_q = _blocked_subset_counts(mix_q, m, k_blocks, subsets, rng)
+    counts_p, used_p = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
+    counts_q, used_q = _blocked_subset_counts(mix_q, m, k_blocks, d + 1, rng)
     samples = used_p + used_q
 
-    eps1 = max(eps**2 / n, _local_noise_floor(m_block, ncells))
+    eps1 = max(eps**2 / n, _local_noise_floor(m_block))
     t_floor = math.sqrt(min(ncells, m_block) + 1.0)
     tau_eet = cfg.c_T_threshold * t_floor
     tau_hell = cfg.c_hellinger_reject * t_floor
@@ -370,19 +398,19 @@ def bn_closeness_test(
         ("bn-shared-m", float(m), float(k_blocks)),
         ("bn-eps1", eps1, eps**2 / n),
     ]
-    for sub, x, y in zip(subsets, counts_p, counts_q):
-        t_blocks = _block_t_statistic(x, y)
-        z_blocks = np.abs(_block_z_statistic(x, y, m_block))
-        eet_rejects = int(((t_blocks > tau_eet) | (z_blocks > tau_z)).sum())
-        hell_rejects = int((t_blocks > tau_hell).sum())
-        if 2 * eet_rejects > k_blocks:
-            stage = f"bn-eet:{','.join(map(str, sub))}"
-            trace.append((stage, float(np.median(t_blocks)), tau_eet))
-            return TestVerdict("reject", stage, samples, trace)
-        if 2 * hell_rejects > k_blocks:
-            stage = f"bn-hellinger:{','.join(map(str, sub))}"
-            trace.append((stage, float(np.median(t_blocks)), tau_hell))
-            return TestVerdict("reject", stage, samples, trace)
+    # (subset, block) statistics in one pass; the verdict names the first
+    # rejecting subset in sweep order, the EET vote before the Hellinger one
+    t_blocks = _block_t_statistic(counts_p, counts_q)
+    z_blocks = np.abs(_block_z_statistic(counts_p, counts_q, m_block))
+    eet_votes = 2 * ((t_blocks > tau_eet) | (z_blocks > tau_z)).sum(axis=1) > k_blocks
+    hell_votes = 2 * (t_blocks > tau_hell).sum(axis=1) > k_blocks
+    fired = np.flatnonzero(eet_votes | hell_votes)
+    if fired.size:
+        s = int(fired[0])
+        kind, tau = ("bn-eet", tau_eet) if eet_votes[s] else ("bn-hellinger", tau_hell)
+        stage = f"{kind}:{','.join(map(str, subsets[s]))}"
+        trace.append((stage, float(np.median(t_blocks[s])), tau))
+        return TestVerdict("reject", stage, samples, trace)
     trace.append(("bn-sweep", float(len(subsets)), 0.0))
     return TestVerdict("accept", None, samples, trace)
 
@@ -428,41 +456,32 @@ def bn_identity_test(
 
     weight = bn_mixture_weight(n, d, eps)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
-    counts_p, samples = _blocked_subset_counts(mix_p, m, k_blocks, subsets, rng)
+    x, samples = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     q_joint = (1.0 - weight) * bn_exact_joint(q_known) + weight / 2**n
 
-    eps1 = max(eps**2 / n, _local_noise_floor(m_block, ncells))
+    eps1 = max(eps**2 / n, _local_noise_floor(m_block))
     tau_chi = cfg.c_T_threshold * math.sqrt(ncells + 1.0)
     tau_ent = cfg.c_Z_threshold * eps1
 
     trace = [("bn-id-shared-m", float(m), float(k_blocks)), ("bn-id-eps1", eps1, eps**2 / n)]
-    for sub, x in zip(subsets, counts_p):
-        q_table = joint_marginal(q_joint, sub, n)
-        h_q = entropy(q_table)
-        lam = m_block * q_table[None, :]
-        chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=1)
-        totals = x.sum(axis=1)
-        ent_blocks = np.empty(k_blocks)
-        for b in range(k_blocks):
-            tot = totals[b]
-            if tot == 0:
-                ent_blocks[b] = h_q  # no data: never a rejection vote
-                continue
-            freq = x[b] / tot
-            nzc = freq > 0
-            plugin = float(-(freq[nzc] * np.log(freq[nzc])).sum())
-            ent_blocks[b] = plugin + (int(nzc.sum()) - 1) / (2.0 * tot)
-        gap_blocks = np.abs(ent_blocks - h_q)
-        chi_rejects = int((chi_blocks > tau_chi).sum())
-        ent_rejects = int((gap_blocks > tau_ent).sum())
-        if 2 * ent_rejects > k_blocks:
-            stage = f"bn-id-entropy:{','.join(map(str, sub))}"
-            trace.append((stage, float(np.median(gap_blocks)), tau_ent))
-            return TestVerdict("reject", stage, int(samples), trace)
-        if 2 * chi_rejects > k_blocks:
-            stage = f"bn-id-chi:{','.join(map(str, sub))}"
-            trace.append((stage, float(np.median(chi_blocks)), tau_chi))
-            return TestVerdict("reject", stage, int(samples), trace)
+    q_tables = np.array([joint_marginal(q_joint, sub, n) for sub in subsets])
+    h_q = np.array([entropy(table) for table in q_tables])[:, None]
+    lam = m_block * q_tables[:, None, :]
+    chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=-1)
+    # an empty block gets h_q and so never votes to reject
+    gap_blocks = np.abs(_miller_madow(x, h_q) - h_q)
+    ent_votes = 2 * (gap_blocks > tau_ent).sum(axis=1) > k_blocks
+    chi_votes = 2 * (chi_blocks > tau_chi).sum(axis=1) > k_blocks
+    fired = np.flatnonzero(ent_votes | chi_votes)
+    if fired.size:
+        s = int(fired[0])
+        if ent_votes[s]:
+            kind, stat, tau = "bn-id-entropy", gap_blocks[s], tau_ent
+        else:
+            kind, stat, tau = "bn-id-chi", chi_blocks[s], tau_chi
+        stage = f"{kind}:{','.join(map(str, subsets[s]))}"
+        trace.append((stage, float(np.median(stat)), tau))
+        return TestVerdict("reject", stage, int(samples), trace)
     trace.append(("bn-id-sweep", float(len(subsets)), 0.0))
     return TestVerdict("accept", None, int(samples), trace)
 
@@ -628,12 +647,26 @@ def save_bayesnet(net: BayesNet, path):
                 fh.write(f"cpt {mask} {val:.17g}\n")
 
 
+def _parse_field(convert, text: str, line: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise BayesNetError(f"bad field {text!r} in {line!r}") from None
+
+
 def load_bayesnet(path) -> BayesNet:
+    """Parse a net file written by :func:`save_bayesnet`.
+
+    Raises ``BayesNetError`` on a bad header or number, a node index out
+    of range or listed twice, a ``cpt`` mask out of range or listed twice,
+    a node with missing ``cpt`` lines, or a node with more parents than
+    the header's d.
+    """
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not header[0].startswith("n=") or not header[1].startswith("d="):
             raise BayesNetError(f"bad net file header: {header}")
-        n = int(header[0][2:])
+        n, d = (_parse_field(int, h[2:], " ".join(header)) for h in header)
         parents: list = [None] * n
         cpts: list = [None] * n
         current = None
@@ -642,19 +675,35 @@ def load_bayesnet(path) -> BayesNet:
             if not tok:
                 continue
             if tok[0] == "node":
-                current = int(tok[1])
-                if tok[2] != "parents":
+                if len(tok) not in (3, 4) or tok[2] != "parents":
                     raise BayesNetError(f"bad node line: {raw!r}")
+                current = _parse_field(int, tok[1], raw)
+                if not 0 <= current < n:
+                    raise BayesNetError(f"node index {current} out of range for n={n}")
+                if parents[current] is not None:
+                    raise BayesNetError(f"node {current} listed twice")
                 plist = tok[3] if len(tok) > 3 else ""
-                ps = tuple(int(x) for x in plist.split(",") if x != "")
+                ps = tuple(_parse_field(int, x, raw) for x in plist.split(",") if x != "")
+                if len(ps) > d:
+                    raise BayesNetError(f"node {current}: {len(ps)} parents exceed d={d}")
                 parents[current] = ps
-                cpts[current] = np.zeros(2 ** len(ps))
+                cpts[current] = [None] * 2 ** len(ps)
             elif tok[0] == "cpt":
                 if current is None:
                     raise BayesNetError("cpt line before any node line")
-                cpts[current][int(tok[1])] = float(tok[2])
+                if len(tok) != 3:
+                    raise BayesNetError(f"bad cpt line: {raw!r}")
+                mask, table = _parse_field(int, tok[1], raw), cpts[current]
+                if not 0 <= mask < len(table):
+                    raise BayesNetError(f"node {current}: cpt mask {mask} out of range")
+                if table[mask] is not None:
+                    raise BayesNetError(f"node {current}: cpt mask {mask} listed twice")
+                table[mask] = _parse_field(float, tok[2], raw)
             else:
                 raise BayesNetError(f"unrecognized line: {raw!r}")
     if any(p is None for p in parents):
         raise BayesNetError("missing node lines")
+    for i, table in enumerate(cpts):
+        if any(v is None for v in table):
+            raise BayesNetError(f"node {i}: missing cpt lines")
     return BayesNet(n, parents, cpts)

@@ -165,52 +165,48 @@ def expected_t_closed_form(p, q, s: float, s_set=None) -> float:
 def expected_log1p_poisson(lam: float, tail_tol: float = 1e-12) -> float:
     """E[log(J + 1)] for J ~ Poi(lam), by series with a certified remainder.
 
-    Terms are added until the analytic tail bound (geometric pmf decay past
-    2*lam with a slowly growing log envelope) drops below ``tail_tol``.
+    The series walks down and then up from the mode over pmf weights
+    relative to the mode's and returns their log-weighted mean, so no pmf
+    underflows.  Past the mode consecutive pmf ratios are at most
+    ``j / lam`` downward and ``lam / (j + 1)`` upward, so each unsummed
+    tail is bounded by a geometric series; each walk stops once its bound,
+    relative to the weight summed so far, is below ``tail_tol / 2``, which
+    keeps the result within ``tail_tol``.  By the Poisson Chernoff bound
+    the walks stop within lam +- O(sqrt(lam log(1/tail_tol))), so the cost
+    is O(sqrt(lam)) terms; past ``MAX_SERIES_TERMS`` terms (lam above about
+    4e9 at the default tolerance) ``NonConvergent`` is raised.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and non-negative")
     if lam == 0:
         return 0.0
-    pmf = math.exp(-lam)
-    if pmf == 0.0:
-        # extremely large lambda: seed the series at the mode instead
-        j0 = int(lam)
-        log_pmf = j0 * math.log(lam) - lam - math.lgamma(j0 + 1)
-        return _series_from_mode(lam, j0, log_pmf, tail_tol)
-    total = 0.0
-    j = 0
-    while j < MAX_SERIES_TERMS:
-        total += pmf * math.log(j + 1.0)
-        j += 1
-        pmf *= lam / j
-        if j > 2 * lam + 10 and pmf * (2.0 * math.log(j + 2.0) + 4.0) < tail_tol:
-            return total
-    raise NonConvergent(f"series for lambda={lam} did not converge in {MAX_SERIES_TERMS} terms")
-
-
-def _series_from_mode(lam: float, j0: int, log_pmf0: float, tail_tol: float) -> float:
-    # walk down and up from the mode; same certified tail bound upward
-    total = 0.0
-    pmf = math.exp(log_pmf0)
-    # downward
-    p = pmf
-    for j in range(j0, -1, -1):
-        total += p * math.log(j + 1.0)
-        p *= j / lam
-        if p < tail_tol * 1e-3 and j < lam / 2:
+    mode = math.floor(lam)
+    log_cap = math.log(lam + 1.0)  # Jensen: E[log(J + 1)] <= log(lam + 1)
+    mass = total = 0.0
+    terms = 0
+    # downward from the mode; w is pmf(j) / pmf(mode)
+    w, j = 1.0, mode
+    while j >= 0 and terms < MAX_SERIES_TERMS:
+        mass += w
+        total += w * math.log(j + 1.0)
+        w *= j / lam
+        j -= 1
+        terms += 1
+        if log_cap * w / (1.0 - j / lam) < 0.5 * tail_tol * mass:
             break
-    # upward
-    p = pmf * lam / (j0 + 1)
-    j = j0 + 1
-    while j < MAX_SERIES_TERMS:
-        total += p * math.log(j + 1.0)
+    # upward; the remaining terms sum to at most w (log(j+1)/(1-r) + r/((j+1)(1-r)^2))
+    w, j = 1.0, mode
+    while terms < MAX_SERIES_TERMS:
+        w *= lam / (j + 1.0)
         j += 1
-        p *= lam / j
-        if j > 2 * lam + 10 and p * (2.0 * math.log(j + 2.0) + 4.0) < tail_tol:
-            return total
+        r = lam / (j + 1.0)
+        if w * (math.log(j + 1.0) / (1.0 - r) + r / ((j + 1.0) * (1.0 - r) ** 2)) < 0.5 * tail_tol * mass:
+            return total / mass
+        mass += w
+        total += w * math.log(j + 1.0)
+        terms += 1
     raise NonConvergent(f"series for lambda={lam} did not converge in {MAX_SERIES_TERMS} terms")
 
 

@@ -2,10 +2,13 @@
 subset-sweep closeness/identity testers."""
 
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from enttest import bayesnet
 from enttest.bayesnet import (
     BayesNet,
     BayesNetError,
@@ -31,7 +34,7 @@ from enttest.bayesnet import (
     save_bayesnet,
 )
 from enttest.core import entropy
-from enttest.testers import ParameterOutOfRange
+from enttest.testers import DEFAULT_CONFIG, ParameterOutOfRange
 
 
 def fair_coins(n):
@@ -95,11 +98,11 @@ class TestExactJointAndMarginals:
 
     def test_marginal_independence(self):
         m = bn_exact_marginal(fair_coins(4), (0, 2))
-        assert m.table == pytest.approx([0.25] * 4)
+        assert m == pytest.approx([0.25] * 4)
 
     def test_chain_marginal_correlated(self):
         m = bn_exact_marginal(copy_chain(), (0, 1))
-        assert m.table == pytest.approx([0.5, 0.0, 0.0, 0.5])
+        assert m == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
     def test_exact_guard(self):
         with pytest.raises(TooLargeForExact):
@@ -285,6 +288,152 @@ class TestIdentityTester:
             bn_identity_test(BnSampler(net, 1), net, 4, 0, 0.3)
 
 
+# Verdicts of the per-subset sweep, recorded before the sweep was batched:
+# (accepted, fired stage, samples_used, trace) on each counting path.
+_SHARED = [("bn-shared-m", 170427.0, 127.0), ("bn-eps1", 0.5560620396340937, 0.01125)]
+_ID_SHARED = [("bn-id-shared-m", 85360.0, 127.0), ("bn-id-eps1", 0.7102812960045428, 0.01125)]
+GOLDEN = {
+    ("closeness-null", "dense"): (True, None, 340158, _SHARED + [("bn-sweep", 56.0, 0.0)]),
+    ("closeness-far", "dense"): (
+        False, "bn-eet:0,1,6", 339907, _SHARED + [("bn-eet:0,1,6", 1913.0456154991725, 12.0)]),
+    ("closeness-far-hellinger", "dense"): (
+        False, "bn-hellinger:0,1,2", 342013,
+        _SHARED + [("bn-hellinger:0,1,2", 40.40575846238259, 12.0)]),
+    ("identity-null", "dense"): (True, None, 85501, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
+    ("identity-far", "dense"): (
+        False, "bn-id-chi:0,1,6", 85360, _ID_SHARED + [("bn-id-chi:0,1,6", 4001.839866749948, 12.0)]),
+    ("identity-far-entropy", "dense"): (
+        False, "bn-id-entropy:3,5,6", 85599,
+        _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7120868626860921, 0.7102812960045428)]),
+    ("identity-far-both", "dense"): (
+        False, "bn-id-entropy:0,1,6", 85360,
+        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.311134269992277, 0.14205625920090856)]),
+    ("closeness-null", "streaming"): (True, None, 339937, _SHARED + [("bn-sweep", 56.0, 0.0)]),
+    ("closeness-far", "streaming"): (
+        False, "bn-eet:0,1,6", 341665, _SHARED + [("bn-eet:0,1,6", 1922.3719475548965, 12.0)]),
+    ("closeness-far-hellinger", "streaming"): (
+        False, "bn-hellinger:0,1,2", 340600,
+        _SHARED + [("bn-hellinger:0,1,2", 37.360191339056065, 12.0)]),
+    ("identity-null", "streaming"): (True, None, 85158, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
+    ("identity-far", "streaming"): (
+        False, "bn-id-chi:0,1,6", 85092, _ID_SHARED + [("bn-id-chi:0,1,6", 3924.7281686101946, 12.0)]),
+    ("identity-far-entropy", "streaming"): (
+        False, "bn-id-entropy:3,5,6", 85186,
+        _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7139697963848808, 0.7102812960045428)]),
+    ("identity-far-both", "streaming"): (
+        False, "bn-id-entropy:0,1,6", 85092,
+        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.3057250937632714, 0.14205625920090856)]),
+}
+
+
+def _golden_verdict(case):
+    # the Hellinger vote only fires once the EET thresholds are raised, and
+    # the entropy vote once the chi threshold is raised or its own lowered
+    # (then both vote on the same subset, and the entropy vote is reported)
+    hellinger_only = replace(DEFAULT_CONFIG, c_T_threshold=50.0, c_Z_threshold=50.0)
+    entropy_only = replace(DEFAULT_CONFIG, c_T_threshold=1e6)
+    both = replace(DEFAULT_CONFIG, c_Z_threshold=0.2)
+    null = random_bayesnet(8, 2, np.random.default_rng(100))
+    if case == "closeness-null":
+        return bn_closeness_test(BnSampler(null, 1), BnSampler(null, 2), 8, 2, 0.3, rng=0)
+    if case == "identity-null":
+        return bn_identity_test(BnSampler(null, 3), null, 8, 2, 0.3, rng=0)
+    seed, cfg = {
+        "closeness-far": (10, DEFAULT_CONFIG),
+        "closeness-far-hellinger": (1, hellinger_only),
+        "identity-far": (10, DEFAULT_CONFIG),
+        "identity-far-entropy": (2, entropy_only),
+        "identity-far-both": (10, both),
+    }[case]
+    base, far, _ = make_far_net_pair(8, 2, 0.3, np.random.default_rng(200 + seed))
+    if case.startswith("closeness"):
+        return bn_closeness_test(BnSampler(base, 1), BnSampler(far, 2), 8, 2, 0.3, cfg=cfg, rng=seed)
+    return bn_identity_test(BnSampler(far, 3), base, 8, 2, 0.3, cfg=cfg, rng=seed)
+
+
+class TestGoldenVerdicts:
+    @pytest.mark.parametrize("path", ["dense", "streaming"])
+    @pytest.mark.parametrize("case", sorted({case for case, _ in GOLDEN}))
+    def test_verdict_and_trace_pinned(self, case, path, monkeypatch):
+        if path == "streaming":
+            monkeypatch.setattr(bayesnet, "_PROJECTION_CELL_CAP", 0)
+        accepted, stage, samples, trace = GOLDEN[case, path]
+        v = _golden_verdict(case)
+        assert v.accepted == accepted
+        assert v.fired_stage == stage
+        assert v.samples_used == samples
+        assert v.trace == trace
+
+
+class TestBlockedSubsetCounts:
+    def _mixture(self, n, seed):
+        net = random_bayesnet(n, 2, np.random.default_rng(seed))
+        return BnMixtureSampler(BnSampler(net, seed), 0.01, seed + 1)
+
+    @staticmethod
+    def _cells(values, sub):
+        # values: (..., n) bits; cell index with bit j = variable sub[j]
+        return sum(values[..., v].astype(np.int64) << j for j, v in enumerate(sub))
+
+    def test_dense_counts_match_per_subset_bincount(self):
+        n, width, k, m = 8, 3, 9, 5000
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 61), m, k, width,
+                                                       np.random.default_rng(7))
+        # the same per-block atom counts, projected one subset at a time
+        per_block = np.random.default_rng(7).poisson(
+            np.outer(np.full(k, m / k), self._mixture(n, 61).exact_joint()))
+        atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        subsets = list(combinations(range(n), width))
+        assert counts.shape == (len(subsets), k, 2**width)
+        assert total == per_block.sum()
+        for s, sub in enumerate(subsets):
+            cells = self._cells(atom_bits, sub)
+            for b in range(k):
+                ref = np.bincount(cells, weights=per_block[b], minlength=2**width)
+                assert np.array_equal(counts[s, b], ref)
+
+    def test_streaming_counts_match_per_sample_tally(self, monkeypatch):
+        monkeypatch.setattr(bayesnet, "_PROJECTION_CELL_CAP", 0)
+        n, width, k, m = 6, 3, 5, 2000
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 62), m, k, width,
+                                                       np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        realized = int(rng.poisson(m))
+        bits = self._mixture(n, 62).sample(realized)
+        blocks = rng.integers(0, k, size=realized)
+        assert total == realized
+        for s, sub in enumerate(combinations(range(n), width)):
+            ref = np.zeros((k, 2**width))
+            np.add.at(ref, (blocks, self._cells(bits, sub)), 1.0)
+            assert np.array_equal(counts[s], ref)
+
+    @pytest.mark.parametrize("ncells", [4, 8, 16])
+    def test_miller_madow_matches_per_row_loop(self, ncells):
+        rng = np.random.default_rng(ncells)
+        # sparse rows, so most have unseen cells and some are empty
+        x = rng.poisson(rng.uniform(0, 2, size=ncells), size=(3, 200, ncells)).astype(np.float64)
+        x[0, :5] = 0.0
+        empty = np.arange(3.0)[:, None]
+        got = bayesnet._miller_madow(x, empty)
+        for s in range(3):
+            for b in range(200):
+                tot = x[s, b].sum()
+                if tot == 0:
+                    assert got[s, b] == empty[s, 0]
+                    continue
+                freq = x[s, b] / tot
+                nz = freq > 0
+                plugin = float(-(freq[nz] * np.log(freq[nz])).sum())
+                assert got[s, b] == plugin + (int(nz.sum()) - 1) / (2.0 * tot)
+
+    def test_projection_cached_read_only(self):
+        proj = bayesnet._subset_projection(6, 3)
+        assert proj is bayesnet._subset_projection(6, 3)
+        assert not proj.flags.writeable
+        assert proj.shape == (64, 20 * 8)
+        assert np.array_equal(proj.sum(axis=1), np.full(64, 20.0))
+
+
 class TestNetFiles:
     def test_roundtrip_bytes_stable(self, tmp_path):
         net = random_bayesnet(6, 2, np.random.default_rng(41))
@@ -307,6 +456,31 @@ class TestNetFiles:
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.bn"
         path.write_text("nope\n")
+        with pytest.raises(BayesNetError):
+            load_bayesnet(path)
+
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "node 5 parents \ncpt 0 0.5\n",
+            "node 0 parents \ncpt 0 0.5\nnode 1 parents \ncpt 0 0.5\nnode 0 parents \ncpt 0 0.7\n",
+            "node 0 parents \ncpt 0 0.5\nnode 1 parents 0\ncpt 0 0.5\ncpt 2 0.5\n",
+            "node 0 parents \ncpt 0 0.5\ncpt 0 0.7\nnode 1 parents \ncpt 0 0.5\n",
+            "node 0 parents \ncpt 0 0.5\nnode 1 parents 0\ncpt 0 0.5\n",
+            "node 0 parents \ncpt 0 0.5\nnode 1 parents 0,2\n"
+            "cpt 0 0.5\ncpt 1 0.5\ncpt 2 0.5\ncpt 3 0.5\nnode 2 parents \ncpt 0 0.5\n",
+            "node x parents \ncpt 0 0.5\nnode 1 parents \ncpt 0 0.5\n",
+            "node 0 parents \ncpt 0 half\nnode 1 parents \ncpt 0 0.5\n",
+        ],
+        ids=["node-out-of-range", "node-repeated", "cpt-mask-out-of-range",
+             "cpt-repeated", "missing-cpt", "in-degree-above-header",
+             "non-numeric-node", "non-numeric-cpt"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, body):
+        n = 3 if "node 2" in body else 2
+        path = tmp_path / "bad.bn"
+        path.write_text(f"n={n} d=1\n" + body)
         with pytest.raises(BayesNetError):
             load_bayesnet(path)
 

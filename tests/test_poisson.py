@@ -1,6 +1,7 @@
 """Poissonized statistics and their expectation oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -274,6 +275,30 @@ class TestExactExpectedZ:
         v = expected_log1p_poisson(5e4, 1e-10)
         # concentration: E[log(J+1)] ~ log(lambda) for large lambda
         assert abs(v - math.log(5e4)) < 0.01
+
+    @pytest.mark.parametrize("lam", [5e5, 1e6, 1e7])
+    def test_very_large_lambda_total(self, lam):
+        start = time.perf_counter()
+        v = expected_log1p_poisson(lam)
+        elapsed = time.perf_counter() - start
+        assert math.isfinite(v)
+        # delta method; the next terms are O(1/lambda^2)
+        assert v == pytest.approx(math.log(lam + 1) - lam / (2 * (lam + 1) ** 2), abs=1e-9)
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("lam", [712.0, 730.0, 744.5])
+    def test_subnormal_zero_term(self, lam):
+        # exp(-lambda) is subnormal above 708.4; the brute force works in log space
+        brute = sum(
+            math.exp(-lam + j * math.log(lam) - math.lgamma(j + 1)) * math.log(j + 1)
+            for j in range(3000)
+        )
+        assert expected_log1p_poisson(lam, 1e-13) == pytest.approx(brute, abs=1e-10)
+
+    def test_nonfinite_lambda_rejected(self):
+        for lam in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError):
+                expected_log1p_poisson(lam)
 
     def test_nonconvergent_guard(self):
         with pytest.raises((NonConvergent, ValueError)):
