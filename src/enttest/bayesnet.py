@@ -8,10 +8,13 @@ identity-test variant against a fully known net, and the exact
 KL-to-projection oracle used by the verification suites.
 
 The sweep is batched: one (subset, block, cell) count array holds every
-subset's per-block counts (on small nets one matmul of the per-atom block
-counts with a cached one-hot projection), each local statistic is
-computed for all subsets at once, and the verdict names the first
-rejecting subset in ``combinations`` order.
+subset's per-block counts, each local statistic is computed for all
+subsets at once, and the verdict names the first rejecting subset in
+``combinations`` order.  On small nets the counts are marginalized from
+the per-atom block counts split in half: the low n//2 variables and the
+high ones each get a small cached one-hot map onto their own j-subsets,
+and every (d+1)-subset with j low variables comes from two contractions,
+one per half.
 
 CPT layout: for node i with sorted parent tuple (p_0 < p_1 < ...), entry
 ``cpt[i][mask]`` is P(X_i = 1 | parents), where bit j of ``mask`` carries
@@ -146,8 +149,16 @@ def bn_exact_joint(net: BayesNet) -> np.ndarray:
 
 
 def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
-    """Marginalize a 2^n joint onto sorted ``subset`` (bit j = subset[j])."""
+    """Marginalize a 2^n joint onto sorted ``subset`` (bit j = subset[j]).
+
+    Raises ``ValueError`` when ``joint`` does not have 2^n entries or a
+    variable of ``subset`` is out of ``[0, n)`` or repeated.
+    """
+    if joint.size != 2**n:
+        raise ValueError(f"joint has {joint.size} entries, not 2^{n}")
     subset = tuple(sorted(subset))
+    if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
+        raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
     atoms = np.arange(joint.size, dtype=np.int64)
     cells = np.zeros(atoms.size, dtype=np.int64)
     for j, v in enumerate(subset):
@@ -155,6 +166,42 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     out = np.zeros(2 ** len(subset))
     np.add.at(out, cells, joint)
     return out
+
+
+def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
+    """Cell of each atom on each row of ``subsets`` (sorted variables, bit j
+    = j-th variable), offset by ``s * 2^width`` on row s: a
+    ``(len(subsets), atoms.size)`` int64 array."""
+    cells = np.empty((len(subsets), atoms.size), dtype=np.int64)
+    cells[:] = (np.arange(len(subsets), dtype=np.int64) << width)[:, None]
+    for j in range(width):
+        # the j-th smallest variable is at least j
+        cells |= (atoms >> (subsets[:, j, None] - j)) & (1 << j)
+    return cells
+
+
+# atoms times subsets per bincount in _subset_tables: 512 KB of int64
+# cells, which stays in cache; past n = 16 a chunk is a single subset
+_TABLE_CHUNK = 2**16
+
+
+def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
+    """``joint_marginal`` of a 2^n joint onto every ``width``-subset, in
+    ``combinations`` order: a ``(C(n, width), 2^width)`` array.
+
+    One weighted bincount per chunk of subsets over (subset, cell) offsets;
+    a bincount adds in index order, as ``np.add.at`` does, so every table
+    is bit-identical to ``joint_marginal``'s.
+    """
+    subsets = np.array(list(combinations(range(n), width)), dtype=np.int64)
+    atoms = np.arange(2**n, dtype=np.int64)
+    step = max(1, _TABLE_CHUNK >> n)
+    tables = []
+    for start in range(0, len(subsets), step):
+        cells = _subset_cells(atoms, subsets[start : start + step], width)
+        weights = np.broadcast_to(joint, cells.shape).ravel()
+        tables.append(np.bincount(cells.ravel(), weights, minlength=cells.shape[0] << width))
+    return np.concatenate(tables).reshape(len(subsets), 2**width)
 
 
 def bn_exact_marginal(net: BayesNet, subset) -> np.ndarray:
@@ -235,29 +282,75 @@ def bn_mixture_sampler(net_sampler: BnSampler, n: int, d: int, eps: float, rng_s
 # ---------------------------------------------------------------------------
 
 
-# memory guard for the dense projection: the (2^n, C(n, d+1) 2^{d+1})
-# one-hot map must stay modest
+# Path switch, not a memory guard: nets with C(n, d+1) 2^{n+d+1} at most
+# this count draw per-atom block counts from the exact mixture joint (the
+# dense path), larger ones stream samples.  The two paths consume the
+# generator differently, so the value fixes each n's random stream.
 _PROJECTION_CELL_CAP = 2**26
 
 
-@functools.lru_cache(maxsize=1)
-def _subset_projection(n: int, width: int) -> np.ndarray:
-    """Read-only one-hot map from the 2^n atoms to every subset's cells.
+def _half_map(bits: int, j: int) -> np.ndarray:
+    """Read-only one-hot map from the atoms of ``bits`` variables to the
+    cells of each of their j-subsets: column ``s * 2^j + c`` is 1 on the
+    atoms whose bits on the s-th subset (in ``combinations`` order) spell
+    cell c."""
+    atoms = np.arange(2**bits, dtype=np.int64)
+    subsets = np.array(list(combinations(range(bits), j)), dtype=np.int64)
+    out = np.zeros((atoms.size, len(subsets) << j))
+    out[atoms, _subset_cells(atoms, subsets, j)] = 1.0
+    out.setflags(write=False)
+    return out
 
-    Column ``s * 2^width + c`` is 1 on the atoms whose bits on the s-th
-    ``width``-subset (in ``combinations`` order) spell cell ``c``, so
-    ``counts @ proj`` projects per-atom counts onto all subsets at once.
+
+@functools.lru_cache(maxsize=1)
+def _marginal_plan(n: int, width: int):
+    """Split-half plan for marginalizing 2^n atoms onto every
+    ``width``-subset, as a tuple of splits ``(j, lo_map, hi_map, sweep)``.
+
+    A subset with j of its variables among the low ``n // 2`` is a j-subset
+    of the low half followed by a (width - j)-subset of the high half, so
+    its cell is ``c_lo | c_hi << j``.  ``lo_map`` and ``hi_map`` are the two
+    halves' maps for that j, and ``sweep`` holds the index in
+    ``combinations(range(n), width)`` of each (high, low) subset pair,
+    high-major.
     """
-    atoms = np.arange(2**n, dtype=np.int64)
-    subsets = list(combinations(range(n), width))
-    proj = np.zeros((atoms.size, len(subsets) << width))
-    for s, sub in enumerate(subsets):
-        cells = np.full(atoms.size, s << width, dtype=np.int64)
-        for j, v in enumerate(sub):
-            cells |= ((atoms >> v) & 1) << j
-        proj[atoms, cells] = 1.0
-    proj.setflags(write=False)
-    return proj
+    low_bits = n // 2
+    index = {sub: s for s, sub in enumerate(combinations(range(n), width))}
+    splits = []
+    for j in range(max(0, width - (n - low_bits)), min(width, low_bits) + 1):
+        sweep = np.array([
+            index[lo + hi]
+            for hi in combinations(range(low_bits, n), width - j)
+            for lo in combinations(range(low_bits), j)
+        ])
+        sweep.setflags(write=False)
+        splits.append((j, _half_map(low_bits, j), _half_map(n - low_bits, width - j), sweep))
+    return tuple(splits)
+
+
+def _marginal_counts(per_block: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Counts[subset, block, cell] of per-atom counts ``per_block`` of
+    shape ``(k, 2^n)``, for every ``width``-subset in ``combinations`` order.
+
+    The atom index is high half times low half, so the counts reshape to
+    ``(k, 2^(n - n//2), 2^(n//2))`` without a copy; each split contracts
+    them with its two half maps, the one with fewer columns first.  The
+    counts are integers far below 2^53, so every order of summation gives
+    the same floats.
+    """
+    k = per_block.shape[0]
+    x = per_block.astype(np.float64).reshape(k, 2 ** (n - n // 2), 2 ** (n // 2))
+    out = np.empty((math.comb(n, width), k, 2**width))
+    for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
+        if lo_map.shape[1] <= hi_map.shape[1]:
+            z = hi_map.T @ (x @ lo_map)
+        else:
+            z = (hi_map.T @ x) @ lo_map
+        # z[b, (s_hi, c_hi), (s_lo, c_lo)] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
+        n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
+        z = z.reshape(k, n_hi, 2 ** (width - j), n_lo, 2**j).transpose(1, 3, 0, 2, 4)
+        out[sweep] = z.reshape(n_hi * n_lo, k, 2**width)
+    return out
 
 
 def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
@@ -265,15 +358,16 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
     variables, from one shared Poissonized multiset.
 
     The multiset of ``Poi(m)`` samples is split uniformly into ``k_blocks``
-    majority-vote blocks (Poisson thinning keeps blocks independent).  When
-    the exact mixture joint fits the memory guard the per-atom block counts
-    are drawn directly as ``Poi(m/k * p_atom)``, identical in law to
-    sampling, and projected onto every subset by one matmul with the cached
-    one-hot map (the counts are integers far below 2^53, so the product is
-    exact); otherwise samples are streamed and each subset is bincounted.
-    Subsets run in ``combinations(range(n), width)`` order.  Returns
-    ``(float64 array of shape (C(n, width), k_blocks, 2^width), total
-    samples drawn)``.
+    majority-vote blocks (Poisson thinning keeps blocks independent).  On
+    the dense path (``C(n, width) 2^(n+width)`` at most
+    ``_PROJECTION_CELL_CAP``) the per-atom block counts are drawn directly
+    as ``Poi(m/k * p_atom)`` from the exact mixture joint, identical in law
+    to sampling, and marginalized onto every subset by
+    ``_marginal_counts``, two half-width contractions per split of the
+    subset between the low and high variables; otherwise samples are
+    streamed and each subset is bincounted.  Subsets run in
+    ``combinations(range(n), width)`` order.  Returns ``(float64 array of
+    shape (C(n, width), k_blocks, 2^width), total samples drawn)``.
     """
     n = mix.n
     ncells = 2**width
@@ -281,10 +375,7 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
     if n <= EXACT_GUARD and len(subsets) * 2 ** (n + width) <= _PROJECTION_CELL_CAP:
         joint = mix.exact_joint()
         per_block = rng.poisson(np.outer(np.full(k_blocks, m / k_blocks), joint))
-        total = int(per_block.sum())
-        flat = per_block @ _subset_projection(n, width)
-        counts = flat.reshape(k_blocks, len(subsets), ncells).transpose(1, 0, 2)
-        return np.ascontiguousarray(counts), total
+        return _marginal_counts(per_block, n, width), int(per_block.sum())
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
     blocks = rng.integers(0, k_blocks, size=realized)
@@ -464,7 +555,7 @@ def bn_identity_test(
     tau_ent = cfg.c_Z_threshold * eps1
 
     trace = [("bn-id-shared-m", float(m), float(k_blocks)), ("bn-id-eps1", eps1, eps**2 / n)]
-    q_tables = np.array([joint_marginal(q_joint, sub, n) for sub in subsets])
+    q_tables = _subset_tables(q_joint, n, d + 1)
     h_q = np.array([entropy(table) for table in q_tables])[:, None]
     lam = m_block * q_tables[:, None, :]
     chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=-1)

@@ -108,6 +108,27 @@ class TestExactJointAndMarginals:
         with pytest.raises(TooLargeForExact):
             bn_exact_joint(fair_coins(30))
 
+    @pytest.mark.parametrize("subset,n", [((0, 7), 4), ((1, 1), 4), ((-1,), 4), ((0, 1), 5)],
+                             ids=["out-of-range", "repeated", "negative", "wrong-n"])
+    def test_marginal_rejects_bad_input(self, subset, n):
+        with pytest.raises(ValueError):
+            joint_marginal(np.full(16, 1 / 16), subset, n)
+
+    def test_exact_marginal_rejects_variable_out_of_range(self):
+        with pytest.raises(ValueError):
+            bn_exact_marginal(fair_coins(4), (0, 9))
+
+    @pytest.mark.parametrize("n", [6, 8, 12])
+    def test_subset_tables_bit_identical_to_joint_marginal(self, n, monkeypatch):
+        net = random_bayesnet(n, 2, np.random.default_rng(n))
+        w = bn_mixture_weight(n, 2, 0.3)
+        joint = (1 - w) * bn_exact_joint(net) + w / 2**n
+        for width, chunk in ((2, 2**16), (3, 2**16), (3, 3 * 2**n)):
+            # a chunk of three subsets leaves a short last chunk
+            monkeypatch.setattr(bayesnet, "_TABLE_CHUNK", chunk)
+            ref = np.array([joint_marginal(joint, sub, n) for sub in combinations(range(n), width)])
+            assert bayesnet._subset_tables(joint, n, width).tobytes() == ref.tobytes()
+
     def test_joint_matches_sampling(self):
         rng = np.random.default_rng(3)
         net = random_bayesnet(5, 2, rng)
@@ -426,12 +447,36 @@ class TestBlockedSubsetCounts:
                 plugin = float(-(freq[nz] * np.log(freq[nz])).sum())
                 assert got[s, b] == plugin + (int(nz.sum()) - 1) / (2.0 * tot)
 
-    def test_projection_cached_read_only(self):
-        proj = bayesnet._subset_projection(6, 3)
-        assert proj is bayesnet._subset_projection(6, 3)
-        assert not proj.flags.writeable
-        assert proj.shape == (64, 20 * 8)
-        assert np.array_equal(proj.sum(axis=1), np.full(64, 20.0))
+    @pytest.mark.parametrize("n,width", [
+        (n, width) for n in (3, 4, 7, 8, 9, 12) for width in (1, 2, 3, 4) if width <= n
+    ])
+    def test_dense_counts_match_per_subset_bincount_any_split(self, n, width):
+        # odd n, width = n and a low half with fewer bits than width
+        k, m = 3, 400 * 2**width
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 63), m, k, width,
+                                                       np.random.default_rng(9))
+        per_block = np.random.default_rng(9).poisson(
+            np.outer(np.full(k, m / k), self._mixture(n, 63).exact_joint()))
+        atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        assert total == per_block.sum()
+        for s, sub in enumerate(combinations(range(n), width)):
+            cells = self._cells(atom_bits, sub)
+            ref = [np.bincount(cells, weights=row, minlength=2**width) for row in per_block]
+            assert np.array_equal(counts[s], ref)
+
+    def test_marginal_plan_cached_read_only(self):
+        splits = bayesnet._marginal_plan(7, 3)
+        assert bayesnet._marginal_plan(7, 3) is splits
+        assert [j for j, *_ in splits] == [0, 1, 2, 3]
+        sweeps = np.concatenate([sweep for *_, sweep in splits])
+        assert np.array_equal(np.sort(sweeps), np.arange(math.comb(7, 3)))
+        for j, lo_map, hi_map, sweep in splits:
+            assert not (lo_map.flags.writeable or hi_map.flags.writeable or sweep.flags.writeable)
+            assert lo_map.shape == (2**3, math.comb(3, j) << j)
+            assert hi_map.shape == (2**4, math.comb(4, 3 - j) << (3 - j))
+            # one-hot: every atom lands in one cell of every subset
+            assert np.array_equal(lo_map.sum(axis=1), np.full(2**3, math.comb(3, j)))
+            assert np.array_equal(hi_map.sum(axis=1), np.full(2**4, math.comb(4, 3 - j)))
 
 
 class TestNetFiles:

@@ -132,6 +132,21 @@ class TestReproducibility:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_bayesnet_suite_independent_of_hash_seed(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        csvs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hash{hash_seed}"
+            code = (
+                "from enttest.experiments import ExperimentSpec, run_experiment\n"
+                "run_experiment(ExperimentSpec(kind='bayesnet', n_values=[6], eps_values=[0.3],"
+                f" d_values=[2], trials=2, seed=20260808, out_dir={str(out)!r}), workers=1)\n"
+            )
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+            csvs.append((out / "results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_csv_header(self, tmp_path):
         spec = self._grid_spec(tmp_path / "h")
         run_experiment(spec, workers=1)
