@@ -9,8 +9,10 @@ KL-to-projection oracle used by the verification suites.
 
 The sweep is batched: one (subset, block, cell) count array holds every
 subset's per-block counts, each local statistic is computed for all
-subsets at once, and the verdict names the first rejecting subset in
-``combinations`` order.  On small nets the counts are marginalized from
+subsets at once (T and Z by the shared batched kernels
+``poisson.batch_t``/``batch_z``), each subset's blocks are majority-voted
+by ``testers._majority``, and the verdict names the first rejecting subset
+in ``combinations`` order.  On small nets the counts are marginalized from
 the per-atom block counts split in half: the low n//2 variables and the
 high ones each get a small cached one-hot map onto their own j-subsets,
 and every (d+1)-subset with j low variables comes from two contractions,
@@ -30,11 +32,13 @@ from itertools import combinations
 import numpy as np
 
 from .core import LOG_FLOOR, entropy
+from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
     ParameterOutOfRange,
     TestVerdict,
     ThresholdConfig,
+    _majority,
     amplification_reps,
 )
 
@@ -159,12 +163,8 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     subset = tuple(sorted(subset))
     if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
         raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
-    atoms = np.arange(joint.size, dtype=np.int64)
-    cells = np.zeros(atoms.size, dtype=np.int64)
-    for j, v in enumerate(subset):
-        cells |= ((atoms >> v) & 1) << j
     out = np.zeros(2 ** len(subset))
-    np.add.at(out, cells, joint)
+    np.add.at(out, _atom_cells(n, subset), joint)
     return out
 
 
@@ -178,6 +178,12 @@ def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndar
         # the j-th smallest variable is at least j
         cells |= (atoms >> (subsets[:, j, None] - j)) & (1 << j)
     return cells
+
+
+def _atom_cells(n: int, subset) -> np.ndarray:
+    """Cell of each of the 2^n atoms on one sorted ``subset``."""
+    atoms = np.arange(2**n, dtype=np.int64)
+    return _subset_cells(atoms, np.array([subset], dtype=np.int64), len(subset))[0]
 
 
 # atoms times subsets per bincount in _subset_tables: 512 KB of int64
@@ -402,22 +408,6 @@ def _local_noise_floor(s_block: float) -> float:
     return math.log(max(s_block, 3.0)) * math.sqrt(8.0 / max(s_block, 1.0))
 
 
-def _block_t_statistic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    j = x + y
-    d = x - y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(j > 0, (d * d - j) / np.where(j > 0, j, 1.0), 0.0)
-    return terms.sum(axis=-1)
-
-
-def _block_z_statistic(x: np.ndarray, y: np.ndarray, m_block: float) -> np.ndarray:
-    j = x + y
-    d = x - y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(j > 0, -d * np.log(np.where(j > 0, j, 1.0)), 0.0)
-    return terms.sum(axis=-1) / m_block
-
-
 def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
     """Miller-Madow entropy of each count row of ``x`` (last axis = cells);
     rows with no counts get ``empty`` (broadcast against the row shape).
@@ -491,10 +481,10 @@ def bn_closeness_test(
     ]
     # (subset, block) statistics in one pass; the verdict names the first
     # rejecting subset in sweep order, the EET vote before the Hellinger one
-    t_blocks = _block_t_statistic(counts_p, counts_q)
-    z_blocks = np.abs(_block_z_statistic(counts_p, counts_q, m_block))
-    eet_votes = 2 * ((t_blocks > tau_eet) | (z_blocks > tau_z)).sum(axis=1) > k_blocks
-    hell_votes = 2 * (t_blocks > tau_hell).sum(axis=1) > k_blocks
+    t_blocks = batch_t(counts_p, counts_q)
+    z_blocks = np.abs(batch_z(counts_p, counts_q, m_block))
+    eet_votes = _majority((t_blocks > tau_eet) | (z_blocks > tau_z))
+    hell_votes = _majority(t_blocks > tau_hell)
     fired = np.flatnonzero(eet_votes | hell_votes)
     if fired.size:
         s = int(fired[0])
@@ -561,8 +551,8 @@ def bn_identity_test(
     chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=-1)
     # an empty block gets h_q and so never votes to reject
     gap_blocks = np.abs(_miller_madow(x, h_q) - h_q)
-    ent_votes = 2 * (gap_blocks > tau_ent).sum(axis=1) > k_blocks
-    chi_votes = 2 * (chi_blocks > tau_chi).sum(axis=1) > k_blocks
+    ent_votes = _majority(gap_blocks > tau_ent)
+    chi_votes = _majority(chi_blocks > tau_chi)
     fired = np.flatnonzero(ent_votes | chi_votes)
     if fired.size:
         s = int(fired[0])
@@ -605,20 +595,11 @@ def projection_joint(p, structure) -> np.ndarray:
         parent_sets = tuple(tuple(sorted(ps)) for ps in structure)
     if len(parent_sets) != n:
         raise ValueError("structure size does not match the distribution")
-    atoms = np.arange(2**n, dtype=np.int64)
     out = np.ones(2**n)
     for i in range(n):
         fam = tuple(sorted(set(parent_sets[i]) | {i}))
-        fam_marg = joint_marginal(joint, fam, n)
-        par_marg = joint_marginal(joint, parent_sets[i], n)
-        fam_cells = np.zeros(atoms.size, dtype=np.int64)
-        for j, v in enumerate(fam):
-            fam_cells |= ((atoms >> v) & 1) << j
-        par_cells = np.zeros(atoms.size, dtype=np.int64)
-        for j, v in enumerate(parent_sets[i]):
-            par_cells |= ((atoms >> v) & 1) << j
-        num = fam_marg[fam_cells]
-        den = par_marg[par_cells]
+        num = joint_marginal(joint, fam, n)[_atom_cells(n, fam)]
+        den = joint_marginal(joint, parent_sets[i], n)[_atom_cells(n, parent_sets[i])]
         # parent configs never seen under p: any valid conditional works,
         # and p-null atoms never enter the KL sum
         cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)

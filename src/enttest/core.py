@@ -347,12 +347,6 @@ class Sampler:
         realized = int(self._rng.poisson(m))
         return realized, self.draw(realized)
 
-    def stream_poisson_counts(self, m: float) -> np.ndarray:
-        """Poissonized counts realized literally: draw N ~ Poi(m), then N
-        samples, then tabulate.  Identical in law to poisson_counts."""
-        realized, samples = self.stream_poisson_realize(m)
-        return np.bincount(samples, minlength=self.n)
-
     def binomial_hits(self, k: int, index_set) -> int:
         """Number of hits in ``index_set`` among exactly k draws."""
         if k <= 0:
@@ -533,8 +527,9 @@ def conditional_rejection_sample(sampler, support, count: int, budget: int):
     """Draw ``count`` samples from the conditional distribution on ``support``.
 
     Returns ``(samples, consumed)`` where ``consumed`` is the number of raw
-    draws spent; raises :class:`BudgetExhausted` if the budget runs out
-    first.  ``samples`` are indices into the original domain.
+    draws spent; raises :class:`BudgetExhausted` if the budget (or a sample
+    pool) runs out first, carrying the raw draws this call spent.
+    ``samples`` are indices into the original domain.
     """
     count = int(count)
     budget = int(budget)
@@ -563,7 +558,10 @@ def conditional_rejection_sample(sampler, support, count: int, budget: int):
         chunk = min(max(2 * (count - got), 64), budget - consumed)
         if chunk <= 0:
             raise BudgetExhausted(consumed)
-        raw = sampler.draw(chunk)
+        try:
+            raw = sampler.draw(chunk)
+        except BudgetExhausted:
+            raise BudgetExhausted(consumed, "sample pool exhausted") from None
         consumed += chunk
         acc = raw[mask[raw]]
         if acc.size:

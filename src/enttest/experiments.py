@@ -24,7 +24,6 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -32,6 +31,8 @@ import numpy as np
 from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, mass_floor_mix, triangle_discrepancy
 from .poisson import (
     CountPair,
+    batch_t,
+    batch_z,
     exact_expected_z,
     expected_t_closed_form,
     factorial_moment_check,
@@ -63,8 +64,6 @@ from . import instances as inst
 class CalibrationFailed(RuntimeError):
     """No threshold constant satisfied the protocol within the multiplier cap."""
 
-
-VALID_KINDS = ("calibrate", "error_grid", "scaling", "bayesnet", "oracle_suite")
 
 CSV_COLUMNS = (
     "kind",
@@ -168,7 +167,6 @@ class Row:
     reject_rate: float
     mean_samples: float
     seed: int
-    wall_ms: float = 0.0  # measured value lives in timings.csv
 
     def csv_line(self) -> str:
         return ",".join(
@@ -183,7 +181,7 @@ class Row:
                 f"{self.accept_rate:.6f}",
                 f"{self.reject_rate:.6f}",
                 f"{self.mean_samples:.6f}",
-                "0",
+                "0",  # wall_ms: the measured value lives in timings.csv
                 str(self.seed),
             ]
         )
@@ -248,7 +246,7 @@ def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
 # ---------------------------------------------------------------------------
 
 
-def _grid_trial(payload) -> dict:
+def _grid_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(4)
     cfg = payload["cfg"]
@@ -260,22 +258,11 @@ def _grid_trial(payload) -> dict:
     rng = np.random.default_rng(child[2])
     if payload["tester"] == "cascade":
         plan = make_eet_plan(payload["n"], payload["eps"], 0.1, cfg)
-        verdict = run_eet(sp, sq, plan, rng)
-    else:
-        verdict = run_eet_combined(sp, sq, payload["n"], payload["eps"], 0.1, cfg, rng)
-    branch = ""
-    if verdict.trace and str(verdict.trace[0][0]).startswith("combined-branch"):
-        branch = str(verdict.trace[0][0]).split(": ", 1)[1]
-    return {
-        "cell": payload["cell"],
-        "trial": payload["trial"],
-        "accepted": verdict.accepted,
-        "samples": verdict.samples_used,
-        "branch": branch,
-    }
+        return run_eet(sp, sq, plan, rng)
+    return run_eet_combined(sp, sq, payload["n"], payload["eps"], 0.1, cfg, rng)
 
 
-def _bn_trial(payload) -> dict:
+def _bn_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(6)
     cfg = payload["cfg"]
@@ -289,25 +276,17 @@ def _bn_trial(payload) -> dict:
         base, other, _tv = bn.make_far_net_pair(n, d, eps, gen)
     if family.startswith("bn-id"):
         side = other if family == "bn-id-far" else base
-        verdict = bn.bn_identity_test(
+        return bn.bn_identity_test(
             bn.BnSampler(side, child[1]), base, n, d, eps, cfg,
             budget_scale=payload["identity_budget_scale"], rng=np.random.default_rng(child[3]),
         )
-    else:
-        verdict = bn.bn_closeness_test(
-            bn.BnSampler(base, child[1]), bn.BnSampler(other, child[2]), n, d, eps, cfg,
-            budget_scale=payload["budget_scale"], rng=np.random.default_rng(child[3]),
-        )
-    return {
-        "cell": payload["cell"],
-        "trial": payload["trial"],
-        "accepted": verdict.accepted,
-        "samples": verdict.samples_used,
-        "branch": "",
-    }
+    return bn.bn_closeness_test(
+        bn.BnSampler(base, child[1]), bn.BnSampler(other, child[2]), n, d, eps, cfg,
+        budget_scale=payload["budget_scale"], rng=np.random.default_rng(child[3]),
+    )
 
 
-def _reduction_trial(payload) -> dict:
+def _reduction_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
     child = seq.spawn(4)
     cfg = payload["cfg"]
@@ -321,21 +300,23 @@ def _reduction_trial(payload) -> dict:
     per_stream = min(eet_budget, base_budget) // 2 + 1
     t = int(per_stream + 10 * math.sqrt(per_stream) + 200)
     sp, sq = inst.mi_reduction_stream_samplers(pair, t, child[0])
-    verdict = run_eet_combined(sp, sq, n, eps, 0.1, cfg, np.random.default_rng(child[1]))
-    return {
-        "cell": payload["cell"],
-        "trial": payload["trial"],
-        "accepted": verdict.accepted,
-        "samples": verdict.samples_used,
-        "branch": "",
-    }
+    return run_eet_combined(sp, sq, n, eps, 0.1, cfg, np.random.default_rng(child[1]))
 
 
 _TRIAL_OPS = {"grid": _grid_trial, "bn": _bn_trial, "reduction": _reduction_trial}
 
 
 def _run_trial(payload) -> dict:
-    return _TRIAL_OPS[payload["op"]](payload)
+    """One trial's outcome; ``branch`` is the combined tester's branch, if any."""
+    verdict = _TRIAL_OPS[payload["op"]](payload)
+    head = str(verdict.trace[0][0]) if verdict.trace else ""
+    return {
+        "cell": payload["cell"],
+        "trial": payload["trial"],
+        "accepted": verdict.accepted,
+        "samples": verdict.samples_used,
+        "branch": head.split(": ", 1)[1] if head.startswith("combined-branch") else "",
+    }
 
 
 def _execute(tasks, workers: int):
@@ -487,10 +468,7 @@ def bn_exact_checks(seed: int, eps: float, d: int):
         floor = eps**2 / (
             2 ** (d + 1) * d * n_small * math.log(max(n_small / eps, math.e))
         )
-        min_atom = min(
-            float(bn.joint_marginal(joint, sub, n_small).min())
-            for sub in combinations(range(n_small), d + 1)
-        )
+        min_atom = float(bn._subset_tables(joint, n_small, d + 1).min())
         worst_margin = min(worst_margin, min_atom - floor)
     checks.append(("exact:atom-floor", worst_margin >= 0, worst_margin))
 
@@ -602,11 +580,7 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
         reps = 3000
         x = rng.poisson(s * p.probs, size=(reps, nloc))
         y = rng.poisson(s * q.probs, size=(reps, nloc))
-        j = x + y
-        dd = (x - y).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(j > 0, (dd * dd - j) / np.where(j > 0, j, 1), 0.0)
-        t_samples = terms.sum(axis=1)
+        t_samples = batch_t(x, y)
         mc = float(t_samples.mean())
         se = float(t_samples.std(ddof=1) / math.sqrt(reps))
         exact = expected_t_closed_form(p, q, s)
@@ -635,11 +609,7 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
         reps = 10**5
         x = rng.poisson(m * p.probs, size=(reps, nloc))
         y = rng.poisson(m * q.probs, size=(reps, nloc))
-        j = x + y
-        dd = (x - y).astype(np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(j > 0, -dd * np.log(np.where(j > 0, j, 1)), 0.0)
-        z_samples = terms.sum(axis=1) / m
+        z_samples = batch_z(x, y, m)
         var = float(z_samples.var(ddof=1))
         log_m = math.log(m)
         bound = 16.0 * (log_m**2 * float(((p.probs - q.probs) ** 2).sum()) + log_m**2 / m)
@@ -810,6 +780,21 @@ def _calibration_date() -> str:
     return time.strftime("%Y-%m-%d", time.gmtime(t))
 
 
+def run_calibration_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
+    """Calibrate from the default config (``cfg`` and ``workers`` are unused);
+    write the frozen config and its provenance to ``calibrated_config.txt``."""
+    new_cfg, provenance, rows = calibrate(spec)
+    os.makedirs(spec.out_dir, exist_ok=True)
+    header = [
+        f"calibrated by enttest on {_calibration_date()}",
+        f"seed = {spec.seed}, trials = {spec.trials}",
+        f"grid: n in {[int(v) for v in (spec.n_values or [1000, 10000])]}, "
+        f"eps = {spec.eps_values[0] if spec.eps_values else 0.1}",
+    ] + provenance
+    save_config(new_cfg, os.path.join(spec.out_dir, "calibrated_config.txt"), header)
+    return rows, []
+
+
 # ---------------------------------------------------------------------------
 # SVG plotting (self-contained, no plotting dependency)
 # ---------------------------------------------------------------------------
@@ -865,6 +850,17 @@ def write_scaling_plot(csv_path, path):
 # ---------------------------------------------------------------------------
 
 
+# kind -> suite(spec, cfg, workers) returning (rows, violations)
+SUITES = {
+    "calibrate": run_calibration_suite,
+    "error_grid": run_error_grid,
+    "scaling": run_scaling,
+    "bayesnet": run_bayesnet_suite,
+    "oracle_suite": run_oracle_suite,
+}
+VALID_KINDS = tuple(SUITES)
+
+
 def resolve_workers(workers=None) -> int:
     if workers is not None:
         return max(int(workers), 1)
@@ -884,27 +880,7 @@ def run_experiment(spec: ExperimentSpec, workers=None, check: bool = False) -> i
     workers = resolve_workers(workers)
     cfg = load_config(spec.cfg_path) if spec.cfg_path else DEFAULT_CONFIG
     t0 = time.perf_counter()
-    if spec.kind == "error_grid":
-        rows, violations = run_error_grid(spec, cfg, workers)
-    elif spec.kind == "scaling":
-        rows, violations = run_scaling(spec, cfg, workers)
-    elif spec.kind == "bayesnet":
-        rows, violations = run_bayesnet_suite(spec, cfg, workers)
-    elif spec.kind == "oracle_suite":
-        rows, violations = run_oracle_suite(spec, cfg, workers)
-    elif spec.kind == "calibrate":
-        new_cfg, provenance, rows = calibrate(spec)
-        violations = []
-        os.makedirs(spec.out_dir, exist_ok=True)
-        header = [
-            f"calibrated by enttest on {_calibration_date()}",
-            f"seed = {spec.seed}, trials = {spec.trials}",
-            f"grid: n in {[int(v) for v in (spec.n_values or [1000, 10000])]}, "
-            f"eps = {spec.eps_values[0] if spec.eps_values else 0.1}",
-        ] + provenance
-        save_config(new_cfg, os.path.join(spec.out_dir, "calibrated_config.txt"), header)
-    else:
-        raise ConfigError(f"unknown experiment kind {spec.kind!r}")
+    rows, violations = SUITES[spec.kind](spec, cfg, workers)
     wall = (time.perf_counter() - t0) * 1e3
     csv_path = _write_results(rows, spec.out_dir, [(spec.kind, wall)])
     if spec.kind == "scaling":

@@ -25,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LOG_FLOOR, DomainMismatch, FairMixSampler, MassFloorSampler
-from .poisson import CountPair, statistic_l2, statistic_t, statistic_z
+from .poisson import poissonized_counts, statistic_l2, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
     ParameterOutOfRange,
     TestVerdict,
     ThresholdConfig,
+    _majority,
     amplification_reps,
     coin_bias_budget,
     heavy_set_budget,
@@ -168,11 +169,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
         trace.append(("lowmass-mass-floor", 0.0, 0.0))
 
     # stage 4: bias check, T over the heavy set against c_T sqrt(n)
-    pair = CountPair(
-        x_counts=sp_f.poisson_counts(b.s_bias),
-        y_counts=sq_f.poisson_counts(b.s_bias),
-        m_nominal=b.s_bias,
-    )
+    pair = poissonized_counts(sp_f, sq_f, b.s_bias)
     samples += pair.samples_used
     t_stat = statistic_t(pair, heavy_mask)
     t_thr = cfg.c_T_threshold * math.sqrt(n)
@@ -193,11 +190,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
 
     l2_eps = e_i / log_m
     l2_thr = cfg.c_l2_threshold * l2_eps**2
-    pair = CountPair(
-        x_counts=sp_f.poisson_counts(b.m5_l2),
-        y_counts=sq_f.poisson_counts(b.m5_l2),
-        m_nominal=b.m5_l2,
-    )
+    pair = poissonized_counts(sp_f, sq_f, b.m5_l2)
     samples += pair.samples_used
     l2_est = statistic_l2(pair) / b.m5_l2**2
     trace.append(("l2", l2_est, l2_thr))
@@ -205,11 +198,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
         return TestVerdict("reject", "l2", samples, trace)
 
     # stage 6: entropy-difference statistic Z over the heavy set
-    pair = CountPair(
-        x_counts=sp_f.poisson_counts(b.m4_z),
-        y_counts=sq_f.poisson_counts(b.m4_z),
-        m_nominal=b.m4_z,
-    )
+    pair = poissonized_counts(sp_f, sq_f, b.m4_z)
     samples += pair.samples_used
     z_stat = statistic_z(pair, heavy_mask)
     z_thr = cfg.c_Z_threshold * e_i
@@ -225,14 +214,12 @@ def run_eet(sp, sq, plan: EetPlan, rng=None) -> TestVerdict:
         raise DomainMismatch(f"plan domain {plan.n} != sampler domains {sp.n}, {sq.n}")
     rng = np.random.default_rng(rng)
     reps = amplification_reps(plan.delta)
-    if reps == 1:
-        return _run_eet_once(sp, sq, plan, rng)
     verdicts = [_run_eet_once(sp, sq, plan, rng) for _ in range(reps)]
     samples = sum(v.samples_used for v in verdicts)
     trace = [entry for v in verdicts for entry in v.trace]
-    rejects = [v for v in verdicts if v.rejected]
-    if 2 * len(rejects) > reps:
-        return TestVerdict("reject", rejects[0].fired_stage, samples, trace)
+    if _majority([v.rejected for v in verdicts]):
+        first = next(v for v in verdicts if v.rejected)
+        return TestVerdict("reject", first.fired_stage, samples, trace)
     return TestVerdict("accept", None, samples, trace)
 
 

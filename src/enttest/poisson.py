@@ -1,7 +1,11 @@
 """Poissonized count statistics and their exact expectation oracles.
 
 The two-sample statistics T and Z both consume a :class:`CountPair`:
-Poissonized empirical counts of the two sample streams.  Alongside the
+Poissonized empirical counts of the two sample streams.  :func:`batch_t`
+and :func:`batch_z` are the same statistics over the last axis of
+``(..., n)`` count arrays; the Bayes-net testers apply them to every
+(subset, block) count row at once, and the oracle suite to stacks of Monte
+Carlo draws.  Alongside the
 statistics themselves, this module carries deterministic oracles for their
 expectations (a closed form for ``E[T]``, a truncated-series evaluation for
 ``E[Z]``) and a Monte Carlo checker for the Poisson factorial-moment
@@ -95,30 +99,45 @@ def poissonized_counts(sp, sq, m: int, n: int | None = None, method: str = "dire
         x = sp.poisson_counts(m)
         y = sq.poisson_counts(m)
     else:
-        x = _stream_counts(sp, m)
-        y = _stream_counts(sq, m)
+        x = poissonized_draw(sp, m).counts(sp.n)
+        y = poissonized_draw(sq, m).counts(sq.n)
     return CountPair(x_counts=x, y_counts=y, m_nominal=int(m))
 
 
-def _stream_counts(s, m: int) -> np.ndarray:
-    if hasattr(s, "stream_poisson_counts"):
-        return s.stream_poisson_counts(m)
-    return s.poisson_counts(m)  # pools already consume sample-by-sample
-
-
-def _select(counts: CountPair, s_set):
+def _restrict(s_set, *vectors):
+    """Each vector's entries on ``s_set`` (a bool mask or an index array;
+    every entry when ``s_set`` is None)."""
     if s_set is None:
-        return counts.x_counts, counts.y_counts
+        return vectors
     idx = np.asarray(s_set)
-    if idx.dtype == bool:
-        return counts.x_counts[idx], counts.y_counts[idx]
-    idx = idx.astype(np.int64)
-    return counts.x_counts[idx], counts.y_counts[idx]
+    if idx.dtype != bool:
+        idx = idx.astype(np.int64)
+    return tuple(v[idx] for v in vectors)
+
+
+def batch_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """T over the last axis of ``(..., n)`` count arrays, 0-terms skipped."""
+    j = x + y
+    d = x - y
+    return np.divide(d * d - j, j, out=np.zeros(j.shape), where=j > 0).sum(axis=-1)
+
+
+def batch_z(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
+    """Z over the last axis of ``(..., n)`` count arrays at nominal size m,
+    0-terms skipped."""
+    j = x + y
+    log_j = np.log(j, out=np.zeros(j.shape), where=j > 0)
+    return -((x - y) * log_j).sum(axis=-1) / m
+
+
+# The 1-D statistics below sum over the nonzero cells only: on sparse counts
+# at large n that is faster than the masked batch kernels, and summing over
+# all n cells instead would change the low bits of the cascade's statistics.
 
 
 def statistic_t(counts: CountPair, s_set=None) -> float:
     """T = sum_i ((X_i - Y_i)^2 - (X_i + Y_i)) / (X_i + Y_i), 0-terms skipped."""
-    x, y = _select(counts, s_set)
+    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
     j = x + y
     nz = j > 0
     d = (x[nz] - y[nz]).astype(np.float64)
@@ -128,7 +147,7 @@ def statistic_t(counts: CountPair, s_set=None) -> float:
 
 def statistic_z(counts: CountPair, s_set=None) -> float:
     """Z = sum_i ((X_i - Y_i)/m) log(1/(X_i + Y_i)), 0-terms skipped."""
-    x, y = _select(counts, s_set)
+    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
     j = x + y
     nz = j > 0
     d = (x[nz] - y[nz]).astype(np.float64)
@@ -137,7 +156,7 @@ def statistic_z(counts: CountPair, s_set=None) -> float:
 
 def statistic_l2(counts: CountPair, s_set=None) -> float:
     """Collision statistic sum_i ((X_i - Y_i)^2 - X_i - Y_i); E = m^2 ||p-q||_2^2."""
-    x, y = _select(counts, s_set)
+    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
     d = (x - y).astype(np.float64)
     return float((d * d - x - y).sum())
 
@@ -148,13 +167,9 @@ def expected_t_closed_form(p, q, s: float, s_set=None) -> float:
     E[T] = sum_i delta_i^2 (lambda_i - 1 + exp(-lambda_i)) with
     lambda_i = s (p_i + q_i) and delta_i = (p_i - q_i)/(p_i + q_i).
     """
-    pv, qv = p.probs, q.probs
-    if pv.size != qv.size:
-        raise DomainMismatch(f"domain sizes differ: {pv.size} vs {qv.size}")
-    if s_set is not None:
-        idx = np.asarray(s_set)
-        pv = pv[idx] if idx.dtype == bool else pv[idx.astype(np.int64)]
-        qv = qv[idx] if idx.dtype == bool else qv[idx.astype(np.int64)]
+    if p.probs.size != q.probs.size:
+        raise DomainMismatch(f"domain sizes differ: {p.probs.size} vs {q.probs.size}")
+    pv, qv = _restrict(s_set, p.probs, q.probs)
     tot = pv + qv
     nz = tot > 0
     delta = (pv[nz] - qv[nz]) / tot[nz]
@@ -212,13 +227,9 @@ def expected_log1p_poisson(lam: float, tail_tol: float = 1e-12) -> float:
 
 def exact_expected_z(p, q, m: int, s_set=None, tail_tol: float = 1e-12) -> float:
     """Deterministic E[Z] oracle: sum_i -(p_i - q_i) E[log(J_i + 1)]."""
-    pv, qv = p.probs, q.probs
-    if pv.size != qv.size:
-        raise DomainMismatch(f"domain sizes differ: {pv.size} vs {qv.size}")
-    if s_set is not None:
-        idx = np.asarray(s_set)
-        pv = pv[idx] if idx.dtype == bool else pv[idx.astype(np.int64)]
-        qv = qv[idx] if idx.dtype == bool else qv[idx.astype(np.int64)]
+    if p.probs.size != q.probs.size:
+        raise DomainMismatch(f"domain sizes differ: {p.probs.size} vs {q.probs.size}")
+    pv, qv = _restrict(s_set, p.probs, q.probs)
     total = 0.0
     for pi, qi in zip(pv, qv):
         lam = m * (pi + qi)
@@ -234,11 +245,7 @@ def z_bias_bound(p, q, m: int, s_set=None) -> tuple[float, float]:
     target = sum_i (p_i - q_i) log(1/(m (p_i + q_i))),
     bound  = sum_i |p_i - q_i| / (m (p_i + q_i)); skipping zero-mass terms.
     """
-    pv, qv = p.probs, q.probs
-    if s_set is not None:
-        idx = np.asarray(s_set)
-        pv = pv[idx] if idx.dtype == bool else pv[idx.astype(np.int64)]
-        qv = qv[idx] if idx.dtype == bool else qv[idx.astype(np.int64)]
+    pv, qv = _restrict(s_set, p.probs, q.probs)
     tot = pv + qv
     nz = tot > 0
     d = pv[nz] - qv[nz]

@@ -21,8 +21,9 @@ from .core import (
     LOG_FLOOR,
     BudgetExhausted,
     _as_mask,
+    conditional_rejection_sample,
 )
-from .poisson import CountPair, statistic_l2, statistic_t
+from .poisson import poissonized_counts, statistic_l2, statistic_t
 
 
 class ParameterOutOfRange(ValueError):
@@ -62,6 +63,19 @@ _DEFAULT_MULTIPLIERS = {
     "coin": 8.0,
 }
 
+_SCALAR_KEYS = (
+    "c_hellinger_reject",
+    "c_heavy_low",
+    "c_heavy_high",
+    "c_lowmass_mass",
+    "c_mass_diff",
+    "c_T_threshold",
+    "c_l2_threshold",
+    "c_massS_diff",
+    "c_Z_threshold",
+    "c_dec",
+)
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -86,18 +100,7 @@ class ThresholdConfig:
     sample_multipliers: dict = field(default_factory=lambda: dict(_DEFAULT_MULTIPLIERS))
 
     def __post_init__(self):
-        for name in (
-            "c_hellinger_reject",
-            "c_heavy_low",
-            "c_heavy_high",
-            "c_lowmass_mass",
-            "c_mass_diff",
-            "c_T_threshold",
-            "c_l2_threshold",
-            "c_massS_diff",
-            "c_Z_threshold",
-            "c_dec",
-        ):
+        for name in _SCALAR_KEYS:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
         if self.c_heavy_high < 2 * self.c_heavy_low:
@@ -121,19 +124,6 @@ class ThresholdConfig:
 
 
 DEFAULT_CONFIG = ThresholdConfig()
-
-_SCALAR_KEYS = (
-    "c_hellinger_reject",
-    "c_heavy_low",
-    "c_heavy_high",
-    "c_lowmass_mass",
-    "c_mass_diff",
-    "c_T_threshold",
-    "c_l2_threshold",
-    "c_massS_diff",
-    "c_Z_threshold",
-    "c_dec",
-)
 
 
 def save_config(cfg: ThresholdConfig, path, header_lines=()):
@@ -210,6 +200,12 @@ def _accept(samples, trace):
 
 def _reject(stage, samples, trace):
     return TestVerdict("reject", stage, int(samples), trace)
+
+
+def _majority(votes, axis=-1):
+    """True where a strict majority of the boolean ``votes`` along ``axis`` is."""
+    votes = np.asarray(votes)
+    return 2 * np.count_nonzero(votes, axis=axis) > votes.shape[axis]
 
 
 def amplification_reps(delta: float) -> int:
@@ -343,21 +339,16 @@ def _t_noise_floor(n: int, s: int) -> float:
     return math.sqrt(min(n, s) + 1.0)
 
 
-def _run_t_test(sp, sq, n, budget, threshold, stage, delta):
-    reps = amplification_reps(delta)
-    rejects = 0
+def _run_t_test(sp, sq, budget, threshold, stage, delta, statistic):
+    """Majority vote of ``statistic(pair) > threshold`` over independent
+    Poissonized count pairs of nominal size ``budget``."""
     samples = 0
     trace = []
-    for _ in range(reps):
-        x = sp.poisson_counts(budget)
-        y = sq.poisson_counts(budget)
-        pair = CountPair(x_counts=x, y_counts=y, m_nominal=budget)
+    for _ in range(amplification_reps(delta)):
+        pair = poissonized_counts(sp, sq, budget)
         samples += pair.samples_used
-        t = statistic_t(pair)
-        trace.append((stage, t, threshold))
-        if t > threshold:
-            rejects += 1
-    if rejects * 2 > reps:
+        trace.append((stage, statistic(pair), threshold))
+    if _majority([stat > threshold for _, stat, _ in trace]):
         return _reject(stage, samples, trace)
     return _accept(samples, trace)
 
@@ -370,7 +361,7 @@ def hellinger_closeness_test(sp, sq, n: int, eps_h: float, delta: float = 0.1, c
         return _accept(0, [("hellinger", 0.0, 0.0)])
     budget = hellinger_budget(n, eps_h, cfg)
     threshold = cfg.c_hellinger_reject * _t_noise_floor(n, budget)
-    return _run_t_test(sp, sq, n, budget, threshold, "hellinger", delta)
+    return _run_t_test(sp, sq, budget, threshold, "hellinger", delta, statistic_t)
 
 
 def tv_closeness_test(sp, sq, n: int, eps_tv: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
@@ -381,7 +372,7 @@ def tv_closeness_test(sp, sq, n: int, eps_tv: float, delta: float = 0.1, cfg: Th
         return _accept(0, [("tv", 0.0, 0.0)])
     budget = tv_budget(n, eps_tv, cfg)
     threshold = cfg.c_T_threshold * _t_noise_floor(n, budget)
-    return _run_t_test(sp, sq, n, budget, threshold, "tv", delta)
+    return _run_t_test(sp, sq, budget, threshold, "tv", delta, statistic_t)
 
 
 def l2_budget(eps_l2: float, cfg: ThresholdConfig) -> int:
@@ -397,22 +388,7 @@ def l2_closeness_test(sp, sq, n: int, eps_l2: float, delta: float = 0.1, cfg: Th
         return _accept(0, [("l2", 0.0, eps_l2**2)])
     budget = l2_budget(eps_l2, cfg)
     threshold = cfg.c_l2_threshold * eps_l2**2
-    reps = amplification_reps(delta)
-    rejects = 0
-    samples = 0
-    trace = []
-    for _ in range(reps):
-        x = sp.poisson_counts(budget)
-        y = sq.poisson_counts(budget)
-        pair = CountPair(x_counts=x, y_counts=y, m_nominal=budget)
-        samples += pair.samples_used
-        est = statistic_l2(pair) / budget**2
-        trace.append(("l2", est, threshold))
-        if est > threshold:
-            rejects += 1
-    if rejects * 2 > reps:
-        return _reject("l2", samples, trace)
-    return _accept(samples, trace)
+    return _run_t_test(sp, sq, budget, threshold, "l2", delta, lambda pair: statistic_l2(pair) / budget**2)
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +437,16 @@ class _RejectionBackedSampler:
             raw = self.base.negative_binomial_consumed(wanted, self.mask)
             self._charge(raw)
             return self._child.multinomial_counts(wanted)
-        counts = np.zeros(self._n, dtype=np.int64)
+        try:
+            samples, raw = conditional_rejection_sample(
+                self.base, self.mask, wanted, self.raw_cap - self.consumed
+            )
+        except BudgetExhausted as exc:
+            self.consumed += exc.consumed
+            raise BudgetExhausted(self.consumed) from None
+        self._charge(raw)
         positions = np.cumsum(self.mask) - 1  # domain index -> conditional index
-        got = 0
-        while got < wanted:
-            chunk = min(max(2 * (wanted - got), 64), self.raw_cap - self.consumed)
-            if chunk <= 0:
-                raise BudgetExhausted(self.consumed)
-            raw = self.base.draw(chunk)
-            self._charge(chunk)
-            acc = raw[self.mask[raw]]
-            if acc.size > wanted - got:
-                acc = acc[: wanted - got]
-            np.add.at(counts, positions[acc], 1)
-            got += acc.size
-        return counts
+        return np.bincount(positions[samples], minlength=self._n)
 
 
 def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:

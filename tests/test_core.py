@@ -307,6 +307,16 @@ class TestConditionalRejectionSampling:
         assert set(np.unique(samples)) <= {2, 3}
         assert consumed >= 500
 
+    def test_pool_running_dry_reports_draws_of_this_call(self):
+        # nothing in the pool is accepted, so the loop draws 64-sample chunks
+        # until the 192 samples left after the first 8 cannot fill one more
+        pool = StreamSampler(np.zeros(200, dtype=np.int64), 4, rng_seed=1)
+        pool.draw(8)
+        with pytest.raises(BudgetExhausted) as exc:
+            conditional_rejection_sample(pool, np.array([1]), 10, 10**6)
+        assert exc.value.consumed == 192
+        assert pool.remaining == 0
+
 
 class TestStreamSampler:
     def test_exhaustion(self):

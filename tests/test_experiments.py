@@ -132,15 +132,25 @@ class TestReproducibility:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_bayesnet_suite_independent_of_hash_seed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "kind='bayesnet', n_values=[6], eps_values=[0.3], d_values=[2], trials=2",
+            "kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
+            "kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
+            "kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
+        ],
+        ids=["bayesnet", "error_grid", "scaling", "calibrate"],
+    )
+    def test_suite_independent_of_hash_seed(self, spec, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))
         csvs = []
         for hash_seed in ("1", "2"):
             out = tmp_path / f"hash{hash_seed}"
             code = (
                 "from enttest.experiments import ExperimentSpec, run_experiment\n"
-                "run_experiment(ExperimentSpec(kind='bayesnet', n_values=[6], eps_values=[0.3],"
-                f" d_values=[2], trials=2, seed=20260808, out_dir={str(out)!r}), workers=1)\n"
+                f"run_experiment(ExperimentSpec({spec}, seed=20260808, out_dir={str(out)!r}),"
+                " workers=1)\n"
             )
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)

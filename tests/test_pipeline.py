@@ -1,12 +1,20 @@
 """End-to-end entropy equivalence testers: the staged cascade, the TV
 baseline, and the combined tester."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from enttest.core import DiscreteDistribution, DomainMismatch, Sampler, entropy
+from enttest.core import (
+    DiscreteDistribution,
+    DomainMismatch,
+    MassFloorSampler,
+    Sampler,
+    StreamSampler,
+    entropy,
+)
 from enttest.instances import make_correlated_pair, make_entropy_gap_pair
 from enttest.pipeline import (
     combined_branch_choice,
@@ -17,7 +25,7 @@ from enttest.pipeline import (
     run_eet_tv_baseline,
     solve_tv_threshold,
 )
-from enttest.testers import ParameterOutOfRange
+from enttest.testers import ParameterOutOfRange, l2_closeness_test, lowmass_conditional_test
 
 
 def samplers(p, q, seed):
@@ -189,3 +197,119 @@ class TestCombined:
         p = DiscreteDistribution.uniform(8)
         with pytest.raises(ParameterOutOfRange):
             run_eet_combined(*samplers(p, p, 1), 8, 0.6)
+
+
+# ---------------------------------------------------------------------------
+# Golden verdicts: every field of a verdict of the cascade, the TV baseline,
+# the combined tester, the l2 test and the low-mass cascade is pinned, so a
+# change in RNG consumption, in a statistic's bits or in the vote rule shows
+# up here.
+# ---------------------------------------------------------------------------
+
+_U256 = DiscreteDistribution.uniform(256)
+_GAP = make_entropy_gap_pair(256, 0.5)
+_U1 = DiscreteDistribution.uniform(1)
+_SKEW64 = DiscreteDistribution([0.5, 0.3, 0.2] + [0.0] * 61)
+
+
+def _lowmass_on_pools(pool_size):
+    # two stream pools behind mass floors: every count-level draw consumes
+    # pool samples, so the conditional TV stage runs the literal rejection
+    # loop; 17,100 samples run dry in its second chunk, 100,000 do not
+    n, eps = 64, 0.3
+    draws = np.random.default_rng(5).integers(0, n, size=(2, 100_000))[:, :pool_size]
+    sp, sq = (
+        MassFloorSampler(StreamSampler(draws[i], n, rng_seed=i + 1), eps, 10 + i) for i in (0, 1)
+    )
+    return lowmass_conditional_test(sp, sq, np.arange(n) >= n // 2, n, eps, rng=3)
+
+
+GOLDEN_CASES = {
+    "eet-null": lambda: run_eet(*samplers(_U256, _U256, 1), make_eet_plan(256, 0.5), rng=2),
+    "eet-far": lambda: run_eet(*samplers(*_GAP, 1), make_eet_plan(256, 0.5), rng=2),
+    "eet-null-amplified": lambda: run_eet(
+        *samplers(_U256, _U256, 1), make_eet_plan(256, 0.5, 0.01), rng=2
+    ),
+    "eet-far-amplified": lambda: run_eet(*samplers(*_GAP, 1), make_eet_plan(256, 0.5, 0.01), rng=2),
+    "tv-baseline": lambda: run_eet_tv_baseline(*samplers(*_GAP, 3), 256, 0.5, rng=4),
+    "combined-tv-baseline": lambda: run_eet_combined(*samplers(_U256, _U256, 5), 256, 0.5, rng=6),
+    "combined-cascade": lambda: run_eet_combined(*samplers(_U1, _U1, 7), 1, 0.5, rng=8),
+    "l2-far": lambda: l2_closeness_test(
+        *samplers(_SKEW64, DiscreteDistribution.uniform(64), 9), 64, 0.3
+    ),
+    "l2-null-amplified": lambda: l2_closeness_test(
+        *samplers(_SKEW64, _SKEW64, 10), 64, 0.3, delta=0.01
+    ),
+    "lowmass-budget": lambda: _lowmass_on_pools(17_100),
+    "lowmass-cond-tv": lambda: _lowmass_on_pools(100_000),
+}
+
+# name -> (decision, fired_stage, samples_used, trace); traces longer than 12
+# entries are pinned by the SHA-256 of their canonical repr
+GOLDEN = {
+    "eet-null": ("accept", None, 7202165, [
+        ("hellinger", 1.8993348932317815, 64.1248781675256),
+        ("heavy-set", 256.0, 256.0),
+        ("lowmass-mass-floor", 0.0, 0.0),
+        ("bias-T", 0.32985636643934946, 64.0),
+        ("stage5-scale: log-m", 0.004707276876404423, 0.007514036671296685),
+        ("mass-S", 0.0, 0.004707276876404423),
+        ("l2", -4.7559593384117116e-08, 1.107922779556589e-05),
+        ("z", -0.004074130799030384, 0.0625),
+    ]),
+    "eet-far": ("reject", "hellinger", 4005, [
+        ("hellinger", 875.4686701846291, 64.1248781675256),
+    ]),
+    "eet-null-amplified": ("accept", None, 598067399, "2d505be3338be6a06124dd183b0bdbb20a04e918c5a75feeeb5ca1543ccb2c2c"),
+    "eet-far-amplified": ("reject", "hellinger", 340328, "53baf56d2d0c74fe436c1a82266c4ea67427035e8f7d96fb2b83ade52fcd9603"),
+    "tv-baseline": ("reject", "tv-baseline", 143615, [
+        ("tv-baseline-scale", 0.05979412680289985, 0.5),
+        ("tv", 34893.57917476326, 64.1248781675256),
+    ]),
+    "combined-tv-baseline": ("accept", None, 143264, [
+        ("combined-branch: tv-baseline", 143204.0, 7496576.0),
+        ("tv-baseline-scale", 0.05979412680289985, 0.5),
+        ("tv", 0.810488937112126, 64.1248781675256),
+    ]),
+    "combined-cascade": ("accept", None, 4131649, [
+        ("combined-branch: cascade", 4163256.0, 0.0),
+        ("hellinger", 0.0, 0.0),
+        ("heavy-set", 1.0, 1.0),
+        ("lowmass-mass-floor", 0.0, 0.0),
+        ("bias-T", 0.015228426395939087, 4.0),
+        ("stage5-scale: log-m", 0.0056551415907413385, 0.022542110013890053),
+        ("mass-S", 0.0, 0.0056551415907413385),
+        ("l2", 1.0192982362147007e-06, 1.5990313205666238e-05),
+        ("z", 0.03911502199375888, 0.0625),
+    ]),
+    "l2-far": ("reject", "l2", 684, [
+        ("l2", 0.3595032192904936, 0.045),
+    ]),
+    "l2-null-amplified": ("accept", None, 59138, "4ea92c362f4ebc90e358953141d727f295490aa4ea746c0a95e28617655c0843"),
+    "lowmass-budget": ("reject", "lowmass-budget", 35998, [
+        ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
+        ("lowmass-mass-gap", 0.006257332811888894, 0.05594034340711472),
+        ("lowmass-budget", 29828.0, 234384.0),
+    ]),
+    "lowmass-cond-tv": ("accept", None, 36062, [
+        ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
+        ("lowmass-mass-gap", 0.006257332811888894, 0.05594034340711472),
+        ("lowmass-cond-tv", -6.827727866814778, 22.978250586152114),
+    ]),
+}
+
+
+def _canonical(trace):
+    return [(str(stage), float(a), float(b)) for stage, a, b in trace]
+
+
+class TestGoldenVerdicts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_verdict_pinned(self, name):
+        decision, fired, samples, trace = GOLDEN[name]
+        v = GOLDEN_CASES[name]()
+        assert (v.decision, v.fired_stage, v.samples_used) == (decision, fired, samples)
+        got = _canonical(v.trace)
+        if isinstance(trace, str):
+            got = hashlib.sha256(repr(got).encode()).hexdigest()
+        assert got == trace

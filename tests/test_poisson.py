@@ -11,6 +11,8 @@ from enttest.core import DiscreteDistribution, Sampler
 from enttest.poisson import (
     CountPair,
     NonConvergent,
+    batch_t,
+    batch_z,
     exact_expected_z,
     expected_log1p_poisson,
     expected_t_closed_form,
@@ -151,10 +153,7 @@ class TestStatisticT:
         reps = 10**5
         x = rng.poisson(80 * p.probs, size=(reps, 30))
         y = rng.poisson(80 * p.probs, size=(reps, 30))
-        j = x + y
-        d = (x - y).astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(j > 0, (d * d - j) / np.where(j > 0, j, 1), 0.0).sum(axis=1)
+        t = batch_t(x, y)
         assert abs(t.mean()) <= 4 * t.std(ddof=1) / math.sqrt(reps)
 
 
@@ -168,6 +167,47 @@ class TestStatisticZ:
 
     def test_antisymmetric_cancellation(self):
         assert statistic_z(pair([4, 2], [2, 4], 10)) == pytest.approx(0.0, abs=1e-12)
+
+
+def _masked_t(x, y):
+    # reference: the two-pass np.where forms of T and Z
+    j = x + y
+    d = (x - y).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(j > 0, (d * d - j) / np.where(j > 0, j, 1), 0.0).sum(axis=-1)
+
+
+def _masked_z(x, y, m):
+    j = x + y
+    d = (x - y).astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(j > 0, -d * np.log(np.where(j > 0, j, 1)), 0.0).sum(axis=-1) / m
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_bit_identical_to_masked_form(self, dtype):
+        # sparse and dense rows, int counts (oracle suite) and float counts
+        # (Bayes-net marginals), on a 3-D (subset, block, cell) stack
+        rng = np.random.default_rng(31)
+        for lam in (0.05, 0.7, 4.0, 60.0):
+            x = rng.poisson(lam, size=(7, 5, 16)).astype(dtype)
+            y = rng.poisson(lam, size=(7, 5, 16)).astype(dtype)
+            assert batch_t(x, y).tobytes() == _masked_t(x, y).tobytes()
+            assert np.array_equal(batch_z(x, y, 13.5), _masked_z(x, y, 13.5))
+
+    def test_rows_match_one_dimensional_statistics(self):
+        rng = np.random.default_rng(32)
+        x = rng.poisson(1.5, size=(40, 12))
+        y = rng.poisson(1.5, size=(40, 12))
+        x[0] = y[0] = 0  # an all-zero row scores 0
+        t, z = batch_t(x, y), batch_z(x, y, 25)
+        assert t.shape == z.shape == (40,)
+        assert t[0] == 0.0 and z[0] == 0.0
+        for i in range(40):
+            c = pair(x[i], y[i], 25)
+            assert t[i] == pytest.approx(statistic_t(c), rel=1e-12, abs=1e-12)
+            assert z[i] == pytest.approx(statistic_z(c), rel=1e-12, abs=1e-12)
 
 
 class TestStatisticL2:
@@ -221,6 +261,23 @@ class TestExpectedTClosedForm:
                 t = np.where(j > 0, (d * d - j) / np.where(j > 0, j, 1), 0.0).sum(axis=1)
             se = t.std(ddof=1) / math.sqrt(reps)
             assert abs(t.mean() - expected_t_closed_form(p, q, s)) <= 4 * se
+
+
+class TestOracleRestriction:
+    def test_s_set_equals_restricted_vectors(self):
+        # the oracles only read .probs, so a restricted vector stands in
+        # for a distribution on the subset
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(41)
+        p = DiscreteDistribution.random_dense(12, rng)
+        q = DiscreteDistribution.random_dense(12, rng)
+        idx = np.array([1, 4, 5, 9])
+        sp, sq = (SimpleNamespace(probs=d.probs[idx]) for d in (p, q))
+        for s_set in (idx, np.isin(np.arange(12), idx), idx.tolist()):
+            assert expected_t_closed_form(p, q, 30, s_set) == expected_t_closed_form(sp, sq, 30)
+            assert exact_expected_z(p, q, 30, s_set) == exact_expected_z(sp, sq, 30)
+            assert z_bias_bound(p, q, 30, s_set) == z_bias_bound(sp, sq, 30)
 
 
 class TestExactExpectedZ:
@@ -334,10 +391,7 @@ class TestVarianceBound:
             reps = 50_000
             x = rng.poisson(s * p.probs, size=(reps, n))
             y = rng.poisson(s * q.probs, size=(reps, n))
-            j = x + y
-            dd = (x - y).astype(float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(j > 0, (dd * dd - j) / np.where(j > 0, j, 1), 0.0).sum(axis=1)
+            t = batch_t(x, y)
             tot = p.probs + q.probs
             nz = tot > 0
             bound = 2 * min(n, s) + 5 * s * float(
@@ -356,10 +410,7 @@ class TestVarianceBound:
             reps = 10**5
             x = rng.poisson(m * p.probs, size=(reps, n))
             y = rng.poisson(m * q.probs, size=(reps, n))
-            j = x + y
-            d = (x - y).astype(float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.where(j > 0, -d * np.log(np.where(j > 0, j, 1)), 0.0).sum(axis=1) / m
+            z = batch_z(x, y, m)
             log_m = math.log(m)
             bound = 16 * (log_m**2 * float(((p.probs - q.probs) ** 2).sum()) + log_m**2 / m)
             assert z.var(ddof=1) <= bound

@@ -13,6 +13,7 @@ from enttest.testers import (
     ParameterOutOfRange,
     TestVerdict as Verdict,
     ThresholdConfig,
+    _majority,
     amplification_reps,
     coin_bias_budget,
     coin_bias_test,
@@ -92,6 +93,14 @@ class TestVerdictInvariants:
         assert k >= 18 * math.log(1000)
         with pytest.raises(ParameterOutOfRange):
             amplification_reps(0.0)
+
+    def test_majority_is_strict(self):
+        assert _majority([True])
+        assert not _majority([True, False])  # a tie does not reject
+        assert _majority([True, False, True])
+        votes = np.array([[True, True, False], [False, False, True]])
+        assert _majority(votes).tolist() == [True, False]
+        assert _majority(votes, axis=0).tolist() == [False, False, False]
 
 
 class TestCoinBiasTest:
