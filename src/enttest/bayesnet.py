@@ -221,7 +221,8 @@ def bn_exact_marginal(net: BayesNet, subset) -> np.ndarray:
 
 
 def bn_mixture_weight(n: int, d: int, eps: float) -> float:
-    """Uniform-mixture weight eps^2 / (d n log(n/eps))."""
+    """Uniform-mixture weight eps^2 / (d n log(n/eps)); the mixture gives
+    every (d+1)-marginal atom mass at least weight / 2^(d+1)."""
     if not 0 < eps <= 1:
         raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
     if d < 1:
@@ -273,14 +274,6 @@ class BnMixtureSampler:
         if k:
             out[from_uniform] = self._rng.integers(0, 2, size=(k, self.n), dtype=np.uint8)
         return out
-
-
-def bn_mixture_sampler(net_sampler: BnSampler, n: int, d: int, eps: float, rng_seed=0) -> BnMixtureSampler:
-    """Mass-floored net stream; every (d+1)-marginal atom gets
-    probability at least eps^2 / (2^{d+1} d n log(n/eps))."""
-    if n != net_sampler.n:
-        raise ParameterOutOfRange("declared n does not match the sampler")
-    return BnMixtureSampler(net_sampler, bn_mixture_weight(n, d, eps), rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +422,41 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
 
 
+def _sweep_setup(n: int, d: int, eps: float, budget, budget_scale: float, dims, what: str):
+    """Check a sweep's inputs (``dims`` must equal n), then size it:
+    ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
+    of ``m = budget(n, d, eps, budget_scale)`` samples in k_blocks blocks."""
+    if not 0 < eps <= 1:
+        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    if not 1 <= d <= n - 1:
+        raise ParameterOutOfRange(f"need 1 <= d <= n-1, got d={d}")
+    if any(k != n for k in dims):
+        raise ParameterOutOfRange(f"{what} dimension does not match n")
+    subsets = list(combinations(range(n), d + 1))
+    # per-subset failure probability 1/(20 C(n, d+1)), by majority over blocks
+    k_blocks = amplification_reps(1.0 / (20.0 * len(subsets)))
+    m = budget(n, d, eps, budget_scale)
+    m_block = m / k_blocks
+    eps1 = max(eps**2 / n, _local_noise_floor(m_block))
+    return subsets, m, k_blocks, m_block, bn_mixture_weight(n, d, eps), eps1
+
+
+def _sweep_verdict(prefix: str, tests, subsets, samples, trace) -> TestVerdict:
+    """Reject at the first subset in sweep order where one of ``tests``
+    (``(kind, votes, per-block statistic, threshold)``, in priority order)
+    votes to reject, recording the statistic's median over the blocks;
+    otherwise accept after the whole sweep."""
+    fired = np.flatnonzero(np.logical_or.reduce([votes for _, votes, _, _ in tests]))
+    if fired.size:
+        s = int(fired[0])
+        kind, _, stat, tau = next(test for test in tests if test[1][s])
+        stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
+        trace.append((stage, float(np.median(stat[s])), tau))
+        return TestVerdict("reject", stage, int(samples), trace)
+    trace.append((f"{prefix}-sweep", float(len(subsets)), 0.0))
+    return TestVerdict("accept", None, int(samples), trace)
+
+
 def bn_closeness_test(
     sp: BnSampler,
     sq: BnSampler,
@@ -447,53 +475,28 @@ def bn_closeness_test(
     rejection rejects the pair.  Per-subset failure probability is
     1/(20 C(n, d+1)), met by majority vote over sample blocks.
     """
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    if not 1 <= d <= n - 1:
-        raise ParameterOutOfRange(f"need 1 <= d <= n-1, got d={d}")
-    if sp.n != n or sq.n != n:
-        raise ParameterOutOfRange("sampler dimension does not match n")
+    subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
+        n, d, eps, bn_budget, budget_scale, (sp.n, sq.n), "sampler"
+    )
     rng = np.random.default_rng(rng)
-
-    subsets = list(combinations(range(n), d + 1))
-    delta_local = 1.0 / (20.0 * len(subsets))
-    k_blocks = amplification_reps(delta_local)
-    m = bn_budget(n, d, eps, budget_scale)
-    m_block = m / k_blocks
-    ncells = 2 ** (d + 1)
-
-    weight = bn_mixture_weight(n, d, eps)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
     mix_q = BnMixtureSampler(sq, weight, rng.integers(0, 2**63 - 1))
     counts_p, used_p = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     counts_q, used_q = _blocked_subset_counts(mix_q, m, k_blocks, d + 1, rng)
-    samples = used_p + used_q
 
-    eps1 = max(eps**2 / n, _local_noise_floor(m_block))
-    t_floor = math.sqrt(min(ncells, m_block) + 1.0)
+    t_floor = math.sqrt(min(2 ** (d + 1), m_block) + 1.0)
     tau_eet = cfg.c_T_threshold * t_floor
     tau_hell = cfg.c_hellinger_reject * t_floor
     tau_z = cfg.c_Z_threshold * eps1
-
-    trace = [
-        ("bn-shared-m", float(m), float(k_blocks)),
-        ("bn-eps1", eps1, eps**2 / n),
-    ]
-    # (subset, block) statistics in one pass; the verdict names the first
-    # rejecting subset in sweep order, the EET vote before the Hellinger one
+    trace = [("bn-shared-m", float(m), float(k_blocks)), ("bn-eps1", eps1, eps**2 / n)]
+    # (subset, block) statistics in one pass; the EET vote outranks the
+    # Hellinger one at the same subset
     t_blocks = batch_t(counts_p, counts_q)
     z_blocks = np.abs(batch_z(counts_p, counts_q, m_block))
     eet_votes = _majority((t_blocks > tau_eet) | (z_blocks > tau_z))
     hell_votes = _majority(t_blocks > tau_hell)
-    fired = np.flatnonzero(eet_votes | hell_votes)
-    if fired.size:
-        s = int(fired[0])
-        kind, tau = ("bn-eet", tau_eet) if eet_votes[s] else ("bn-hellinger", tau_hell)
-        stage = f"{kind}:{','.join(map(str, subsets[s]))}"
-        trace.append((stage, float(np.median(t_blocks[s])), tau))
-        return TestVerdict("reject", stage, samples, trace)
-    trace.append(("bn-sweep", float(len(subsets)), 0.0))
-    return TestVerdict("accept", None, samples, trace)
+    tests = [("eet", eet_votes, t_blocks, tau_eet), ("hellinger", hell_votes, t_blocks, tau_hell)]
+    return _sweep_verdict("bn", tests, subsets, used_p + used_q, trace)
 
 
 def bn_identity_budget(n: int, d: int, eps: float, budget_scale: float) -> int:
@@ -518,32 +521,18 @@ def bn_identity_test(
     (the Hellinger side) and a Miller-Madow entropy gap against the exact
     local entropy (the entropy side); majority over blocks as above.
     """
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    if not 1 <= d <= n - 1:
-        raise ParameterOutOfRange(f"need 1 <= d <= n-1, got d={d}")
-    if q_known.n != n or sp.n != n:
-        raise ParameterOutOfRange("net dimension does not match n")
+    subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
+        n, d, eps, bn_identity_budget, budget_scale, (q_known.n, sp.n), "net"
+    )
     if n > EXACT_GUARD:
         raise TooLargeForExact("identity test needs exact q marginals")
     rng = np.random.default_rng(rng)
-
-    subsets = list(combinations(range(n), d + 1))
-    delta_local = 1.0 / (20.0 * len(subsets))
-    k_blocks = amplification_reps(delta_local)
-    m = bn_identity_budget(n, d, eps, budget_scale)
-    m_block = m / k_blocks
-    ncells = 2 ** (d + 1)
-
-    weight = bn_mixture_weight(n, d, eps)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
     x, samples = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     q_joint = (1.0 - weight) * bn_exact_joint(q_known) + weight / 2**n
 
-    eps1 = max(eps**2 / n, _local_noise_floor(m_block))
-    tau_chi = cfg.c_T_threshold * math.sqrt(ncells + 1.0)
+    tau_chi = cfg.c_T_threshold * math.sqrt(2 ** (d + 1) + 1.0)
     tau_ent = cfg.c_Z_threshold * eps1
-
     trace = [("bn-id-shared-m", float(m), float(k_blocks)), ("bn-id-eps1", eps1, eps**2 / n)]
     q_tables = _subset_tables(q_joint, n, d + 1)
     h_q = np.array([entropy(table) for table in q_tables])[:, None]
@@ -551,20 +540,11 @@ def bn_identity_test(
     chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=-1)
     # an empty block gets h_q and so never votes to reject
     gap_blocks = np.abs(_miller_madow(x, h_q) - h_q)
-    ent_votes = _majority(gap_blocks > tau_ent)
-    chi_votes = _majority(chi_blocks > tau_chi)
-    fired = np.flatnonzero(ent_votes | chi_votes)
-    if fired.size:
-        s = int(fired[0])
-        if ent_votes[s]:
-            kind, stat, tau = "bn-id-entropy", gap_blocks[s], tau_ent
-        else:
-            kind, stat, tau = "bn-id-chi", chi_blocks[s], tau_chi
-        stage = f"{kind}:{','.join(map(str, subsets[s]))}"
-        trace.append((stage, float(np.median(stat)), tau))
-        return TestVerdict("reject", stage, int(samples), trace)
-    trace.append(("bn-id-sweep", float(len(subsets)), 0.0))
-    return TestVerdict("accept", None, int(samples), trace)
+    tests = [
+        ("entropy", _majority(gap_blocks > tau_ent), gap_blocks, tau_ent),
+        ("chi", _majority(chi_blocks > tau_chi), chi_blocks, tau_chi),
+    ]
+    return _sweep_verdict("bn-id", tests, subsets, samples, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Everything downstream (the testers, the experiment harness, the verification
 suites) consumes the objects defined here.  Distributions are exact numpy
-probability vectors; samplers are alias-method categorical samplers with
-reproducible streams; the functionals (entropy, the five divergences, the
-cross-entropy term) serve both as building blocks and as oracles for the
-randomized tests.
+probability vectors.  Every sampler has ``n``, ``draw`` and the count draws
+of :class:`SampleStream`, and its type alone says whether its law is known:
+a :class:`Sampler` (alias method, reproducible stream) draws counts from its
+exact distribution; any other sampler is a stream whose counts tabulate its
+draws.  :func:`mix_sample` builds the mass floor of either kind.  The
+functionals (entropy, the five divergences, the cross-entropy term) serve
+both as building blocks and as oracles for the randomized tests.
 
 Design notes:
 
@@ -55,7 +58,7 @@ class BudgetExhausted(RuntimeError):
         self.consumed = int(consumed)
 
 
-def _as_prob_vector(probs) -> np.ndarray:
+def _as_prob_vector(probs, renormalize: bool = True) -> np.ndarray:
     v = np.asarray(probs, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise DistributionError("probability vector must be 1-D and non-empty")
@@ -66,8 +69,9 @@ def _as_prob_vector(probs) -> np.ndarray:
     total = float(v.sum())
     if abs(total - 1.0) > PROB_ATOL:
         raise DistributionError(f"probabilities sum to {total!r}, not 1")
-    if total != 1.0 and total > 0:
+    if renormalize and total != 1.0 and total > 0:
         v = v / total
+    v.setflags(write=False)
     return v
 
 
@@ -80,9 +84,7 @@ class DiscreteDistribution:
     __slots__ = ("probs",)
 
     def __init__(self, probs):
-        v = _as_prob_vector(probs)
-        v.setflags(write=False)
-        object.__setattr__(self, "probs", v)
+        object.__setattr__(self, "probs", _as_prob_vector(probs))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
@@ -290,7 +292,37 @@ def _alias_tables(probs: np.ndarray):
     return alias, np.minimum(cut, 1.0)
 
 
-class Sampler:
+class SampleStream:
+    """Count-level draws realized literally from a sample stream.
+
+    Subclasses supply ``n``, ``draw(k)`` and the generator ``_rng``; every
+    count tabulates ``draw`` output.  A stream's law is unknown
+    (``distribution`` is None); :class:`Sampler`, the one exact-law
+    sampler, overrides the count draws with their exact-law forms.
+    """
+
+    distribution = None
+
+    def stream_poisson_realize(self, m: float):
+        """(realized N ~ Poi(m), the N samples) for the literal procedure."""
+        realized = int(self._rng.poisson(m))
+        return realized, self.draw(realized)
+
+    def poisson_counts(self, m: float) -> np.ndarray:
+        """Per-element counts of a Poissonized batch of nominal size m."""
+        realized, samples = self.stream_poisson_realize(m)
+        return np.bincount(samples, minlength=self.n)
+
+    def multinomial_counts(self, k: int) -> np.ndarray:
+        """Per-element counts of exactly k draws."""
+        return np.bincount(self.draw(int(k)), minlength=self.n)
+
+    def binomial_hits(self, k: int, index_set) -> int:
+        """Number of hits in ``index_set`` among exactly k draws."""
+        return int(_as_mask(index_set, self.n)[self.draw(int(k))].sum())
+
+
+class Sampler(SampleStream):
     """Reproducible categorical sampler over an exact distribution.
 
     A fixed ``(distribution, seed)`` pair always reproduces the same stream.
@@ -337,18 +369,11 @@ class Sampler:
         return self._rng.poisson(m * self.probs)
 
     def multinomial_counts(self, k: int) -> np.ndarray:
-        """Per-element counts of exactly k draws."""
         if k <= 0:
             return np.zeros(self.n, dtype=np.int64)
         return self._rng.multinomial(int(k), self.probs)
 
-    def stream_poisson_realize(self, m: float):
-        """(realized N ~ Poi(m), the N samples) for the literal procedure."""
-        realized = int(self._rng.poisson(m))
-        return realized, self.draw(realized)
-
     def binomial_hits(self, k: int, index_set) -> int:
-        """Number of hits in ``index_set`` among exactly k draws."""
         if k <= 0:
             return 0
         mass = self.distribution.mass(index_set)
@@ -370,13 +395,13 @@ class Sampler:
         return cond, child
 
 
-class StreamSampler:
-    """Sampler-compatible wrapper around a finite pre-drawn sample pool.
+class StreamSampler(SampleStream):
+    """Stream over a finite pre-drawn sample pool.
 
     Used where the algorithm only has genuine sample access (the mutual
-    information reduction): count-level draws are realized by consuming
-    pool entries, so the number of raw samples spent is explicit.  Raises
-    ``BudgetExhausted`` when the pool runs dry.
+    information reduction): count-level draws consume pool entries, so the
+    number of raw samples spent is explicit.  Raises ``BudgetExhausted``
+    when the pool runs dry.
     """
 
     def __init__(self, samples: np.ndarray, n: int, rng_seed=0):
@@ -384,7 +409,6 @@ class StreamSampler:
         self._n = int(n)
         self._pos = 0
         self._rng = np.random.default_rng(rng_seed)
-        self.distribution = None  # unknown by construction
 
     @property
     def n(self) -> int:
@@ -394,30 +418,13 @@ class StreamSampler:
     def remaining(self) -> int:
         return self.pool.size - self._pos
 
-    def _take(self, k: int) -> np.ndarray:
+    def draw(self, k: int) -> np.ndarray:
+        k = int(k)
         if k > self.remaining:
             raise BudgetExhausted(self._pos, "sample pool exhausted")
         out = self.pool[self._pos : self._pos + k]
         self._pos += k
         return out
-
-    def draw(self, k: int) -> np.ndarray:
-        return self._take(int(k))
-
-    def stream_poisson_realize(self, m: float):
-        realized = int(self._rng.poisson(m))
-        return realized, self._take(realized)
-
-    def poisson_counts(self, m: float) -> np.ndarray:
-        realized, samples = self.stream_poisson_realize(m)
-        return np.bincount(samples, minlength=self._n)
-
-    def multinomial_counts(self, k: int) -> np.ndarray:
-        return np.bincount(self._take(int(k)), minlength=self._n)
-
-    def binomial_hits(self, k: int, index_set) -> int:
-        mask = _as_mask(index_set, self._n)
-        return int(mask[self._take(int(k))].sum())
 
 
 def _as_mask(index_set, n: int) -> np.ndarray:
@@ -431,69 +438,54 @@ def _as_mask(index_set, n: int) -> np.ndarray:
     return mask
 
 
-class MassFloorSampler:
+def _coin_mix(rng, k: int, heads: float, draw_heads, draw_tails) -> np.ndarray:
+    """k draws, each from ``draw_heads`` with probability ``heads`` and
+    from ``draw_tails`` otherwise: one coin per draw, then both sources."""
+    k = max(int(k), 0)
+    from_heads = rng.random(k) < heads
+    out = np.empty(k, dtype=np.int64)
+    n_heads = int(from_heads.sum())
+    out[from_heads] = draw_heads(n_heads)
+    out[~from_heads] = draw_tails(k - n_heads)
+    return out
+
+
+class MassFloorSampler(SampleStream):
     """Stream from ``(1-eta) * base + eta * uniform`` built per-draw.
 
     One output sample costs at most one base sample, matching the
-    simulation argument for the mass floor.  When the base distribution is
-    exactly known the count-level draws shortcut through the exact mixture.
+    simulation argument for the mass floor.  Build it through
+    :func:`mix_sample`, which floors an exact-law base exactly instead.
     """
 
     def __init__(self, base, eps: float, rng_seed):
         self.base = base
-        self.eps = float(eps)
         self.eta = mass_floor_eta(base.n, eps)
         self._rng = np.random.default_rng(rng_seed)
-        if getattr(base, "distribution", None) is not None:
-            self.distribution = mass_floor_mix(base.distribution, eps)
-            self._exact = Sampler(self.distribution, self._rng.integers(0, 2**63 - 1))
-        else:
-            self.distribution = None
-            self._exact = None
 
     @property
     def n(self) -> int:
         return self.base.n
 
     def draw(self, k: int) -> np.ndarray:
-        k = int(k)
-        if k <= 0:
-            return np.empty(0, dtype=np.int64)
-        from_uniform = self._rng.random(k) < self.eta
-        out = np.empty(k, dtype=np.int64)
-        n_u = int(from_uniform.sum())
-        out[from_uniform] = self._rng.integers(0, self.n, size=n_u)
-        out[~from_uniform] = self.base.draw(k - n_u)
-        return out
-
-    def stream_poisson_realize(self, m: float):
-        realized = int(self._rng.poisson(m))
-        return realized, self.draw(realized)
-
-    def poisson_counts(self, m: float) -> np.ndarray:
-        if self._exact is not None:
-            return self._exact.poisson_counts(m)
-        realized, samples = self.stream_poisson_realize(m)
-        return np.bincount(samples, minlength=self.n)
-
-    def multinomial_counts(self, k: int) -> np.ndarray:
-        if self._exact is not None:
-            return self._exact.multinomial_counts(k)
-        return np.bincount(self.draw(int(k)), minlength=self.n)
-
-    def binomial_hits(self, k: int, index_set) -> int:
-        if self._exact is not None:
-            return self._exact.binomial_hits(k, index_set)
-        mask = _as_mask(index_set, self.n)
-        return int(mask[self.draw(int(k))].sum())
+        uniform = lambda count: self._rng.integers(0, self.n, size=count)
+        return _coin_mix(self._rng, k, self.eta, uniform, self.base.draw)
 
 
-def mix_sample(base_sampler, eps: float, rng_seed=0) -> MassFloorSampler:
-    """Mass-floored sample stream; distribution equals ``mass_floor_mix``."""
+def mix_sample(base_sampler, eps: float, rng_seed=0) -> SampleStream:
+    """Mass-floored sampler whose law is ``mass_floor_mix`` of the base's.
+
+    An exact-law :class:`Sampler` base gives a :class:`Sampler` over the
+    exact mixture; any other stream gives the per-draw
+    :class:`MassFloorSampler` view over it.
+    """
+    if isinstance(base_sampler, Sampler):
+        seed = np.random.default_rng(rng_seed).integers(0, 2**63 - 1)
+        return Sampler(mass_floor_mix(base_sampler.distribution, eps), seed)
     return MassFloorSampler(base_sampler, eps, rng_seed)
 
 
-class FairMixSampler:
+class FairMixSampler(SampleStream):
     """Stream from the mixture (p + q)/2: each draw flips a fair coin
     between one p-sample and one q-sample."""
 
@@ -509,13 +501,7 @@ class FairMixSampler:
         return self.sp.n
 
     def draw(self, k: int) -> np.ndarray:
-        k = int(k)
-        from_p = self._rng.random(k) < 0.5
-        out = np.empty(k, dtype=np.int64)
-        n_p = int(from_p.sum())
-        out[from_p] = self.sp.draw(n_p)
-        out[~from_p] = self.sq.draw(k - n_p)
-        return out
+        return _coin_mix(self._rng, k, 0.5, self.sp.draw, self.sq.draw)
 
     def multinomial_counts(self, k: int) -> np.ndarray:
         k = int(k)
@@ -537,7 +523,7 @@ def conditional_rejection_sample(sampler, support, count: int, budget: int):
     if count <= 0:
         return np.empty(0, dtype=np.int64), 0
 
-    if getattr(sampler, "distribution", None) is not None:
+    if isinstance(sampler, Sampler):
         # exact-law shortcut: raw draws to reach `count` accepts is
         # count + NegBin(count, mass); accepted draws are conditional i.i.d.
         try:
@@ -592,4 +578,8 @@ def load_distribution(path) -> DiscreteDistribution:
         probs = np.array([float(line) for line in fh if line.strip()])
     if probs.size != n:
         raise DistributionError(f"expected {n} probabilities, found {probs.size}")
-    return DiscreteDistribution(probs)
+    # the file holds a constructed vector: check it, but keep its bits, since
+    # dividing a normalized vector by its float sum again moves low bits
+    d = object.__new__(DiscreteDistribution)
+    object.__setattr__(d, "probs", _as_prob_vector(probs, renormalize=False))
+    return d

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, StreamSampler, entropy
+from .core import DiscreteDistribution, Sampler, StreamSampler, entropy
 
 
 class Unachievable(ValueError):
@@ -126,50 +126,26 @@ def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9
     return pair
 
 
-def mi_reduction_streams(joint_sampler, t: int):
+def mi_reduction_streams(joint_sampler, k_c: int, t: int):
     """Sample streams realizing the reduction from MI testing.
 
     Draws 3t joint samples; the p-stream is the first t pairs, the q-stream
     pairs the a-coordinate of sample t+2i-1 with the c-coordinate of sample
     t+2i (so it is exactly distributed as the product of marginals).
-    ``joint_sampler`` must expose ``draw`` over the flattened domain and a
-    ``k_c`` attribute (or pass a JointPair via ``attach_factor_sizes``).
+    ``joint_sampler`` must expose ``draw`` over the flattened domain, whose
+    second factor has ``k_c`` values (``JointPair.k_c``).
     Returns ``(p_stream, q_stream)`` of flattened indices, t each.
     """
     if t < 1:
         raise ValueError("stream length must be >= 1")
-    k_c = getattr(joint_sampler, "k_c", None)
-    if k_c is None:
-        raise ValueError("joint sampler must carry k_c for the pairing step")
+    if k_c < 1:
+        raise ValueError("factor size k_c must be >= 1")
     raw = joint_sampler.draw(3 * t)
     p_stream = raw[:t]
     a_part = raw[t + 0 : 3 * t : 2] // k_c  # samples t+1, t+3, ... (a-coordinates)
     c_part = raw[t + 1 : 3 * t : 2] % k_c  # samples t+2, t+4, ... (c-coordinates)
     q_stream = a_part * k_c + c_part
     return p_stream, q_stream
-
-
-class JointSampler:
-    """Alias sampler over a flattened joint, tagged with the factor sizes."""
-
-    def __init__(self, pair: JointPair, rng_seed):
-        from .core import Sampler
-
-        self.pair = pair
-        self.k_a = pair.k_a
-        self.k_c = pair.k_c
-        self._inner = Sampler(pair.joint, rng_seed)
-
-    @property
-    def n(self) -> int:
-        return self._inner.n
-
-    @property
-    def distribution(self):
-        return self._inner.distribution
-
-    def draw(self, k: int) -> np.ndarray:
-        return self._inner.draw(k)
 
 
 def mi_reduction_stream_samplers(pair: JointPair, t: int, rng_seed):
@@ -179,8 +155,7 @@ def mi_reduction_stream_samplers(pair: JointPair, t: int, rng_seed):
     use children spawned from it.
     """
     seq = rng_seed if isinstance(rng_seed, np.random.SeedSequence) else np.random.SeedSequence(rng_seed)
-    js = JointSampler(pair, seq)
-    p_stream, q_stream = mi_reduction_streams(js, t)
+    p_stream, q_stream = mi_reduction_streams(Sampler(pair.joint, seq), pair.k_c, t)
     p_seed, q_seed = seq.spawn(2)
     n = pair.joint.n
     return StreamSampler(p_stream, n, rng_seed=p_seed), StreamSampler(q_stream, n, rng_seed=q_seed)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_FLOOR, DomainMismatch, FairMixSampler, MassFloorSampler
-from .poisson import poissonized_counts, statistic_l2, statistic_t, statistic_z
+from .core import LOG_FLOOR, DomainMismatch, FairMixSampler, mix_sample
+from .poisson import poissonized_counts, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
     ParameterOutOfRange,
@@ -33,12 +33,13 @@ from .testers import (
     ThresholdConfig,
     _majority,
     amplification_reps,
-    coin_bias_budget,
     heavy_set_budget,
     hellinger_budget,
     hellinger_closeness_test,
     identify_heavy_set,
     l2_budget,
+    l2_closeness_test,
+    lowmass_budgets,
     lowmass_conditional_test,
     mass_compare,
     tv_budget,
@@ -99,9 +100,7 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
 
     m_hell = hellinger_budget(n, e_i, cfg)
     m1 = heavy_set_budget(n, e_i, cfg)
-    alpha = min(cfg.c_lowmass_mass * e_i / log_r, 0.5)
-    m2 = coin_bias_budget(alpha, 1.0, 1.0 / 40.0, cfg.multiplier("lowmass_mass"))
-    m3 = math.ceil(cfg.multiplier("mass_diff") * log_r**2 / e_i**2)
+    _, m2, m3 = lowmass_budgets(n, e_i, cfg)
     s_bias = math.ceil(cfg.multiplier("bias_s") * n34 * log_r / e_i)
     m4 = math.ceil(
         cfg.multiplier("z_m4_poly") * n34 * log_r / e_i
@@ -141,8 +140,8 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
     trace = []
 
     # stage 0: mass floor both streams (one floored draw costs one raw draw)
-    sp_f = MassFloorSampler(sp, e_i, rng.integers(0, 2**63 - 1))
-    sq_f = MassFloorSampler(sq, e_i, rng.integers(0, 2**63 - 1))
+    sp_f = mix_sample(sp, e_i, rng.integers(0, 2**63 - 1))
+    sq_f = mix_sample(sq, e_i, rng.integers(0, 2**63 - 1))
 
     # stage 1: Hellinger screen
     v = hellinger_closeness_test(sp_f, sq_f, n, e_i, 0.1, cfg)
@@ -188,13 +187,10 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
     if cmp_res.diff_flag:
         return TestVerdict("reject", "mass-S", samples, trace)
 
-    l2_eps = e_i / log_m
-    l2_thr = cfg.c_l2_threshold * l2_eps**2
-    pair = poissonized_counts(sp_f, sq_f, b.m5_l2)
-    samples += pair.samples_used
-    l2_est = statistic_l2(pair) / b.m5_l2**2
-    trace.append(("l2", l2_est, l2_thr))
-    if l2_est > l2_thr:
+    v = l2_closeness_test(sp_f, sq_f, n, e_i / log_m, 0.1, cfg)
+    samples += v.samples_used
+    trace.extend(v.trace)
+    if v.rejected:
         return TestVerdict("reject", "l2", samples, trace)
 
     # stage 6: entropy-difference statistic Z over the heavy set

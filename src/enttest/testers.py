@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     LOG_FLOOR,
     BudgetExhausted,
+    Sampler,
     _as_mask,
     conditional_rejection_sample,
 )
@@ -411,18 +412,10 @@ class _RejectionBackedSampler:
         self.raw_cap = int(raw_cap)
         self.consumed = 0
         self._rng = np.random.default_rng(rng_seed)
-        self._exact = getattr(base, "distribution", None) is not None
+        self._exact = isinstance(base, Sampler)
         if self._exact:
             self._cond, self._child = base.conditional_sampler_state(support_mask)
-        self._n = int(np.count_nonzero(support_mask))
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def distribution(self):
-        return self._child.distribution if self._exact else None
+        self.n = int(np.count_nonzero(support_mask))
 
     def _charge(self, raw: int):
         self.consumed += int(raw)
@@ -432,7 +425,7 @@ class _RejectionBackedSampler:
     def poisson_counts(self, m: float) -> np.ndarray:
         wanted = int(self._rng.poisson(m))
         if wanted == 0:
-            return np.zeros(self._n, dtype=np.int64)
+            return np.zeros(self.n, dtype=np.int64)
         if self._exact:
             raw = self.base.negative_binomial_consumed(wanted, self.mask)
             self._charge(raw)
@@ -446,7 +439,18 @@ class _RejectionBackedSampler:
             raise BudgetExhausted(self.consumed) from None
         self._charge(raw)
         positions = np.cumsum(self.mask) - 1  # domain index -> conditional index
-        return np.bincount(positions[samples], minlength=self._n)
+        return np.bincount(positions[samples], minlength=self.n)
+
+
+def lowmass_budgets(n: int, eps: float, cfg: ThresholdConfig) -> tuple[float, int, int]:
+    """(alpha, coin budget, m3) of the low-mass cascade at accuracy eps:
+    the mass floor of stages (i)/(ii), the per-stream draws of their coin
+    test, and the per-stream draws of the stage (iii) mass comparison."""
+    log_r = _log_ratio(n, eps)
+    alpha = min(cfg.c_lowmass_mass * eps / log_r, 0.5)
+    coin_n = coin_bias_budget(alpha, 1.0, 1.0 / 40.0, cfg.multiplier("lowmass_mass"))
+    m3 = math.ceil(cfg.multiplier("mass_diff") * log_r**2 / eps**2)
+    return alpha, coin_n, m3
 
 
 def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:
@@ -469,8 +473,7 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
         return _accept(0, [("lowmass-mass-floor", 0.0, 0.0)])
 
     # (i)/(ii): coin-test both masses against the floor alpha
-    alpha = min(cfg.c_lowmass_mass * eps / log_r, 0.5)
-    coin_n = coin_bias_budget(alpha, 1.0, 1.0 / 40.0, cfg.multiplier("lowmass_mass"))
+    alpha, coin_n, m3 = lowmass_budgets(n, eps, cfg)
     cut = alpha * 1.5
     p_mean = sp.binomial_hits(coin_n, mask) / coin_n
     q_mean = sq.binomial_hits(coin_n, mask) / coin_n
@@ -485,7 +488,6 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
 
     # (iii): the masses must approximately match
     tol = cfg.c_mass_diff * eps / log_r
-    m3 = math.ceil(cfg.multiplier("mass_diff") * log_r**2 / eps**2)
     cmp_res = mass_compare(sp, sq, mask, tol, m3)
     samples += cmp_res.samples_used
     trace.append(("lowmass-mass-gap", abs(cmp_res.p_mass_est - cmp_res.q_mass_est), tol))

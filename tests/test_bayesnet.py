@@ -20,7 +20,6 @@ from enttest.bayesnet import (
     bn_exact_marginal,
     bn_identity_test,
     bn_kl_to_projection,
-    bn_mixture_sampler,
     bn_mixture_weight,
     bn_sample,
     exact_joint_tv,
@@ -160,10 +159,9 @@ class TestMixture:
 
     def test_mixture_sampler_law(self):
         net = copy_chain()
-        mix = bn_mixture_sampler(BnSampler(net, 5), 2, 1, 0.5)
-        bits = mix.sample(200_000)
-        disagree = (bits[:, 0] != bits[:, 1]).mean()
         w = bn_mixture_weight(2, 1, 0.5)
+        bits = BnMixtureSampler(BnSampler(net, 5), w, 0).sample(200_000)
+        disagree = (bits[:, 0] != bits[:, 1]).mean()
         assert abs(disagree - w / 2) <= 4 * math.sqrt(w / 2 / 200_000) + 1e-4
 
     def test_replay_identical(self):

@@ -330,3 +330,47 @@ class TestStreamSampler:
         c = pool.multinomial_counts(600)
         assert c[0] == 600
         assert pool.remaining == 400
+
+
+def _exact(n, seed):
+    return Sampler(DiscreteDistribution.zipf(n), seed)
+
+
+def _pool(n, seed):
+    return StreamSampler(np.random.default_rng(seed).integers(0, n, size=50_000), n, rng_seed=seed)
+
+
+# every sampler kind the testers take, built over a domain of size n
+SAMPLER_KINDS = {
+    "sampler": lambda n: _exact(n, 1),
+    "mix-over-sampler": lambda n: mix_sample(_exact(n, 1), 0.2, rng_seed=2),
+    "mix-over-stream": lambda n: mix_sample(_pool(n, 3), 0.2, rng_seed=4),
+    "stream": lambda n: _pool(n, 5),
+    "fair-mix": lambda n: FairMixSampler(_exact(n, 6), _pool(n, 7), 8),
+}
+
+
+class TestSamplerProtocol:
+    @pytest.mark.parametrize("kind", sorted(SAMPLER_KINDS))
+    def test_count_draws_conform(self, kind):
+        n = 12
+        s = SAMPLER_KINDS[kind](n)
+        assert (s.distribution is not None) == isinstance(s, Sampler)
+        assert s.n == n
+        counts = s.poisson_counts(300.0)
+        assert counts.shape == (n,) and counts.min() >= 0
+        for k in (0, 1, 257):
+            c = s.multinomial_counts(k)
+            assert c.shape == (n,) and c.sum() == k
+        assert 0 <= s.binomial_hits(500, np.arange(n) < 3) <= 500
+        realized, samples = s.stream_poisson_realize(40.0)
+        assert samples.shape == (realized,) and np.all((samples >= 0) & (samples < n))
+
+    def test_mix_sample_floors_an_exact_law_exactly(self):
+        base = _exact(12, 1)
+        floored = mix_sample(base, 0.2, rng_seed=2)
+        assert isinstance(floored, Sampler)
+        assert floored.distribution == mass_floor_mix(base.distribution, 0.2)
+        # an exact-law floor has the rejection sampler's exact-law path
+        samples, consumed = conditional_rejection_sample(floored, np.arange(12) >= 6, 50, 10**6)
+        assert samples.size == 50 and consumed >= 50 and samples.min() >= 6

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from enttest.core import entropy
+from enttest.core import Sampler, entropy
 from enttest.instances import (
-    JointSampler,
     Unachievable,
     load_certificate,
     make_correlated_pair,
@@ -51,11 +50,10 @@ class TestCorrelatedPair:
 
 
 class _CountingSampler:
-    """JointSampler wrapper that records raw draws consumed."""
+    """Sampler wrapper that records raw draws consumed."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.k_c = inner.k_c
         self.consumed = 0
 
     def draw(self, k):
@@ -68,8 +66,8 @@ class TestMiReductionStreams:
         # t output pairs per stream cost exactly 3 t joint samples
         pair = make_correlated_pair(4, 2, 0.1)
         for t in (1, 50):
-            js = _CountingSampler(JointSampler(pair, 3))
-            p_stream, q_stream = mi_reduction_streams(js, t)
+            js = _CountingSampler(Sampler(pair.joint, 3))
+            p_stream, q_stream = mi_reduction_streams(js, pair.k_c, t)
             assert p_stream.size == t and q_stream.size == t
             assert js.consumed == 3 * t
 
@@ -77,9 +75,8 @@ class TestMiReductionStreams:
         # chi-square goodness of fit of the q-stream against the exact
         # product distribution at significance 0.01
         pair = make_correlated_pair(8, 4, 0.35)
-        js = JointSampler(pair, 17)
         t = 10**5
-        _, q_stream = mi_reduction_streams(js, t)
+        _, q_stream = mi_reduction_streams(Sampler(pair.joint, 17), pair.k_c, t)
         counts = np.bincount(q_stream, minlength=32)
         expected = t * pair.product_of_marginals().probs
         chi = float(((counts - expected) ** 2 / expected).sum())
@@ -89,8 +86,7 @@ class TestMiReductionStreams:
     def test_product_joint_streams_identically_distributed(self):
         # with a product joint, p-stream and q-stream share one law
         pair = make_correlated_pair(4, 4, 0.0)
-        js = JointSampler(pair, 23)
-        p_stream, q_stream = mi_reduction_streams(js, 50_000)
+        p_stream, q_stream = mi_reduction_streams(Sampler(pair.joint, 23), pair.k_c, 50_000)
         cp = np.bincount(p_stream, minlength=16)
         cq = np.bincount(q_stream, minlength=16)
         expected = 50_000 * pair.joint.probs

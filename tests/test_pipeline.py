@@ -199,6 +199,22 @@ class TestCombined:
             run_eet_combined(*samplers(p, p, 1), 8, 0.6)
 
 
+class TestLightTailNull:
+    def test_cascade_runs_the_conditional_stage(self):
+        # 99% of the mass on 100 atoms, 1% over the other 3,996: the light
+        # part is below the heavy threshold but above the low-mass floor,
+        # so the cascade runs the conditional TV stage on mass-floored
+        # exact samplers
+        n = 4096
+        v = np.full(n, 0.01 / (n - 100))
+        v[:100] = 0.99 / 100
+        d = DiscreteDistribution(v)
+        verdict = run_eet(*samplers(d, d, 1), make_eet_plan(n, 0.5), rng=3)
+        stages = [s for s, _, _ in verdict.trace]
+        assert "lowmass-cond-tv" in stages
+        assert stages[-1] == "z"
+
+
 # ---------------------------------------------------------------------------
 # Golden verdicts: every field of a verdict of the cascade, the TV baseline,
 # the combined tester, the l2 test and the low-mass cascade is pinned, so a

@@ -1,0 +1,82 @@
+"""Property tests: distribution, Bayes-net and threshold-config files
+round-trip bit for bit."""
+
+import os
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from enttest.bayesnet import load_bayesnet, random_bayesnet, save_bayesnet
+from enttest.core import DiscreteDistribution, load_distribution, save_distribution
+from enttest.testers import MULTIPLIER_KEYS, ThresholdConfig, load_config, save_config
+
+PROPERTY = settings(max_examples=200, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+def _reload(save, load, obj, directory):
+    path = os.path.join(directory, "file")
+    save(obj, path)
+    return load(path)
+
+
+weights = st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=60).filter(
+    lambda w: sum(w) > 0
+)
+distributions = st.one_of(
+    st.builds(lambda n, seed: DiscreteDistribution.random_dense(n, np.random.default_rng(seed)),
+              st.integers(1, 49), seeds),
+    st.builds(DiscreteDistribution.zipf, st.integers(1, 199)),
+    st.builds(lambda w: DiscreteDistribution(np.asarray(w) / sum(w)), weights),
+)
+
+
+@PROPERTY
+@given(distributions)
+def test_distribution_file_roundtrip(scratch, d):
+    assert _reload(save_distribution, load_distribution, d, scratch) == d
+
+
+@PROPERTY
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1), seeds)))
+def test_bayesnet_file_roundtrip(scratch, case):
+    n, d, seed = case
+    net = random_bayesnet(n, d, np.random.default_rng(seed), cpt_low=0.0, cpt_high=1.0)
+    back = _reload(save_bayesnet, load_bayesnet, net, scratch)
+    assert back.parents == net.parents
+    assert all(np.array_equal(a, b) for a, b in zip(back.cpts, net.cpts))
+
+
+positive = st.floats(1e-6, 1e6, allow_nan=False)
+
+
+@st.composite
+def configs(draw):
+    low = draw(positive)
+    return ThresholdConfig(
+        c_hellinger_reject=draw(positive),
+        c_heavy_low=low,
+        c_heavy_high=2 * low + draw(st.floats(0.0, 1e6)),
+        c_lowmass_mass=draw(positive),
+        c_mass_diff=draw(positive),
+        c_T_threshold=draw(positive),
+        c_l2_threshold=draw(positive),
+        c_massS_diff=draw(positive),
+        c_Z_threshold=draw(positive),
+        c_dec=draw(positive),
+        sample_multipliers={key: draw(positive) for key in MULTIPLIER_KEYS},
+    )
+
+
+@PROPERTY
+@given(configs())
+def test_config_file_roundtrip(scratch, cfg):
+    assert _reload(save_config, load_config, cfg, scratch) == cfg

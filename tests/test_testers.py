@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from enttest.core import DiscreteDistribution, FairMixSampler, Sampler
+from enttest.core import DiscreteDistribution, FairMixSampler, Sampler, mix_sample
 from enttest.testers import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -422,6 +422,16 @@ class TestLowmassConditional:
             v = lowmass_conditional_test(sp, sq, sbar, 1024, 0.2, rng=t)
             rejects += v.rejected
         assert rejects >= 85
+
+    def test_mass_floored_exact_samplers_reach_conditional_tv(self):
+        # the cascade hands this stage mix_sample outputs; over exact-law
+        # samplers those are exact Samplers, so stage (iv) takes the
+        # negative-binomial path
+        p, q, sbar = self._light_tail_pair(same=True)
+        sp, sq = samplers(p, q, 9000)
+        sp_f, sq_f = mix_sample(sp, 0.2, 1), mix_sample(sq, 0.2, 2)
+        v = lowmass_conditional_test(sp_f, sq_f, sbar, 1024, 0.2, rng=3)
+        assert [s for s, _, _ in v.trace][-1] == "lowmass-cond-tv"
 
     def test_empty_sbar_accepts(self):
         p = DiscreteDistribution.uniform(4)
