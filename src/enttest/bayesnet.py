@@ -163,9 +163,7 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     subset = tuple(sorted(subset))
     if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
         raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
-    out = np.zeros(2 ** len(subset))
-    np.add.at(out, _atom_cells(n, subset), joint)
-    return out
+    return np.bincount(_atom_cells(n, subset), joint, minlength=2 ** len(subset))
 
 
 def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
@@ -195,9 +193,9 @@ def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
     """``joint_marginal`` of a 2^n joint onto every ``width``-subset, in
     ``combinations`` order: a ``(C(n, width), 2^width)`` array.
 
-    One weighted bincount per chunk of subsets over (subset, cell) offsets;
-    a bincount adds in index order, as ``np.add.at`` does, so every table
-    is bit-identical to ``joint_marginal``'s.
+    One weighted bincount per chunk of subsets over (subset, cell) offsets,
+    as ``joint_marginal`` does for one subset; a bincount adds in index
+    order, so every table is bit-identical to ``joint_marginal``'s.
     """
     subsets = np.array(list(combinations(range(n), width)), dtype=np.int64)
     atoms = np.arange(2**n, dtype=np.int64)
@@ -327,29 +325,48 @@ def _marginal_plan(n: int, width: int):
     return tuple(splits)
 
 
-def _marginal_counts(per_block: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Counts[subset, block, cell] of per-atom counts ``per_block`` of
-    shape ``(k, 2^n)``, for every ``width``-subset in ``combinations`` order.
+def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Counts[subset, block, cell] of per-block atom counts ``per_atom`` of
+    shape ``(2^n, k)``, for every ``width``-subset in ``combinations`` order.
 
-    The atom index is high half times low half, so the counts reshape to
-    ``(k, 2^(n - n//2), 2^(n//2))`` without a copy; each split contracts
+    The atom index is high half times low half, so C-ordered float64 counts
+    (as ``_block_atom_counts`` returns them; others are copied once) reshape
+    to ``(2^(n - n//2), 2^(n//2), k)`` without a copy; each split contracts
     them with its two half maps, the one with fewer columns first.  The
     counts are integers far below 2^53, so every order of summation gives
     the same floats.
     """
-    k = per_block.shape[0]
-    x = per_block.astype(np.float64).reshape(k, 2 ** (n - n // 2), 2 ** (n // 2))
+    k = per_atom.shape[1]
+    x = np.ascontiguousarray(per_atom, dtype=np.float64).reshape(2 ** (n - n // 2), 2 ** (n // 2), k)
     out = np.empty((math.comb(n, width), k, 2**width))
     for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
         if lo_map.shape[1] <= hi_map.shape[1]:
-            z = hi_map.T @ (x @ lo_map)
+            z = hi_map.T @ (lo_map.T @ x).reshape(x.shape[0], -1)
         else:
-            z = (hi_map.T @ x) @ lo_map
-        # z[b, (s_hi, c_hi), (s_lo, c_lo)] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
+            z = lo_map.T @ (hi_map.T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[1], k)
+        # z[(s_hi, c_hi), (s_lo, c_lo), b] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
         n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
-        z = z.reshape(k, n_hi, 2 ** (width - j), n_lo, 2**j).transpose(1, 3, 0, 2, 4)
+        z = z.reshape(n_hi, 2 ** (width - j), n_lo, 2**j, k).transpose(0, 2, 4, 1, 3)
         out[sweep] = z.reshape(n_hi * n_lo, k, 2**width)
     return out
+
+
+def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, rng) -> np.ndarray:
+    """Independent ``Poi(m/k * joint[a])`` counts of atom a in each of
+    ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: a
+    C-ordered float64 array of shape ``(joint.size, k_blocks)``, the layout
+    ``_marginal_counts`` reads without a copy."""
+    atoms = joint.size
+    if m < k_blocks * atoms:
+        totals = rng.poisson(m * joint)
+        # atom-major cell a * k + b: each atom's labels land side by side
+        cells = np.repeat(np.arange(0, atoms * k_blocks, k_blocks), totals)
+        cells += rng.integers(0, k_blocks, size=cells.size)
+        counts = np.bincount(cells, minlength=atoms * k_blocks)
+        del cells  # free the labels before the float copy
+        return counts.astype(np.float64).reshape(atoms, k_blocks)
+    per_block = rng.poisson(m / k_blocks * joint, size=(k_blocks, atoms))
+    return np.ascontiguousarray(per_block.T, dtype=np.float64)
 
 
 def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
@@ -359,11 +376,20 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
     The multiset of ``Poi(m)`` samples is split uniformly into ``k_blocks``
     majority-vote blocks (Poisson thinning keeps blocks independent).  On
     the dense path (``C(n, width) 2^(n+width)`` at most
-    ``_PROJECTION_CELL_CAP``) the per-atom block counts are drawn directly
-    as ``Poi(m/k * p_atom)`` from the exact mixture joint, identical in law
-    to sampling, and marginalized onto every subset by
+    ``_PROJECTION_CELL_CAP``) the per-atom block counts, independent
+    ``Poi(m/k * p_atom)``, come from the exact mixture joint by whichever
+    draw needs fewer variates:
+
+    - ``m < k_blocks * 2^n`` (sparse): each atom's total ``Poi(m * p_atom)``,
+      then a uniform block label for each of the about m samples, as the
+      streaming path labels its samples; by Poisson splitting this is the
+      per-cell law, and the label array is no larger than the per-block
+      array, so memory does not grow with m;
+    - otherwise (per cell): one ``Poi(m/k * p_atom)`` per block and atom.
+
+    Either way the counts are marginalized onto every subset by
     ``_marginal_counts``, two half-width contractions per split of the
-    subset between the low and high variables; otherwise samples are
+    subset between the low and high variables.  Above the cap, samples are
     streamed and each subset is bincounted.  Subsets run in
     ``combinations(range(n), width)`` order.  Returns ``(float64 array of
     shape (C(n, width), k_blocks, 2^width), total samples drawn)``.
@@ -372,9 +398,8 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
     ncells = 2**width
     subsets = list(combinations(range(n), width))
     if n <= EXACT_GUARD and len(subsets) * 2 ** (n + width) <= _PROJECTION_CELL_CAP:
-        joint = mix.exact_joint()
-        per_block = rng.poisson(np.outer(np.full(k_blocks, m / k_blocks), joint))
-        return _marginal_counts(per_block, n, width), int(per_block.sum())
+        per_atom = _block_atom_counts(mix.exact_joint(), m, k_blocks, rng)
+        return _marginal_counts(per_atom, n, width), int(per_atom.sum())
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
     blocks = rng.integers(0, k_blocks, size=realized)

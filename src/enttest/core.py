@@ -59,7 +59,8 @@ class BudgetExhausted(RuntimeError):
 
 
 def _as_prob_vector(probs, renormalize: bool = True) -> np.ndarray:
-    v = np.asarray(probs, dtype=np.float64)
+    # a copy, so freezing it leaves the caller's own array writeable
+    v = np.array(probs, dtype=np.float64)
     if v.ndim != 1 or v.size < 1:
         raise DistributionError("probability vector must be 1-D and non-empty")
     if not np.all(np.isfinite(v)):
@@ -70,7 +71,7 @@ def _as_prob_vector(probs, renormalize: bool = True) -> np.ndarray:
     if abs(total - 1.0) > PROB_ATOL:
         raise DistributionError(f"probabilities sum to {total!r}, not 1")
     if renormalize and total != 1.0 and total > 0:
-        v = v / total
+        v /= total
     v.setflags(write=False)
     return v
 
@@ -292,13 +293,23 @@ def _alias_tables(probs: np.ndarray):
     return alias, np.minimum(cut, 1.0)
 
 
+def _draw_count(k) -> int:
+    """``k`` as the size of a ``draw``; raises ``ValueError`` when k < 0."""
+    k = int(k)
+    if k < 0:
+        raise ValueError(f"cannot draw a negative number of samples ({k})")
+    return k
+
+
 class SampleStream:
     """Count-level draws realized literally from a sample stream.
 
     Subclasses supply ``n``, ``draw(k)`` and the generator ``_rng``; every
-    count tabulates ``draw`` output.  A stream's law is unknown
-    (``distribution`` is None); :class:`Sampler`, the one exact-law
-    sampler, overrides the count draws with their exact-law forms.
+    count tabulates ``draw`` output, and every ``draw`` checks its size with
+    ``_draw_count`` (``draw(0)`` is empty, ``draw(-1)`` an error).  A
+    stream's law is unknown (``distribution`` is None); :class:`Sampler`,
+    the one exact-law sampler, overrides the count draws with their
+    exact-law forms.
     """
 
     distribution = None
@@ -351,7 +362,8 @@ class Sampler(SampleStream):
 
     def draw(self, k: int) -> np.ndarray:
         """k i.i.d. samples as an int64 index array."""
-        if k <= 0:
+        k = _draw_count(k)
+        if k == 0:
             return np.empty(0, dtype=np.int64)
         if self._alias is None:
             self._alias = _alias_tables(self.probs)
@@ -419,7 +431,7 @@ class StreamSampler(SampleStream):
         return self.pool.size - self._pos
 
     def draw(self, k: int) -> np.ndarray:
-        k = int(k)
+        k = _draw_count(k)
         if k > self.remaining:
             raise BudgetExhausted(self._pos, "sample pool exhausted")
         out = self.pool[self._pos : self._pos + k]
@@ -441,7 +453,7 @@ def _as_mask(index_set, n: int) -> np.ndarray:
 def _coin_mix(rng, k: int, heads: float, draw_heads, draw_tails) -> np.ndarray:
     """k draws, each from ``draw_heads`` with probability ``heads`` and
     from ``draw_tails`` otherwise: one coin per draw, then both sources."""
-    k = max(int(k), 0)
+    k = _draw_count(k)
     from_heads = rng.random(k) < heads
     out = np.empty(k, dtype=np.int64)
     n_heads = int(from_heads.sum())

@@ -450,17 +450,79 @@ class TestBlockedSubsetCounts:
     ])
     def test_dense_counts_match_per_subset_bincount_any_split(self, n, width):
         # odd n, width = n and a low half with fewer bits than width
-        k, m = 3, 400 * 2**width
-        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 63), m, k, width,
-                                                       np.random.default_rng(9))
-        per_block = np.random.default_rng(9).poisson(
-            np.outer(np.full(k, m / k), self._mixture(n, 63).exact_joint()))
+        k = 3
+        per_atom = np.random.default_rng(9).poisson(400 * 2**width / k / 2**n, size=(2**n, k))
+        counts = bayesnet._marginal_counts(per_atom, n, width)
         atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-        assert total == per_block.sum()
         for s, sub in enumerate(combinations(range(n), width)):
             cells = self._cells(atom_bits, sub)
-            ref = [np.bincount(cells, weights=row, minlength=2**width) for row in per_block]
+            ref = [np.bincount(cells, weights=col, minlength=2**width) for col in per_atom.T]
             assert np.array_equal(counts[s], ref)
+
+    @staticmethod
+    def _sparse_reference(joint, m, k, rng):
+        # each atom's Poi(m p_a) samples, then one uniform block label each
+        totals = rng.poisson(m * joint)
+        labels = rng.integers(0, k, size=int(totals.sum()))
+        ref = np.zeros((joint.size, k), dtype=np.int64)
+        np.add.at(ref, (np.repeat(np.arange(joint.size), totals), labels), 1)
+        return ref
+
+    def test_block_counts_branch_switches_at_cell_count(self):
+        n, k = 6, 5
+        joint = self._mixture(n, 64).exact_joint()
+        for m in (k * 2**n - 1, k * 2**n - 0.5, k * 2**n, k * 2**n + 1):
+            got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(10))
+            sparse = self._sparse_reference(joint, m, k, np.random.default_rng(10))
+            per_cell = np.random.default_rng(10).poisson(m / k * joint, size=(k, 2**n)).T
+            assert got.shape == (2**n, k)
+            assert np.array_equal(got, sparse) == (m < k * 2**n)
+            assert np.array_equal(got, per_cell) == (m >= k * 2**n)
+
+    def test_sparse_block_counts_follow_per_cell_poisson_law(self):
+        # Poisson splitting: uniform labels on Poi(m p_a) samples give
+        # independent Poi(m/k p_a) counts in each of the k blocks
+        n, k, m, draws = 6, 5, 200, 40_000
+        assert m < k * 2**n
+        joint = self._mixture(n, 65).exact_joint()
+        rng = np.random.default_rng(11)
+        sums = np.zeros((2**n, k))
+        zeros = np.zeros((2**n, k))
+        totals = np.empty(draws)
+        for i in range(draws):
+            x = bayesnet._block_atom_counts(joint, m, k, rng)
+            sums += x
+            zeros += x == 0
+            totals[i] = x.sum()
+        lam = m / k * joint[:, None]
+        p0 = np.exp(-lam)
+        z_mean = (sums / draws - lam) / np.sqrt(lam / draws)
+        z_zero = (zeros / draws - p0) / np.sqrt(p0 * (1 - p0) / draws)
+        # mean z^2 over 320 cells is 1 with sd 0.08 under the right law
+        for z in (z_mean, z_zero):
+            assert 0.75 <= np.mean(z**2) <= 1.3
+        # the total is Poi(m), not a fixed m: its variance is m (sd of the
+        # sample variance sqrt((2 m^2 + m) / draws))
+        assert abs(totals.var() - m) <= 4 * math.sqrt((2 * m**2 + m) / draws)
+
+    def test_sparse_counts_total_and_replay(self):
+        n, width, k, m = 8, 3, 9, 1000
+        assert m < k * 2**n
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+                                                       np.random.default_rng(12))
+        per_atom = bayesnet._block_atom_counts(self._mixture(n, 66).exact_joint(), m, k,
+                                               np.random.default_rng(12))
+        assert total == per_atom.sum()
+        assert np.array_equal(counts, bayesnet._marginal_counts(per_atom, n, width))
+        # every subset's cells hold every sample once
+        assert np.array_equal(counts.sum(axis=(1, 2)), np.full(len(counts), total))
+        # a fixed seed replays the same counts, another seed does not
+        again, total_again = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+                                                             np.random.default_rng(12))
+        other, _ = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+                                                   np.random.default_rng(13))
+        assert total_again == total and again.tobytes() == counts.tobytes()
+        assert not np.array_equal(other, counts)
 
     def test_marginal_plan_cached_read_only(self):
         splits = bayesnet._marginal_plan(7, 3)

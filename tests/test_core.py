@@ -50,6 +50,14 @@ class TestDiscreteDistribution:
             d.probs = np.ones(4)
         assert not d.probs.flags.writeable
 
+    def test_callers_array_stays_writeable(self):
+        a = np.array([0.5, 0.5])
+        d = DiscreteDistribution(a)
+        assert a.flags.writeable
+        assert np.array_equal(d.probs, a)
+        a[0] = 0.9
+        assert d.probs[0] == 0.5
+
     def test_mass_and_conditional(self):
         d = DiscreteDistribution([0.1, 0.2, 0.3, 0.4])
         assert d.mass([1, 3]) == pytest.approx(0.6)
@@ -325,6 +333,14 @@ class TestStreamSampler:
         with pytest.raises(BudgetExhausted):
             pool.draw(5)
 
+    def test_negative_draw_leaves_pool_alone(self):
+        pool = StreamSampler(np.arange(10), 16)
+        with pytest.raises(ValueError):
+            pool.draw(-1)
+        assert pool.remaining == 10
+        assert pool.draw(0).shape == (0,)
+        assert pool.remaining == 10
+
     def test_counts_consume_pool(self):
         pool = StreamSampler(np.zeros(1000, dtype=np.int64), 2, rng_seed=0)
         c = pool.multinomial_counts(600)
@@ -365,6 +381,13 @@ class TestSamplerProtocol:
         assert 0 <= s.binomial_hits(500, np.arange(n) < 3) <= 500
         realized, samples = s.stream_poisson_realize(40.0)
         assert samples.shape == (realized,) and np.all((samples >= 0) & (samples < n))
+
+    @pytest.mark.parametrize("kind", sorted(SAMPLER_KINDS))
+    def test_draw_size_checked(self, kind):
+        s = SAMPLER_KINDS[kind](12)
+        assert s.draw(0).shape == (0,)
+        with pytest.raises(ValueError):
+            s.draw(-1)
 
     def test_mix_sample_floors_an_exact_law_exactly(self):
         base = _exact(12, 1)

@@ -136,11 +136,13 @@ class TestReproducibility:
         "spec",
         [
             "kind='bayesnet', n_values=[6], eps_values=[0.3], d_values=[2], trials=2",
+            # n = 12 draws its block counts as atom totals plus block labels
+            "kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
             "kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
             "kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
             "kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
         ],
-        ids=["bayesnet", "error_grid", "scaling", "calibrate"],
+        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "calibrate"],
     )
     def test_suite_independent_of_hash_seed(self, spec, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))
