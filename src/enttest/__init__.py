@@ -34,13 +34,11 @@ from .poisson import (
     CountPair,
     FactorialMomentResult,
     NonConvergent,
-    PoissonizedDraw,
     exact_expected_z,
     expected_log1p_poisson,
     expected_t_closed_form,
     factorial_moment_check,
     poissonized_counts,
-    poissonized_draw,
     statistic_l2,
     statistic_t,
     statistic_z,
@@ -53,7 +51,6 @@ from .testers import (
     ParameterOutOfRange,
     TestVerdict,
     ThresholdConfig,
-    coin_bias_test,
     hellinger_closeness_test,
     identify_heavy_set,
     l2_closeness_test,

@@ -117,7 +117,8 @@ class BayesNet:
 
 
 def _parent_masks(bits: np.ndarray, parent_set) -> np.ndarray:
-    """Parent-configuration bitmask per row of a (k, n) bit matrix."""
+    """Configuration of the variables ``parent_set`` (the j-th on bit j)
+    per row of a (k, n) bit matrix."""
     if not parent_set:
         return np.zeros(bits.shape[0], dtype=np.int64)
     mask = np.zeros(bits.shape[0], dtype=np.int64)
@@ -402,23 +403,20 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
         return _marginal_counts(per_atom, n, width), int(per_atom.sum())
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
-    blocks = rng.integers(0, k_blocks, size=realized)
+    offsets = rng.integers(0, k_blocks, size=realized) * ncells
     counts = np.empty((len(subsets), k_blocks, ncells))
     for s, sub in enumerate(subsets):
-        cells = np.zeros(realized, dtype=np.int64)
-        for j, v in enumerate(sub):
-            cells |= bits[:, v].astype(np.int64) << j
-        flat = np.bincount(blocks * ncells + cells, minlength=k_blocks * ncells)
+        flat = np.bincount(offsets + _parent_masks(bits, sub), minlength=k_blocks * ncells)
         counts[s] = flat.reshape(k_blocks, ncells)
     return counts, realized
 
 
-def bn_budget(n: int, d: int, eps: float, budget_scale: float) -> int:
-    """Shared multiset size: scaled version of the asymptotic budget formula."""
+def bn_budget(n: int, d: int, eps: float) -> int:
+    """Shared multiset size: a quarter of the asymptotic budget formula."""
     log_r = math.log(max(n / eps, LOG_FLOOR))
     lead = min(2 ** (0.75 * d) * n / eps**2, 2 ** (2 * d / 3.0) * n ** (4.0 / 3.0) / eps ** (8.0 / 3.0))
     tail = d**3 * n**2 * log_r**2 / eps**4
-    return math.ceil(budget_scale * (lead + tail))
+    return math.ceil(0.25 * (lead + tail))
 
 
 def _local_noise_floor(s_block: float) -> float:
@@ -447,10 +445,10 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
 
 
-def _sweep_setup(n: int, d: int, eps: float, budget, budget_scale: float, dims, what: str):
+def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     """Check a sweep's inputs (``dims`` must equal n), then size it:
     ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
-    of ``m = budget(n, d, eps, budget_scale)`` samples in k_blocks blocks."""
+    of ``m = budget(n, d, eps)`` samples in k_blocks blocks."""
     if not 0 < eps <= 1:
         raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
     if not 1 <= d <= n - 1:
@@ -460,7 +458,7 @@ def _sweep_setup(n: int, d: int, eps: float, budget, budget_scale: float, dims, 
     subsets = list(combinations(range(n), d + 1))
     # per-subset failure probability 1/(20 C(n, d+1)), by majority over blocks
     k_blocks = amplification_reps(1.0 / (20.0 * len(subsets)))
-    m = budget(n, d, eps, budget_scale)
+    m = budget(n, d, eps)
     m_block = m / k_blocks
     eps1 = max(eps**2 / n, _local_noise_floor(m_block))
     return subsets, m, k_blocks, m_block, bn_mixture_weight(n, d, eps), eps1
@@ -489,7 +487,6 @@ def bn_closeness_test(
     d: int,
     eps: float,
     cfg: ThresholdConfig = DEFAULT_CONFIG,
-    budget_scale: float = 0.25,
     rng=None,
 ) -> TestVerdict:
     """Closeness test for two unknown in-degree-d nets over {0,1}^n.
@@ -501,7 +498,7 @@ def bn_closeness_test(
     1/(20 C(n, d+1)), met by majority vote over sample blocks.
     """
     subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
-        n, d, eps, bn_budget, budget_scale, (sp.n, sq.n), "sampler"
+        n, d, eps, bn_budget, (sp.n, sq.n), "sampler"
     )
     rng = np.random.default_rng(rng)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
@@ -524,9 +521,9 @@ def bn_closeness_test(
     return _sweep_verdict("bn", tests, subsets, used_p + used_q, trace)
 
 
-def bn_identity_budget(n: int, d: int, eps: float, budget_scale: float) -> int:
+def bn_identity_budget(n: int, d: int, eps: float) -> int:
     log_r = math.log(max(n / eps, LOG_FLOOR))
-    return math.ceil(budget_scale * (2 ** (d / 2.0) * n / eps**2 + n**2 * log_r**2 / eps**4))
+    return math.ceil(2 ** (d / 2.0) * n / eps**2 + n**2 * log_r**2 / eps**4)
 
 
 def bn_identity_test(
@@ -536,7 +533,6 @@ def bn_identity_test(
     d: int,
     eps: float,
     cfg: ThresholdConfig = DEFAULT_CONFIG,
-    budget_scale: float = 1.0,
     rng=None,
 ) -> TestVerdict:
     """Identity variant: the q side of every local statistic is computed
@@ -547,7 +543,7 @@ def bn_identity_test(
     local entropy (the entropy side); majority over blocks as above.
     """
     subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
-        n, d, eps, bn_identity_budget, budget_scale, (q_known.n, sp.n), "net"
+        n, d, eps, bn_identity_budget, (q_known.n, sp.n), "net"
     )
     if n > EXACT_GUARD:
         raise TooLargeForExact("identity test needs exact q marginals")

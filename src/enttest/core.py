@@ -314,15 +314,10 @@ class SampleStream:
 
     distribution = None
 
-    def stream_poisson_realize(self, m: float):
-        """(realized N ~ Poi(m), the N samples) for the literal procedure."""
-        realized = int(self._rng.poisson(m))
-        return realized, self.draw(realized)
-
     def poisson_counts(self, m: float) -> np.ndarray:
-        """Per-element counts of a Poissonized batch of nominal size m."""
-        realized, samples = self.stream_poisson_realize(m)
-        return np.bincount(samples, minlength=self.n)
+        """Per-element counts of a Poissonized batch of nominal size m: the
+        literal procedure, ``N ~ Poi(m)`` draws tabulated."""
+        return np.bincount(self.draw(int(self._rng.poisson(m))), minlength=self.n)
 
     def multinomial_counts(self, k: int) -> np.ndarray:
         """Per-element counts of exactly k draws."""
@@ -381,15 +376,17 @@ class Sampler(SampleStream):
         return self._rng.poisson(m * self.probs)
 
     def multinomial_counts(self, k: int) -> np.ndarray:
-        if k <= 0:
+        k = _draw_count(k)
+        if k == 0:
             return np.zeros(self.n, dtype=np.int64)
-        return self._rng.multinomial(int(k), self.probs)
+        return self._rng.multinomial(k, self.probs)
 
     def binomial_hits(self, k: int, index_set) -> int:
-        if k <= 0:
+        k = _draw_count(k)
+        if k == 0:
             return 0
         mass = self.distribution.mass(index_set)
-        return int(self._rng.binomial(int(k), min(mass, 1.0)))
+        return int(self._rng.binomial(k, min(mass, 1.0)))
 
     def negative_binomial_consumed(self, successes: int, index_set) -> int:
         """Raw draws needed for ``successes`` hits in ``index_set`` (exact law)."""

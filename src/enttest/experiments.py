@@ -93,8 +93,6 @@ class ExperimentSpec:
     seed: int = 20260808
     cfg_path: str | None = None
     out_dir: str = "enttest-out"
-    budget_scale: float = 0.25
-    identity_budget_scale: float = 1.0
 
     def validate(self):
         if self.kind not in VALID_KINDS:
@@ -277,12 +275,11 @@ def _bn_trial(payload):
     if family.startswith("bn-id"):
         side = other if family == "bn-id-far" else base
         return bn.bn_identity_test(
-            bn.BnSampler(side, child[1]), base, n, d, eps, cfg,
-            budget_scale=payload["identity_budget_scale"], rng=np.random.default_rng(child[3]),
+            bn.BnSampler(side, child[1]), base, n, d, eps, cfg, rng=np.random.default_rng(child[3])
         )
     return bn.bn_closeness_test(
         bn.BnSampler(base, child[1]), bn.BnSampler(other, child[2]), n, d, eps, cfg,
-        budget_scale=payload["budget_scale"], rng=np.random.default_rng(child[3]),
+        rng=np.random.default_rng(child[3]),
     )
 
 
@@ -427,9 +424,7 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
         for trial in range(spec.trials):
             tasks.append({
                 "op": "bn", "family": fam, "n": n, "d": d, "eps": eps,
-                "cfg": cfg, "master": spec.seed, "cell": cell_idx,
-                "trial": trial, "budget_scale": spec.budget_scale,
-                "identity_budget_scale": spec.identity_budget_scale,
+                "cfg": cfg, "master": spec.seed, "cell": cell_idx, "trial": trial,
             })
     results = _execute(tasks, workers)
     rows, violations = [], []

@@ -254,7 +254,7 @@ def tv_baseline_budget(n: int, eps: float, delta: float, cfg: ThresholdConfig) -
     return 2 * tv_budget(n, eps_tv, cfg) * amplification_reps(delta)
 
 
-def run_eet_tv_baseline(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:
+def run_eet_tv_baseline(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
     """Entropy equivalence via a plain TV closeness test at the reduced scale."""
     _validate_eps(eps)
     eps_tv = solve_tv_threshold(n, eps)
@@ -287,7 +287,7 @@ def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: Thresh
     rng = np.random.default_rng(rng)
     eet_total, base_total = combined_budgets(n, eps, delta, cfg)
     if n > 1 and base_total <= eet_total:
-        verdict = run_eet_tv_baseline(sp, sq, n, eps, delta, cfg, rng)
+        verdict = run_eet_tv_baseline(sp, sq, n, eps, delta, cfg)
         branch = ("combined-branch: tv-baseline", float(base_total), float(eet_total))
     else:
         plan = make_eet_plan(n, eps, delta, cfg)

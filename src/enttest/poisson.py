@@ -30,28 +30,6 @@ class NonConvergent(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PoissonizedDraw:
-    """One literal Poissonized batch: the realized ``Poi(m)`` size and the
-    sample multiset itself.  Replay-deterministic under a fixed seed."""
-
-    realized_count: int
-    samples: np.ndarray
-
-    def counts(self, n: int) -> np.ndarray:
-        return np.bincount(self.samples, minlength=n)
-
-
-def poissonized_draw(sampler, m: float) -> PoissonizedDraw:
-    """Draw N ~ Poi(m), then N i.i.d. samples from the stream.
-
-    All randomness comes from the sampler's own state, so a fixed sampler
-    seed replays the identical draw.
-    """
-    realized, samples = sampler.stream_poisson_realize(m)
-    return PoissonizedDraw(realized_count=int(realized), samples=samples)
-
-
-@dataclass(frozen=True)
 class CountPair:
     """Per-element Poissonized counts for the p-stream and the q-stream."""
 
@@ -76,32 +54,20 @@ class CountPair:
         return self.x_total + self.y_total
 
 
-def poissonized_counts(sp, sq, m: int, n: int | None = None, method: str = "direct") -> CountPair:
+def poissonized_counts(sp, sq, m: int) -> CountPair:
     """Poissonized counts of nominal size m from each stream.
 
-    ``method="direct"`` draws the per-element counts as independent
-    ``Poi(m * p_i)`` variables straight from the known distribution;
-    ``method="stream"`` realizes the textbook procedure (draw ``N ~ Poi(m)``,
-    then N i.i.d. samples, then tabulate).  The two are identical in law;
-    the direct route is orders of magnitude faster and is the default.
-    Samplers without an exact distribution (sample pools) always stream.
+    Each sampler draws its own counts: a :class:`~enttest.core.Sampler`
+    draws independent ``Poi(m * p_i)`` counts straight from its known
+    distribution, and any other stream tabulates ``N ~ Poi(m)`` literal
+    draws (``SampleStream.poisson_counts``, the reference procedure).  The
+    two are identical in law.
     """
     if m < 1:
         raise ValueError(f"nominal budget must be >= 1, got {m}")
-    if method not in ("direct", "stream"):
-        raise ValueError(f"unknown method {method!r}")
-    if n is not None and n != sp.n:
-        raise DomainMismatch(f"declared domain size {n} != sampler domain {sp.n}")
     if sp.n != sq.n:
         raise DomainMismatch(f"domain sizes differ: {sp.n} vs {sq.n}")
-
-    if method == "direct":
-        x = sp.poisson_counts(m)
-        y = sq.poisson_counts(m)
-    else:
-        x = poissonized_draw(sp, m).counts(sp.n)
-        y = poissonized_draw(sq, m).counts(sq.n)
-    return CountPair(x_counts=x, y_counts=y, m_nominal=int(m))
+    return CountPair(x_counts=sp.poisson_counts(m), y_counts=sq.poisson_counts(m), m_nominal=int(m))
 
 
 def _restrict(s_set, *vectors):
@@ -154,9 +120,9 @@ def statistic_z(counts: CountPair, s_set=None) -> float:
     return float(-(d * np.log(j[nz])).sum() / counts.m_nominal)
 
 
-def statistic_l2(counts: CountPair, s_set=None) -> float:
+def statistic_l2(counts: CountPair) -> float:
     """Collision statistic sum_i ((X_i - Y_i)^2 - X_i - Y_i); E = m^2 ||p-q||_2^2."""
-    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
+    x, y = counts.x_counts, counts.y_counts
     d = (x - y).astype(np.float64)
     return float((d * d - x - y).sum())
 

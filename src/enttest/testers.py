@@ -1,6 +1,6 @@
-"""Reusable sub-testers: coin-bias distinguishing, heavy-set identification,
-mass comparison, and the T-statistic closeness tests (Hellinger / TV / l2),
-plus the low-mass conditional cascade.
+"""Reusable sub-testers: heavy-set identification, mass comparison, and the
+T-statistic closeness tests (Hellinger / TV / l2), plus the low-mass
+conditional cascade.
 
 Every threshold the theory leaves inside an O(.) or Omega(.) lives in
 :class:`ThresholdConfig`.  The shipped defaults were frozen by the
@@ -46,7 +46,6 @@ MULTIPLIER_KEYS = (
     "stage5",
     "z_m4_poly",
     "z_m4_log",
-    "coin",
 )
 
 # calibrated 2026-08-08 (seed 20260808, protocol in experiments.calibrate)
@@ -61,7 +60,6 @@ _DEFAULT_MULTIPLIERS = {
     "stage5": 32.0,
     "z_m4_poly": 2.0,
     "z_m4_log": 32.0,
-    "coin": 8.0,
 }
 
 _SCALAR_KEYS = (
@@ -221,36 +219,6 @@ def amplification_reps(delta: float) -> int:
 
 def _log_ratio(n: float, eps: float) -> float:
     return math.log(max(n / eps, LOG_FLOOR))
-
-
-# ---------------------------------------------------------------------------
-# Coin-bias distinguishing
-# ---------------------------------------------------------------------------
-
-
-def coin_bias_budget(alpha: float, eps: float, delta: float, mult: float) -> int:
-    return math.ceil(mult * math.log(max(1.0 / delta, 2.0)) / (alpha * eps * eps))
-
-
-def coin_bias_test(bit_sampler, alpha: float, eps: float, delta: float, cfg: ThresholdConfig = DEFAULT_CONFIG) -> str:
-    """Distinguish bias <= alpha from bias >= alpha (1 + eps).
-
-    ``bit_sampler(k)`` must return k Bernoulli draws.  Returns ``"below"``
-    when the empirical mean is under ``alpha (1 + eps/2)``, else ``"above"``;
-    correct with probability >= 1 - delta whenever the true bias is outside
-    the gap.
-    """
-    if not 0 < alpha <= 0.5:
-        raise ParameterOutOfRange(f"alpha must lie in (0, 1/2], got {alpha}")
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
-    if not 0 < delta <= 1:
-        raise ParameterOutOfRange(f"delta must lie in (0, 1], got {delta}")
-    budget = coin_bias_budget(alpha, eps, delta, cfg.multiplier("coin"))
-    bits = np.asarray(bit_sampler(budget), dtype=np.float64)
-    if bits.size != budget:
-        raise ValueError("bit sampler returned the wrong number of bits")
-    return "below" if bits.mean() < alpha * (1.0 + eps / 2.0) else "above"
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +382,7 @@ class _RejectionBackedSampler:
         self._rng = np.random.default_rng(rng_seed)
         self._exact = isinstance(base, Sampler)
         if self._exact:
-            self._cond, self._child = base.conditional_sampler_state(support_mask)
+            _, self._child = base.conditional_sampler_state(support_mask)
         self.n = int(np.count_nonzero(support_mask))
 
     def _charge(self, raw: int):
@@ -442,6 +410,12 @@ class _RejectionBackedSampler:
         return np.bincount(positions[samples], minlength=self.n)
 
 
+def coin_bias_budget(alpha: float, eps: float, delta: float, mult: float) -> int:
+    """Draws that tell a coin of bias <= alpha from one of bias
+    >= alpha (1 + eps) with probability >= 1 - delta."""
+    return math.ceil(mult * math.log(max(1.0 / delta, 2.0)) / (alpha * eps * eps))
+
+
 def lowmass_budgets(n: int, eps: float, cfg: ThresholdConfig) -> tuple[float, int, int]:
     """(alpha, coin budget, m3) of the low-mass cascade at accuracy eps:
     the mass floor of stages (i)/(ii), the per-stream draws of their coin
@@ -459,7 +433,8 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     (i) if both streams put mass below the floor on ``sbar``, accept;
     (ii) if exactly one does, reject; (iii) compare the two masses and
     reject on a gap; (iv) otherwise run the conditional TV test through
-    rejection sampling, treating a blown raw-sample budget as a reject.
+    rejection sampling.  A blown raw-sample budget in (iv), or a sample
+    pool running dry in any stage, rejects as ``lowmass-budget``.
     """
     if not 0 < eps <= 1:
         raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
@@ -472,23 +447,29 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     if not mask.any():
         return _accept(0, [("lowmass-mass-floor", 0.0, 0.0)])
 
-    # (i)/(ii): coin-test both masses against the floor alpha
     alpha, coin_n, m3 = lowmass_budgets(n, eps, cfg)
     cut = alpha * 1.5
-    p_mean = sp.binomial_hits(coin_n, mask) / coin_n
-    q_mean = sq.binomial_hits(coin_n, mask) / coin_n
-    samples += 2 * coin_n
-    trace.append(("lowmass-mass-floor", max(p_mean, q_mean), cut))
-    p_large = p_mean >= cut
-    q_large = q_mean >= cut
-    if not p_large and not q_large:
-        return _accept(samples, trace)
-    if p_large != q_large:
-        return _reject("lowmass-one-sided", samples, trace)
+    try:
+        # (i)/(ii): coin-test both masses against the floor alpha
+        p_mean = sp.binomial_hits(coin_n, mask) / coin_n
+        q_mean = sq.binomial_hits(coin_n, mask) / coin_n
+        samples += 2 * coin_n
+        trace.append(("lowmass-mass-floor", max(p_mean, q_mean), cut))
+        p_large = p_mean >= cut
+        q_large = q_mean >= cut
+        if not p_large and not q_large:
+            return _accept(samples, trace)
+        if p_large != q_large:
+            return _reject("lowmass-one-sided", samples, trace)
 
-    # (iii): the masses must approximately match
-    tol = cfg.c_mass_diff * eps / log_r
-    cmp_res = mass_compare(sp, sq, mask, tol, m3)
+        # (iii): the masses must approximately match
+        tol = cfg.c_mass_diff * eps / log_r
+        cmp_res = mass_compare(sp, sq, mask, tol, m3)
+    except BudgetExhausted as exc:
+        # samples counts the completed stages; the statistic is the raw
+        # draws the exhausted pool had served
+        trace.append(("lowmass-budget", float(exc.consumed), 0.0))
+        return _reject("lowmass-budget", samples, trace)
     samples += cmp_res.samples_used
     trace.append(("lowmass-mass-gap", abs(cmp_res.p_mass_est - cmp_res.q_mass_est), tol))
     if cmp_res.diff_flag:

@@ -140,7 +140,7 @@ class TestTvBaseline:
     def test_null_accepts(self):
         p = DiscreteDistribution.uniform(1024)
         accepts = sum(
-            run_eet_tv_baseline(*samplers(p, p, 400 + t), 1024, 0.3, rng=t).accepted
+            run_eet_tv_baseline(*samplers(p, p, 400 + t), 1024, 0.3).accepted
             for t in range(100)
         )
         assert accepts >= 88
@@ -150,7 +150,7 @@ class TestTvBaseline:
         # d_TV >= eps_tv, so the TV tester must fire
         p, q = make_entropy_gap_pair(4096, math.log(2))
         rejects = sum(
-            run_eet_tv_baseline(*samplers(p, q, 500 + t), 4096, 0.3, rng=t).rejected
+            run_eet_tv_baseline(*samplers(p, q, 500 + t), 4096, 0.3).rejected
             for t in range(100)
         )
         assert rejects >= 88
@@ -231,7 +231,8 @@ _SKEW64 = DiscreteDistribution([0.5, 0.3, 0.2] + [0.0] * 61)
 def _lowmass_on_pools(pool_size):
     # two stream pools behind mass floors: every count-level draw consumes
     # pool samples, so the conditional TV stage runs the literal rejection
-    # loop; 17,100 samples run dry in its second chunk, 100,000 do not
+    # loop; 17,100 samples run dry in its second chunk, 100,000 do not, and
+    # 2,000 run dry before it, in the stage (iii) mass comparison
     n, eps = 64, 0.3
     draws = np.random.default_rng(5).integers(0, n, size=(2, 100_000))[:, :pool_size]
     sp, sq = (
@@ -247,7 +248,7 @@ GOLDEN_CASES = {
         *samplers(_U256, _U256, 1), make_eet_plan(256, 0.5, 0.01), rng=2
     ),
     "eet-far-amplified": lambda: run_eet(*samplers(*_GAP, 1), make_eet_plan(256, 0.5, 0.01), rng=2),
-    "tv-baseline": lambda: run_eet_tv_baseline(*samplers(*_GAP, 3), 256, 0.5, rng=4),
+    "tv-baseline": lambda: run_eet_tv_baseline(*samplers(*_GAP, 3), 256, 0.5),
     "combined-tv-baseline": lambda: run_eet_combined(*samplers(_U256, _U256, 5), 256, 0.5, rng=6),
     "combined-cascade": lambda: run_eet_combined(*samplers(_U1, _U1, 7), 1, 0.5, rng=8),
     "l2-far": lambda: l2_closeness_test(
@@ -257,6 +258,7 @@ GOLDEN_CASES = {
         *samplers(_SKEW64, _SKEW64, 10), 64, 0.3, delta=0.01
     ),
     "lowmass-budget": lambda: _lowmass_on_pools(17_100),
+    "lowmass-budget-screen": lambda: _lowmass_on_pools(2_000),
     "lowmass-cond-tv": lambda: _lowmass_on_pools(100_000),
 }
 
@@ -306,6 +308,10 @@ GOLDEN = {
         ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
         ("lowmass-mass-gap", 0.006257332811888894, 0.05594034340711472),
         ("lowmass-budget", 29828.0, 234384.0),
+    ]),
+    "lowmass-budget-screen": ("reject", "lowmass-budget", 1056, [
+        ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
+        ("lowmass-budget", 502.0, 0.0),
     ]),
     "lowmass-cond-tv": ("accept", None, 36062, [
         ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from enttest.core import DiscreteDistribution, Sampler
+from enttest.core import DiscreteDistribution, SampleStream, Sampler
 from enttest.poisson import (
     CountPair,
     NonConvergent,
@@ -18,7 +18,6 @@ from enttest.poisson import (
     expected_t_closed_form,
     factorial_moment_check,
     poissonized_counts,
-    poissonized_draw,
     statistic_l2,
     statistic_t,
     statistic_z,
@@ -41,8 +40,6 @@ class TestPoissonizedCounts:
 
         d = DiscreteDistribution.uniform(4)
         with pytest.raises(DomainMismatch):
-            poissonized_counts(Sampler(d, 1), Sampler(d, 2), 10, n=8)
-        with pytest.raises(DomainMismatch):
             poissonized_counts(Sampler(d, 1), Sampler(DiscreteDistribution.uniform(5), 2), 10)
 
     def test_determinism(self):
@@ -54,11 +51,11 @@ class TestPoissonizedCounts:
 
     def test_poissonized_draw_replay(self):
         d = DiscreteDistribution.zipf(12)
-        a = poissonized_draw(Sampler(d, 33), 200)
-        b = poissonized_draw(Sampler(d, 33), 200)
-        assert a.realized_count == b.realized_count == a.samples.size
-        assert np.array_equal(a.samples, b.samples)
-        assert a.counts(12).sum() == a.realized_count
+        a = SampleStream.poisson_counts(Sampler(d, 33), 200)
+        b = SampleStream.poisson_counts(Sampler(d, 33), 200)
+        assert np.array_equal(a, b)
+        # the literal draw tabulates N ~ Poi(200) samples, N drawn first
+        assert a.shape == (12,) and a.sum() == np.random.default_rng(33).poisson(200)
 
     def test_point_mass_counts(self):
         d = DiscreteDistribution.point_mass(5, 2)
@@ -79,16 +76,8 @@ class TestPoissonizedCounts:
         # draw-then-tabulate path
         d = DiscreteDistribution([0.6, 0.3, 0.1])
         m, reps = 60, 3000
-        direct = np.array([
-            poissonized_counts(Sampler(d, 10 + t), Sampler(d, 5000 + t), m).x_counts
-            for t in range(reps)
-        ])
-        streamed = np.array([
-            poissonized_counts(
-                Sampler(d, 20000 + t), Sampler(d, 30000 + t), m, method="stream"
-            ).x_counts
-            for t in range(reps)
-        ])
+        direct = np.array([Sampler(d, 10 + t).poisson_counts(m) for t in range(reps)])
+        streamed = np.array([SampleStream.poisson_counts(Sampler(d, 20000 + t), m) for t in range(reps)])
         for i in range(3):
             lam = m * d.probs[i]
             se = math.sqrt(lam / reps)

@@ -1,4 +1,4 @@
-"""Sub-tester behavior: coin bias, heavy set, mass comparison, the
+"""Sub-tester behavior: coin-bias budget, heavy set, mass comparison, the
 T-statistic closeness tests, and the low-mass conditional cascade."""
 
 import math
@@ -16,7 +16,6 @@ from enttest.testers import (
     _majority,
     amplification_reps,
     coin_bias_budget,
-    coin_bias_test,
     heavy_set_budget,
     heavy_threshold_unit,
     hellinger_budget,
@@ -103,38 +102,7 @@ class TestVerdictInvariants:
         assert _majority(votes, axis=0).tolist() == [False, False, False]
 
 
-class TestCoinBiasTest:
-    def test_zero_bias_always_below(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            out = coin_bias_test(lambda k: np.zeros(k), 0.25, 1.0, 0.05)
-            assert out == "below"
-
-    def test_biased_coin_above(self):
-        # true bias 0.5 = alpha (1 + eps): above in >= 95% of 400 trials
-        rng = np.random.default_rng(2)
-        hits = sum(
-            coin_bias_test(lambda k: (rng.random(k) < 0.5).astype(int), 0.25, 1.0, 0.05) == "above"
-            for _ in range(400)
-        )
-        assert hits >= 380
-
-    def test_boundary_coin_below(self):
-        rng = np.random.default_rng(3)
-        hits = sum(
-            coin_bias_test(lambda k: (rng.random(k) < 0.25).astype(int), 0.25, 1.0, 0.05) == "below"
-            for _ in range(400)
-        )
-        assert hits >= 380
-
-    def test_parameter_validation(self):
-        with pytest.raises(ParameterOutOfRange):
-            coin_bias_test(lambda k: np.zeros(k), 0.6, 1.0, 0.05)
-        with pytest.raises(ParameterOutOfRange):
-            coin_bias_test(lambda k: np.zeros(k), 0.25, 0.0, 0.05)
-        with pytest.raises(ParameterOutOfRange):
-            coin_bias_test(lambda k: np.zeros(k), 0.25, 1.0, 0.0)
-
+class TestCoinBiasBudget:
     def test_budget_formula(self):
         b = coin_bias_budget(0.25, 1.0, 0.05, 8.0)
         assert b == math.ceil(8.0 * math.log(20) / 0.25)
