@@ -46,6 +46,13 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec.from_json(path)
 
+    @pytest.mark.parametrize("field", ["budget_scale", "identity_budget_scale"])
+    def test_retired_budget_scale_fields_rejected(self, tmp_path, field):
+        path = tmp_path / "spec.json"
+        json.dump({"kind": "bayesnet", field: 0.25}, open(path, "w"))
+        with pytest.raises(ConfigError, match=field):
+            ExperimentSpec.from_json(path)
+
     def test_default_specs_valid(self):
         for kind in ("oracle_suite", "error_grid", "scaling", "bayesnet", "calibrate"):
             default_spec(kind).validate()

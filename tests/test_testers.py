@@ -69,6 +69,12 @@ class TestThresholdConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_retired_coin_multiplier_is_hard_error(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("c_T_threshold = 4.0\nmult_coin = 8.0\n")
+        with pytest.raises(ConfigError, match="mult_coin"):
+            load_config(path)
+
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("# provenance\n\nc_T_threshold = 5.5  # inline\n")
