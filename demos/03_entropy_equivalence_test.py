@@ -18,8 +18,8 @@ print(f"  nominal total: {plan.total_nominal:,} samples")
 uniform = DiscreteDistribution.uniform(n)
 v = run_eet(Sampler(uniform, 1), Sampler(uniform, 2), plan, rng=3)
 print(f"\nnull verdict: {v.decision} ({v.samples_used:,} samples)")
-for stage, stat, thr in v.trace:
-    print(f"  {stage:22s} stat {stat:12.4f}  threshold {thr:12.4f}")
+for record in v.trace:
+    print(f"  {record.name:22s} stat {record.statistic:12.4f}  threshold {record.threshold:12.4f}")
 
 # An entropy gap of exactly eps: the cascade should reject.
 far_p, far_q = make_entropy_gap_pair(n, eps)
@@ -32,7 +32,7 @@ pair = make_correlated_pair(n // 2, 2, eps)
 v = run_eet_combined(
     Sampler(pair.joint, 7), Sampler(pair.product_of_marginals(), 8), n, eps, rng=9
 )
-print(f"\nMI-instance verdict: {v.decision}; branch entry: {v.trace[0][0]}")
+print(f"\nMI-instance verdict: {v.decision}; branch entry: {v.trace[0].name}")
 
 # Acceptance rates over repeated trials.
 accepts = sum(

@@ -26,7 +26,7 @@ n, d, eps = 8, 2, 0.3
 net = random_bayesnet(n, d, rng)
 v = bn_closeness_test(BnSampler(net, 1), BnSampler(net, 2), n, d, eps, rng=3)
 print(f"identical nets: {v.decision} ({v.samples_used:,} shared samples, "
-      f"{sum(1 for s, _, _ in v.trace if s == 'bn-sweep')} sweep record)")
+      f"{sum(1 for record in v.trace if record.name == 'bn-sweep')} sweep record)")
 
 # A certified far pair: one CPT perturbed until the exact joint TV
 # clears the promise.

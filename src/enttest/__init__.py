@@ -9,7 +9,6 @@ statistical guarantees at desk scale.
 
 from .core import (
     BudgetExhausted,
-    ConditionalDistribution,
     DiscreteDistribution,
     Divergences,
     DistributionError,
@@ -49,6 +48,7 @@ from .testers import (
     ConfigError,
     MassCompareResult,
     ParameterOutOfRange,
+    Stage,
     TestVerdict,
     ThresholdConfig,
     hellinger_closeness_test,

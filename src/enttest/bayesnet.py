@@ -36,6 +36,7 @@ from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
     ParameterOutOfRange,
+    Stage,
     TestVerdict,
     ThresholdConfig,
     _majority,
@@ -464,7 +465,7 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     return subsets, m, k_blocks, m_block, bn_mixture_weight(n, d, eps), eps1
 
 
-def _sweep_verdict(prefix: str, tests, subsets, samples, trace) -> TestVerdict:
+def _sweep_verdict(prefix: str, tests, subsets, trace) -> TestVerdict:
     """Reject at the first subset in sweep order where one of ``tests``
     (``(kind, votes, per-block statistic, threshold)``, in priority order)
     votes to reject, recording the statistic's median over the blocks;
@@ -474,10 +475,10 @@ def _sweep_verdict(prefix: str, tests, subsets, samples, trace) -> TestVerdict:
         s = int(fired[0])
         kind, _, stat, tau = next(test for test in tests if test[1][s])
         stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
-        trace.append((stage, float(np.median(stat[s])), tau))
-        return TestVerdict("reject", stage, int(samples), trace)
-    trace.append((f"{prefix}-sweep", float(len(subsets)), 0.0))
-    return TestVerdict("accept", None, int(samples), trace)
+        trace.append(Stage(stage, float(np.median(stat[s])), tau))
+        return TestVerdict("reject", stage, trace)
+    trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
+    return TestVerdict("accept", None, trace)
 
 
 def bn_closeness_test(
@@ -510,7 +511,10 @@ def bn_closeness_test(
     tau_eet = cfg.c_T_threshold * t_floor
     tau_hell = cfg.c_hellinger_reject * t_floor
     tau_z = cfg.c_Z_threshold * eps1
-    trace = [("bn-shared-m", float(m), float(k_blocks)), ("bn-eps1", eps1, eps**2 / n)]
+    trace = [
+        Stage("bn-shared-m", float(m), float(k_blocks), used_p + used_q),
+        Stage("bn-eps1", eps1, eps**2 / n),
+    ]
     # (subset, block) statistics in one pass; the EET vote outranks the
     # Hellinger one at the same subset
     t_blocks = batch_t(counts_p, counts_q)
@@ -518,7 +522,7 @@ def bn_closeness_test(
     eet_votes = _majority((t_blocks > tau_eet) | (z_blocks > tau_z))
     hell_votes = _majority(t_blocks > tau_hell)
     tests = [("eet", eet_votes, t_blocks, tau_eet), ("hellinger", hell_votes, t_blocks, tau_hell)]
-    return _sweep_verdict("bn", tests, subsets, used_p + used_q, trace)
+    return _sweep_verdict("bn", tests, subsets, trace)
 
 
 def bn_identity_budget(n: int, d: int, eps: float) -> int:
@@ -554,7 +558,10 @@ def bn_identity_test(
 
     tau_chi = cfg.c_T_threshold * math.sqrt(2 ** (d + 1) + 1.0)
     tau_ent = cfg.c_Z_threshold * eps1
-    trace = [("bn-id-shared-m", float(m), float(k_blocks)), ("bn-id-eps1", eps1, eps**2 / n)]
+    trace = [
+        Stage("bn-id-shared-m", float(m), float(k_blocks), samples),
+        Stage("bn-id-eps1", eps1, eps**2 / n),
+    ]
     q_tables = _subset_tables(q_joint, n, d + 1)
     h_q = np.array([entropy(table) for table in q_tables])[:, None]
     lam = m_block * q_tables[:, None, :]
@@ -565,7 +572,7 @@ def bn_identity_test(
         ("entropy", _majority(gap_blocks > tau_ent), gap_blocks, tau_ent),
         ("chi", _majority(chi_blocks > tau_chi), chi_blocks, tau_chi),
     ]
-    return _sweep_verdict("bn-id", tests, subsets, samples, trace)
+    return _sweep_verdict("bn-id", tests, subsets, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,6 @@ class DiscreteDistribution:
             return float(self.probs[idx].sum())
         return float(self.probs[idx.astype(np.int64)].sum())
 
-    def conditional(self, support) -> "ConditionalDistribution":
-        return ConditionalDistribution(self, support)
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -143,45 +140,6 @@ class DiscreteDistribution:
         """A fully supported random distribution (exponential weights)."""
         w = rng.exponential(size=n) + 1e-9
         return DiscreteDistribution(w / w.sum())
-
-
-class ConditionalDistribution:
-    """``base`` restricted and renormalized to a support set.
-
-    The support is stored as a sorted index array; the conditional
-    probability vector is over that array's positions.
-    """
-
-    __slots__ = ("base", "support", "probs")
-
-    def __init__(self, base: DiscreteDistribution, support):
-        sup = np.asarray(support)
-        if sup.dtype == bool:
-            sup = np.nonzero(sup)[0]
-        sup = np.unique(sup.astype(np.int64))
-        if sup.size == 0:
-            raise DistributionError("support set is empty")
-        if sup[0] < 0 or sup[-1] >= base.n:
-            raise DistributionError("support set out of domain")
-        mass = float(base.probs[sup].sum())
-        if mass <= 0:
-            raise DistributionError("base places zero mass on the support set")
-        probs = base.probs[sup] / mass
-        probs.setflags(write=False)
-        sup.setflags(write=False)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "support", sup)
-        object.__setattr__(self, "probs", probs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConditionalDistribution is immutable")
-
-    @property
-    def n(self) -> int:
-        return self.support.size
-
-    def as_distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution(self.probs)
 
 
 # ---------------------------------------------------------------------------
@@ -397,11 +355,14 @@ class Sampler(SampleStream):
             return 0
         return int(successes) + int(self._rng.negative_binomial(int(successes), min(mass, 1.0)))
 
-    def conditional_sampler_state(self, index_set):
-        """Conditional distribution plus a child sampler for it."""
-        cond = self.distribution.conditional(index_set)
-        child = Sampler(cond.as_distribution(), self._rng.integers(0, 2**63 - 1))
-        return cond, child
+    def conditional_sampler(self, mask) -> "Sampler":
+        """Child sampler of the distribution conditioned on the bool ``mask``,
+        over the mask's positions in index order."""
+        mass = self.distribution.mass(mask)
+        if mass <= 0:
+            raise DistributionError("zero mass on the conditioning set")
+        child = DiscreteDistribution(self.probs[mask] / mass)
+        return Sampler(child, self._rng.integers(0, 2**63 - 1))
 
 
 class StreamSampler(SampleStream):
@@ -541,9 +502,8 @@ def conditional_rejection_sample(sampler, support, count: int, budget: int):
             raise BudgetExhausted(budget)
         if consumed > budget:
             raise BudgetExhausted(budget)
-        cond, child = sampler.conditional_sampler_state(mask)
-        samples = cond.support[child.draw(count)]
-        return samples, consumed
+        child = sampler.conditional_sampler(mask)
+        return np.flatnonzero(mask)[child.draw(count)], consumed
 
     # generic path: literal chunked rejection on the sample stream
     collected = []

@@ -208,24 +208,3 @@ def make_entropy_gap_pair(n: int, gap: float, tol: float = 1e-12):
     if abs(achieved - gap) > max(tol, 1e-11):
         raise CertificateError(f"entropy-gap certificate missed: wanted {gap}, got {achieved}")
     return p, q
-
-
-# ---------------------------------------------------------------------------
-# Serialization: distribution file plus a certificate sidecar
-# ---------------------------------------------------------------------------
-
-
-def save_instance(dist: DiscreteDistribution, path, cert_kind: str, cert_value: float):
-    from .core import save_distribution
-
-    save_distribution(dist, path)
-    with open(f"{path}.cert", "w") as fh:
-        fh.write(f"cert {cert_kind} {cert_value!r}\n")
-
-
-def load_certificate(path) -> tuple[str, float]:
-    with open(f"{path}.cert") as fh:
-        tok = fh.readline().split()
-    if len(tok) != 3 or tok[0] != "cert":
-        raise ValueError(f"bad certificate sidecar for {path}")
-    return tok[1], float(tok[2])

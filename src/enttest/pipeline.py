@@ -24,11 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_FLOOR, DomainMismatch, FairMixSampler, mix_sample
+from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, FairMixSampler, mix_sample
 from .poisson import poissonized_counts, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
     ParameterOutOfRange,
+    Stage,
     TestVerdict,
     ThresholdConfig,
     _majority,
@@ -131,13 +132,13 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     )
 
 
-def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
+def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
+    """One pass of the cascade, appending each stage's record to ``trace``;
+    returns the stage that fired, or None."""
     cfg = plan.cfg
     n = plan.n
     e_i = plan.eps_internal
     b = plan.budgets
-    samples = 0
-    trace = []
 
     # stage 0: mass floor both streams (one floored draw costs one raw draw)
     sp_f = mix_sample(sp, e_i, rng.integers(0, 2**63 - 1))
@@ -145,78 +146,77 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng) -> TestVerdict:
 
     # stage 1: Hellinger screen
     v = hellinger_closeness_test(sp_f, sq_f, n, e_i, 0.1, cfg)
-    samples += v.samples_used
     trace.extend(v.trace)
     if v.rejected:
-        return TestVerdict("reject", "hellinger", samples, trace)
+        return "hellinger"
 
     # stage 2: heavy-set identification off the fair mixture
     mix = FairMixSampler(sp_f, sq_f, rng.integers(0, 2**63 - 1))
     heavy_mask, used = identify_heavy_set(mix, n, e_i, cfg)
-    samples += used
-    trace.append(("heavy-set", float(heavy_mask.sum()), float(n)))
+    trace.append(Stage("heavy-set", float(heavy_mask.sum()), float(n), used))
 
     # stage 3: low-mass cascade on the complement
     sbar = ~heavy_mask
     if sbar.any():
         v = lowmass_conditional_test(sp_f, sq_f, sbar, n, e_i, cfg, rng)
-        samples += v.samples_used
         trace.extend(v.trace)
         if v.rejected:
-            return TestVerdict("reject", v.fired_stage, samples, trace)
+            return v.fired_stage
     else:
-        trace.append(("lowmass-mass-floor", 0.0, 0.0))
+        trace.append(Stage("lowmass-mass-floor", 0.0, 0.0))
 
     # stage 4: bias check, T over the heavy set against c_T sqrt(n)
     pair = poissonized_counts(sp_f, sq_f, b.s_bias)
-    samples += pair.samples_used
     t_stat = statistic_t(pair, heavy_mask)
     t_thr = cfg.c_T_threshold * math.sqrt(n)
-    trace.append(("bias-T", t_stat, t_thr))
+    trace.append(Stage("bias-T", t_stat, t_thr, pair.samples_used))
     if t_stat > t_thr:
-        return TestVerdict("reject", "bias-T", samples, trace)
+        return "bias-T"
 
     # stage 5: |p(S) - q(S)| and l2 guards at the eps/log(m) scale; the
     # trace records the chosen scale next to the log(n/eps) alternative
     log_m = math.log(max(b.m4_z, 3))
-    trace.append(("stage5-scale: log-m", e_i / log_m, e_i / math.log(max(n / e_i, math.e))))
+    trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / math.log(max(n / e_i, math.e))))
     guard_tol = cfg.c_massS_diff * e_i / log_m
     cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, b.m5_guard)
-    samples += cmp_res.samples_used
-    trace.append(("mass-S", abs(cmp_res.p_mass_est - cmp_res.q_mass_est), guard_tol))
+    gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)
+    trace.append(Stage("mass-S", gap, guard_tol, cmp_res.samples_used))
     if cmp_res.diff_flag:
-        return TestVerdict("reject", "mass-S", samples, trace)
+        return "mass-S"
 
     v = l2_closeness_test(sp_f, sq_f, n, e_i / log_m, 0.1, cfg)
-    samples += v.samples_used
     trace.extend(v.trace)
     if v.rejected:
-        return TestVerdict("reject", "l2", samples, trace)
+        return "l2"
 
     # stage 6: entropy-difference statistic Z over the heavy set
     pair = poissonized_counts(sp_f, sq_f, b.m4_z)
-    samples += pair.samples_used
     z_stat = statistic_z(pair, heavy_mask)
     z_thr = cfg.c_Z_threshold * e_i
-    trace.append(("z", z_stat, z_thr))
-    if abs(z_stat) > z_thr:
-        return TestVerdict("reject", "z", samples, trace)
-    return TestVerdict("accept", None, samples, trace)
+    trace.append(Stage("z", z_stat, z_thr, pair.samples_used))
+    return "z" if abs(z_stat) > z_thr else None
 
 
 def run_eet(sp, sq, plan: EetPlan, rng=None) -> TestVerdict:
-    """Run the full cascade; majority-amplified when plan.delta < 1/10."""
+    """Run the full cascade; majority-amplified when plan.delta < 1/10.
+
+    A sample pool running dry in any stage rejects: in the low-mass
+    stages as ``lowmass-budget``, elsewhere as ``budget``."""
     if sp.n != plan.n or sq.n != plan.n:
         raise DomainMismatch(f"plan domain {plan.n} != sampler domains {sp.n}, {sq.n}")
     rng = np.random.default_rng(rng)
-    reps = amplification_reps(plan.delta)
-    verdicts = [_run_eet_once(sp, sq, plan, rng) for _ in range(reps)]
-    samples = sum(v.samples_used for v in verdicts)
-    trace = [entry for v in verdicts for entry in v.trace]
-    if _majority([v.rejected for v in verdicts]):
-        first = next(v for v in verdicts if v.rejected)
-        return TestVerdict("reject", first.fired_stage, samples, trace)
-    return TestVerdict("accept", None, samples, trace)
+    trace = []
+    fired = []
+    for _ in range(amplification_reps(plan.delta)):
+        try:
+            fired.append(_run_eet_once(sp, sq, plan, rng, trace))
+        except BudgetExhausted as exc:
+            # only the completed stages' samples count
+            trace.append(Stage("budget", float(exc.consumed), 0.0))
+            fired.append("budget")
+    if _majority([stage is not None for stage in fired]):
+        return TestVerdict("reject", next(stage for stage in fired if stage), trace)
+    return TestVerdict("accept", None, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +259,10 @@ def run_eet_tv_baseline(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: Thr
     _validate_eps(eps)
     eps_tv = solve_tv_threshold(n, eps)
     verdict = tv_closeness_test(sp, sq, n, eps_tv, delta, cfg)
-    trace = [("tv-baseline-scale", eps_tv, eps)] + list(verdict.trace)
+    trace = [Stage("tv-baseline-scale", eps_tv, eps)] + verdict.trace
     if verdict.rejected:
-        return TestVerdict("reject", "tv-baseline", verdict.samples_used, trace)
-    return TestVerdict("accept", None, verdict.samples_used, trace)
+        return TestVerdict("reject", "tv-baseline", trace)
+    return TestVerdict("accept", None, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +280,19 @@ def combined_budgets(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfi
 def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:
     """Run whichever of the cascade and the TV baseline is nominally cheaper.
 
-    The leading trace entry records both nominal budgets; the statistic slot
-    holds the chosen branch's budget.
+    The leading trace record notes both nominal budgets (the chosen branch's
+    as its statistic) and draws no samples.
     """
     _validate_eps(eps)
     rng = np.random.default_rng(rng)
     eet_total, base_total = combined_budgets(n, eps, delta, cfg)
     if n > 1 and base_total <= eet_total:
         verdict = run_eet_tv_baseline(sp, sq, n, eps, delta, cfg)
-        branch = ("combined-branch: tv-baseline", float(base_total), float(eet_total))
+        branch = Stage("combined-branch: tv-baseline", float(base_total), float(eet_total))
     else:
         plan = make_eet_plan(n, eps, delta, cfg)
         verdict = run_eet(sp, sq, plan, rng)
-        branch = ("combined-branch: cascade", float(eet_total), float(base_total))
+        branch = Stage("combined-branch: cascade", float(eet_total), float(base_total))
     verdict.trace.insert(0, branch)
     return verdict
 

@@ -127,7 +127,7 @@ def statistic_l2(counts: CountPair) -> float:
     return float((d * d - x - y).sum())
 
 
-def expected_t_closed_form(p, q, s: float, s_set=None) -> float:
+def expected_t_closed_form(p, q, s: float) -> float:
     """Exact E[T] under Poissonization at per-stream budget s.
 
     E[T] = sum_i delta_i^2 (lambda_i - 1 + exp(-lambda_i)) with
@@ -135,7 +135,7 @@ def expected_t_closed_form(p, q, s: float, s_set=None) -> float:
     """
     if p.probs.size != q.probs.size:
         raise DomainMismatch(f"domain sizes differ: {p.probs.size} vs {q.probs.size}")
-    pv, qv = _restrict(s_set, p.probs, q.probs)
+    pv, qv = p.probs, q.probs
     tot = pv + qv
     nz = tot > 0
     delta = (pv[nz] - qv[nz]) / tot[nz]
@@ -191,13 +191,12 @@ def expected_log1p_poisson(lam: float, tail_tol: float = 1e-12) -> float:
     raise NonConvergent(f"series for lambda={lam} did not converge in {MAX_SERIES_TERMS} terms")
 
 
-def exact_expected_z(p, q, m: int, s_set=None, tail_tol: float = 1e-12) -> float:
+def exact_expected_z(p, q, m: int, tail_tol: float = 1e-12) -> float:
     """Deterministic E[Z] oracle: sum_i -(p_i - q_i) E[log(J_i + 1)]."""
     if p.probs.size != q.probs.size:
         raise DomainMismatch(f"domain sizes differ: {p.probs.size} vs {q.probs.size}")
-    pv, qv = _restrict(s_set, p.probs, q.probs)
     total = 0.0
-    for pi, qi in zip(pv, qv):
+    for pi, qi in zip(p.probs, q.probs):
         lam = m * (pi + qi)
         if lam == 0 or pi == qi:
             continue
@@ -205,13 +204,13 @@ def exact_expected_z(p, q, m: int, s_set=None, tail_tol: float = 1e-12) -> float
     return total
 
 
-def z_bias_bound(p, q, m: int, s_set=None) -> tuple[float, float]:
+def z_bias_bound(p, q, m: int) -> tuple[float, float]:
     """(target, bound) of the bias inequality for Z.
 
     target = sum_i (p_i - q_i) log(1/(m (p_i + q_i))),
     bound  = sum_i |p_i - q_i| / (m (p_i + q_i)); skipping zero-mass terms.
     """
-    pv, qv = _restrict(s_set, p.probs, q.probs)
+    pv, qv = p.probs, q.probs
     tot = pv + qv
     nz = tot > 0
     d = pv[nz] - qv[nz]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,14 +168,23 @@ def load_config(path) -> ThresholdConfig:
 # ---------------------------------------------------------------------------
 
 
+class Stage(NamedTuple):
+    """One trace record: a stage's statistic against its threshold, and the
+    samples the stage drew (0 for a record that only notes a choice)."""
+
+    name: str
+    statistic: float
+    threshold: float
+    samples: int = 0
+
+
 @dataclass
 class TestVerdict:
-    """Accept/reject outcome with a per-stage statistical trace."""
+    """Accept/reject outcome with its per-stage trace of :class:`Stage` records."""
 
     decision: str  # "accept" | "reject"
     fired_stage: str | None
-    samples_used: int
-    trace: list  # of (stage, statistic, threshold)
+    trace: list  # of Stage
 
     def __post_init__(self):
         if self.decision not in ("accept", "reject"):
@@ -185,20 +195,16 @@ class TestVerdict:
             raise ValueError("accept verdicts must not name a firing stage")
 
     @property
+    def samples_used(self) -> int:
+        return sum(record.samples for record in self.trace)
+
+    @property
     def accepted(self) -> bool:
         return self.decision == "accept"
 
     @property
     def rejected(self) -> bool:
         return self.decision == "reject"
-
-
-def _accept(samples, trace):
-    return TestVerdict("accept", None, int(samples), trace)
-
-
-def _reject(stage, samples, trace):
-    return TestVerdict("reject", stage, int(samples), trace)
 
 
 def _majority(votes, axis=-1):
@@ -311,15 +317,13 @@ def _t_noise_floor(n: int, s: int) -> float:
 def _run_t_test(sp, sq, budget, threshold, stage, delta, statistic):
     """Majority vote of ``statistic(pair) > threshold`` over independent
     Poissonized count pairs of nominal size ``budget``."""
-    samples = 0
     trace = []
     for _ in range(amplification_reps(delta)):
         pair = poissonized_counts(sp, sq, budget)
-        samples += pair.samples_used
-        trace.append((stage, statistic(pair), threshold))
-    if _majority([stat > threshold for _, stat, _ in trace]):
-        return _reject(stage, samples, trace)
-    return _accept(samples, trace)
+        trace.append(Stage(stage, statistic(pair), threshold, pair.samples_used))
+    if _majority([record.statistic > threshold for record in trace]):
+        return TestVerdict("reject", stage, trace)
+    return TestVerdict("accept", None, trace)
 
 
 def hellinger_closeness_test(sp, sq, n: int, eps_h: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
@@ -327,7 +331,7 @@ def hellinger_closeness_test(sp, sq, n: int, eps_h: float, delta: float = 0.1, c
     if not 0 < eps_h <= 1:
         raise ParameterOutOfRange(f"eps_h must lie in (0, 1], got {eps_h}")
     if n == 1:
-        return _accept(0, [("hellinger", 0.0, 0.0)])
+        return TestVerdict("accept", None, [Stage("hellinger", 0.0, 0.0)])
     budget = hellinger_budget(n, eps_h, cfg)
     threshold = cfg.c_hellinger_reject * _t_noise_floor(n, budget)
     return _run_t_test(sp, sq, budget, threshold, "hellinger", delta, statistic_t)
@@ -338,7 +342,7 @@ def tv_closeness_test(sp, sq, n: int, eps_tv: float, delta: float = 0.1, cfg: Th
     if not 0 < eps_tv <= 1:
         raise ParameterOutOfRange(f"eps_tv must lie in (0, 1], got {eps_tv}")
     if n == 1:
-        return _accept(0, [("tv", 0.0, 0.0)])
+        return TestVerdict("accept", None, [Stage("tv", 0.0, 0.0)])
     budget = tv_budget(n, eps_tv, cfg)
     threshold = cfg.c_T_threshold * _t_noise_floor(n, budget)
     return _run_t_test(sp, sq, budget, threshold, "tv", delta, statistic_t)
@@ -354,7 +358,7 @@ def l2_closeness_test(sp, sq, n: int, eps_l2: float, delta: float = 0.1, cfg: Th
         raise ParameterOutOfRange(f"eps_l2 must be positive, got {eps_l2}")
     if eps_l2**2 >= 2.0:
         # no pair of distributions reaches squared l2 distance 2
-        return _accept(0, [("l2", 0.0, eps_l2**2)])
+        return TestVerdict("accept", None, [Stage("l2", 0.0, eps_l2**2)])
     budget = l2_budget(eps_l2, cfg)
     threshold = cfg.c_l2_threshold * eps_l2**2
     return _run_t_test(sp, sq, budget, threshold, "l2", delta, lambda pair: statistic_l2(pair) / budget**2)
@@ -382,7 +386,7 @@ class _RejectionBackedSampler:
         self._rng = np.random.default_rng(rng_seed)
         self._exact = isinstance(base, Sampler)
         if self._exact:
-            _, self._child = base.conditional_sampler_state(support_mask)
+            self._child = base.conditional_sampler(support_mask)
         self.n = int(np.count_nonzero(support_mask))
 
     def _charge(self, raw: int):
@@ -441,46 +445,43 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     rng = np.random.default_rng(rng)
     mask = _as_mask(sbar, sp.n)
     log_r = _log_ratio(n, eps)
-    samples = 0
-    trace = []
-
     if not mask.any():
-        return _accept(0, [("lowmass-mass-floor", 0.0, 0.0)])
+        return TestVerdict("accept", None, [Stage("lowmass-mass-floor", 0.0, 0.0)])
 
     alpha, coin_n, m3 = lowmass_budgets(n, eps, cfg)
     cut = alpha * 1.5
+    trace = []
     try:
         # (i)/(ii): coin-test both masses against the floor alpha
         p_mean = sp.binomial_hits(coin_n, mask) / coin_n
         q_mean = sq.binomial_hits(coin_n, mask) / coin_n
-        samples += 2 * coin_n
-        trace.append(("lowmass-mass-floor", max(p_mean, q_mean), cut))
+        trace.append(Stage("lowmass-mass-floor", max(p_mean, q_mean), cut, 2 * coin_n))
         p_large = p_mean >= cut
         q_large = q_mean >= cut
         if not p_large and not q_large:
-            return _accept(samples, trace)
+            return TestVerdict("accept", None, trace)
         if p_large != q_large:
-            return _reject("lowmass-one-sided", samples, trace)
+            return TestVerdict("reject", "lowmass-one-sided", trace)
 
         # (iii): the masses must approximately match
         tol = cfg.c_mass_diff * eps / log_r
         cmp_res = mass_compare(sp, sq, mask, tol, m3)
     except BudgetExhausted as exc:
-        # samples counts the completed stages; the statistic is the raw
-        # draws the exhausted pool had served
-        trace.append(("lowmass-budget", float(exc.consumed), 0.0))
-        return _reject("lowmass-budget", samples, trace)
-    samples += cmp_res.samples_used
-    trace.append(("lowmass-mass-gap", abs(cmp_res.p_mass_est - cmp_res.q_mass_est), tol))
+        # only the completed stages' samples count; the statistic is the
+        # raw draws the exhausted pool had served
+        trace.append(Stage("lowmass-budget", float(exc.consumed), 0.0))
+        return TestVerdict("reject", "lowmass-budget", trace)
+    gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)
+    trace.append(Stage("lowmass-mass-gap", gap, tol, cmp_res.samples_used))
     if cmp_res.diff_flag:
-        return _reject("lowmass-mass-gap", samples, trace)
+        return TestVerdict("reject", "lowmass-mass-gap", trace)
 
     # (iv): conditional TV test at threshold eps / (q(sbar) log(n/eps))
     mass_guess = max(min(cmp_res.p_mass_est, cmp_res.q_mass_est), alpha / 2.0)
     eps_cond = min(eps / (mass_guess * log_r), 1.0)
     n_cond = int(mask.sum())
     if n_cond == 1:
-        return _accept(samples, trace + [("lowmass-cond-tv", 0.0, 0.0)])
+        return TestVerdict("accept", None, trace + [Stage("lowmass-cond-tv", 0.0, 0.0)])
     per_stream = tv_budget(n_cond, eps_cond, cfg) * amplification_reps(0.1)
     raw_cap = math.ceil(8.0 * per_stream / mass_guess)
     wrap_p = _RejectionBackedSampler(sp, mask, raw_cap, rng.integers(0, 2**63 - 1))
@@ -488,11 +489,12 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     try:
         verdict = tv_closeness_test(wrap_p, wrap_q, n_cond, eps_cond, 0.1, cfg)
     except BudgetExhausted:
-        samples += wrap_p.consumed + wrap_q.consumed
-        trace.append(("lowmass-budget", float(wrap_p.consumed + wrap_q.consumed), float(2 * raw_cap)))
-        return _reject("lowmass-budget", samples, trace)
-    samples += wrap_p.consumed + wrap_q.consumed
-    trace.extend(("lowmass-cond-tv", t[1], t[2]) for t in verdict.trace)
+        raw = wrap_p.consumed + wrap_q.consumed
+        trace.append(Stage("lowmass-budget", float(raw), float(2 * raw_cap), raw))
+        return TestVerdict("reject", "lowmass-budget", trace)
+    # one vote at delta = 0.1, charged the raw draws of both wrappers
+    (vote,) = verdict.trace
+    trace.append(vote._replace(name="lowmass-cond-tv", samples=wrap_p.consumed + wrap_q.consumed))
     if verdict.rejected:
-        return _reject("lowmass-cond-tv", samples, trace)
-    return _accept(samples, trace)
+        return TestVerdict("reject", "lowmass-cond-tv", trace)
+    return TestVerdict("accept", None, trace)

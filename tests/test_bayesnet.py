@@ -381,7 +381,9 @@ class TestGoldenVerdicts:
         assert v.accepted == accepted
         assert v.fired_stage == stage
         assert v.samples_used == samples
-        assert v.trace == trace
+        assert [record[:3] for record in v.trace] == trace
+        # the shared multiset carries every sample; the other records note choices
+        assert [record.samples for record in v.trace] == [samples] + [0] * (len(trace) - 1)
 
 
 class TestBlockedSubsetCounts:

@@ -7,7 +7,6 @@ import pytest
 
 from enttest.core import (
     BudgetExhausted,
-    ConditionalDistribution,
     DiscreteDistribution,
     DistributionError,
     DomainMismatch,
@@ -61,10 +60,10 @@ class TestDiscreteDistribution:
     def test_mass_and_conditional(self):
         d = DiscreteDistribution([0.1, 0.2, 0.3, 0.4])
         assert d.mass([1, 3]) == pytest.approx(0.6)
-        cond = d.conditional([2, 3])
-        assert cond.probs == pytest.approx([3 / 7, 4 / 7])
+        child = Sampler(d, 0).conditional_sampler(np.array([False, False, True, True]))
+        assert child.probs == pytest.approx([3 / 7, 4 / 7])
         with pytest.raises(DistributionError):
-            ConditionalDistribution(DiscreteDistribution([1.0, 0.0]), [1])
+            Sampler(DiscreteDistribution([1.0, 0.0]), 0).conditional_sampler(np.array([False, True]))
 
     def test_file_roundtrip(self, tmp_path):
         d = DiscreteDistribution.zipf(17)

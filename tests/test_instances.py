@@ -9,12 +9,10 @@ from scipy import stats as spstats
 from enttest.core import Sampler, entropy
 from enttest.instances import (
     Unachievable,
-    load_certificate,
     make_correlated_pair,
     make_entropy_gap_pair,
     mi_reduction_stream_samplers,
     mi_reduction_streams,
-    save_instance,
 )
 
 
@@ -129,13 +127,3 @@ class TestEntropyGapPair:
             for gap in (0.1, 0.4, 1.0, math.log(17)):
                 p, q = make_entropy_gap_pair(n, gap)
                 assert entropy(q) - entropy(p) == pytest.approx(gap, abs=1e-11)
-
-
-class TestSerialization:
-    def test_certificate_sidecar(self, tmp_path):
-        p, _ = make_entropy_gap_pair(128, 0.25)
-        path = tmp_path / "far.dist"
-        save_instance(p, path, "entropy_gap", 0.25)
-        kind, value = load_certificate(path)
-        assert kind == "entropy_gap" and value == 0.25
-        assert open(f"{path}.cert").read().startswith("cert entropy_gap")

@@ -25,7 +25,12 @@ from enttest.pipeline import (
     run_eet_tv_baseline,
     solve_tv_threshold,
 )
-from enttest.testers import ParameterOutOfRange, l2_closeness_test, lowmass_conditional_test
+from enttest.testers import (
+    ParameterOutOfRange,
+    amplification_reps,
+    l2_closeness_test,
+    lowmass_conditional_test,
+)
 
 
 def samplers(p, q, seed):
@@ -88,7 +93,7 @@ class TestRunEet:
         p = DiscreteDistribution.uniform(256)
         plan = make_eet_plan(256, 0.3)
         v = run_eet(*samplers(p, p, 5), plan, rng=6)
-        stages = [s for s, _, _ in v.trace]
+        stages = [record.name for record in v.trace]
         assert "hellinger" in stages
         assert "heavy-set" in stages
         assert "bias-T" in stages
@@ -172,9 +177,10 @@ class TestCombined:
     def test_trace_records_branch_and_budgets(self):
         p = DiscreteDistribution.uniform(512)
         v = run_eet_combined(*samplers(p, p, 600), 512, 0.3, rng=1)
-        stage, chosen, other = v.trace[0]
-        assert str(stage).startswith("combined-branch")
-        assert chosen <= other  # chosen branch has the smaller nominal budget
+        branch = v.trace[0]
+        assert branch.name.startswith("combined-branch")
+        assert branch.statistic <= branch.threshold  # chosen branch has the smaller nominal budget
+        assert branch.samples == 0
 
     def test_null_accepts_either_branch(self):
         p = DiscreteDistribution.uniform(256)
@@ -210,7 +216,7 @@ class TestLightTailNull:
         v[:100] = 0.99 / 100
         d = DiscreteDistribution(v)
         verdict = run_eet(*samplers(d, d, 1), make_eet_plan(n, 0.5), rng=3)
-        stages = [s for s, _, _ in verdict.trace]
+        stages = [record.name for record in verdict.trace]
         assert "lowmass-cond-tv" in stages
         assert stages[-1] == "z"
 
@@ -321,8 +327,23 @@ GOLDEN = {
 }
 
 
+# each record's samples, for the cases pinned record by record; they sum to
+# the pinned samples_used
+GOLDEN_SAMPLES = {
+    "eet-null": [4071, 188922, 0, 67934, 0, 2888288, 2886213, 1166737],
+    "eet-far": [4005],
+    "tv-baseline": [0, 143615],
+    "combined-tv-baseline": [0, 0, 143264],
+    "combined-cascade": [0, 0, 178, 0, 394, 0, 2001212, 2003587, 126278],
+    "l2-far": [684],
+    "lowmass-budget": [1056, 5114, 29828],
+    "lowmass-budget-screen": [1056, 0],
+    "lowmass-cond-tv": [1056, 5114, 29892],
+}
+
+
 def _canonical(trace):
-    return [(str(stage), float(a), float(b)) for stage, a, b in trace]
+    return [(str(record.name), float(record.statistic), float(record.threshold)) for record in trace]
 
 
 class TestGoldenVerdicts:
@@ -334,4 +355,29 @@ class TestGoldenVerdicts:
         got = _canonical(v.trace)
         if isinstance(trace, str):
             got = hashlib.sha256(repr(got).encode()).hexdigest()
+        else:
+            assert [record.samples for record in v.trace] == GOLDEN_SAMPLES[name]
         assert got == trace
+
+
+class TestDryPool:
+    def _pools(self, n):
+        # the low-mass golden cases' 2,000-sample pools, without the mass floor
+        draws = np.random.default_rng(5).integers(0, n, size=(2, 100_000))[:, :2_000]
+        return [StreamSampler(draws[i], n, rng_seed=i + 1) for i in (0, 1)]
+
+    def test_cascade_rejects_as_budget(self):
+        # the pools run dry in the heavy-set stage, after the Hellinger
+        # screen; only the screen's samples count
+        v = run_eet(*self._pools(64), make_eet_plan(64, 0.3), rng=3)
+        assert (v.decision, v.fired_stage) == ("reject", "budget")
+        assert [record.name for record in v.trace] == ["hellinger", "budget"]
+        assert v.trace[-1] == ("budget", 1202.0, 0.0, 0)
+        assert v.samples_used == v.trace[0].samples == 2_444
+
+    def test_every_amplified_run_ends_in_budget(self):
+        v = run_eet(*self._pools(64), make_eet_plan(64, 0.3, 0.01), rng=3)
+        assert (v.decision, v.fired_stage) == ("reject", "budget")
+        budget = [record for record in v.trace if record.name == "budget"]
+        assert len(budget) == amplification_reps(0.01)
+        assert all(record.samples == 0 for record in budget)

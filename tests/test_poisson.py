@@ -252,23 +252,6 @@ class TestExpectedTClosedForm:
             assert abs(t.mean() - expected_t_closed_form(p, q, s)) <= 4 * se
 
 
-class TestOracleRestriction:
-    def test_s_set_equals_restricted_vectors(self):
-        # the oracles only read .probs, so a restricted vector stands in
-        # for a distribution on the subset
-        from types import SimpleNamespace
-
-        rng = np.random.default_rng(41)
-        p = DiscreteDistribution.random_dense(12, rng)
-        q = DiscreteDistribution.random_dense(12, rng)
-        idx = np.array([1, 4, 5, 9])
-        sp, sq = (SimpleNamespace(probs=d.probs[idx]) for d in (p, q))
-        for s_set in (idx, np.isin(np.arange(12), idx), idx.tolist()):
-            assert expected_t_closed_form(p, q, 30, s_set) == expected_t_closed_form(sp, sq, 30)
-            assert exact_expected_z(p, q, 30, s_set) == exact_expected_z(sp, sq, 30)
-            assert z_bias_bound(p, q, 30, s_set) == z_bias_bound(sp, sq, 30)
-
-
 class TestExactExpectedZ:
     def test_equal_distributions(self):
         p = DiscreteDistribution.uniform(4)
@@ -277,7 +260,7 @@ class TestExactExpectedZ:
     def test_zero_mass(self):
         p = DiscreteDistribution([1.0, 0.0])
         q = DiscreteDistribution([1.0, 0.0])
-        assert exact_expected_z(p, q, 50, np.array([1])) == 0.0
+        assert exact_expected_z(p, q, 50) == 0.0
 
     def test_series_vs_monte_carlo(self):
         p = DiscreteDistribution([0.7, 0.3])

@@ -11,6 +11,7 @@ from enttest.testers import (
     DEFAULT_CONFIG,
     ConfigError,
     ParameterOutOfRange,
+    Stage,
     TestVerdict as Verdict,
     ThresholdConfig,
     _majority,
@@ -84,11 +85,16 @@ class TestThresholdConfig:
 class TestVerdictInvariants:
     def test_reject_requires_stage(self):
         with pytest.raises(ValueError):
-            Verdict("reject", None, 0, [])
+            Verdict("reject", None, [])
 
     def test_accept_forbids_stage(self):
         with pytest.raises(ValueError):
-            Verdict("accept", "anything", 0, [])
+            Verdict("accept", "anything", [])
+
+    def test_samples_used_sums_the_records(self):
+        v = Verdict("accept", None, [Stage("a", 1.0, 2.0, 3), Stage("note", 0.5, 0.0), Stage("b", 0.0, 1.0, 4)])
+        assert v.samples_used == 7
+        assert Verdict("accept", None, []).samples_used == 0
 
     def test_amplification_reps(self):
         assert amplification_reps(0.1) == 1
@@ -235,9 +241,9 @@ class TestHellingerCloseness:
         p = DiscreteDistribution.uniform(64)
         v = hellinger_closeness_test(*samplers(p, p, 3), 64, 0.2)
         budget = hellinger_budget(64, 0.2, DEFAULT_CONFIG)
-        stage, stat, thr = v.trace[0]
-        assert stage == "hellinger"
-        assert thr == pytest.approx(
+        record = v.trace[0]
+        assert record.name == "hellinger"
+        assert record.threshold == pytest.approx(
             DEFAULT_CONFIG.c_hellinger_reject * math.sqrt(min(64, budget) + 1)
         )
 
@@ -383,7 +389,7 @@ class TestLowmassConditional:
             sp, sq = samplers(p, q, 9000 + t)
             v = lowmass_conditional_test(sp, sq, sbar, 1024, 0.2, rng=t)
             accepts += v.accepted
-            saw_cond += any(s == "lowmass-cond-tv" for s, _, _ in v.trace)
+            saw_cond += any(record.name == "lowmass-cond-tv" for record in v.trace)
         assert saw_cond == 200  # the cascade reaches the conditional tester
         assert accepts >= 170
 
@@ -405,7 +411,7 @@ class TestLowmassConditional:
         sp, sq = samplers(p, q, 9000)
         sp_f, sq_f = mix_sample(sp, 0.2, 1), mix_sample(sq, 0.2, 2)
         v = lowmass_conditional_test(sp_f, sq_f, sbar, 1024, 0.2, rng=3)
-        assert [s for s, _, _ in v.trace][-1] == "lowmass-cond-tv"
+        assert v.trace[-1].name == "lowmass-cond-tv"
 
     def test_empty_sbar_accepts(self):
         p = DiscreteDistribution.uniform(4)
