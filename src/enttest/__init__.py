@@ -21,6 +21,7 @@ from .core import (
     conditional_rejection_sample,
     divergences,
     entropy,
+    fair_mix,
     lambda_term,
     load_distribution,
     mass_floor_eta,

@@ -6,9 +6,9 @@ probability vectors.  Every sampler has ``n``, ``draw`` and the count draws
 of :class:`SampleStream`, and its type alone says whether its law is known:
 a :class:`Sampler` (alias method, reproducible stream) draws counts from its
 exact distribution; any other sampler is a stream whose counts tabulate its
-draws.  :func:`mix_sample` builds the mass floor of either kind.  The
-functionals (entropy, the five divergences, the cross-entropy term) serve
-both as building blocks and as oracles for the randomized tests.
+draws.  :func:`mix_sample` and :func:`fair_mix` build mass floors and fair
+mixtures of either kind.  The functionals (entropy, five divergences, the
+cross-entropy term) are building blocks and oracles for the randomized tests.
 
 Design notes:
 
@@ -457,7 +457,7 @@ def mix_sample(base_sampler, eps: float, rng_seed=0) -> SampleStream:
 
 class FairMixSampler(SampleStream):
     """Stream from the mixture (p + q)/2: each draw flips a fair coin
-    between one p-sample and one q-sample."""
+    between one p-sample and one q-sample.  Build it through :func:`fair_mix`."""
 
     def __init__(self, sp, sq, rng_seed):
         if sp.n != sq.n:
@@ -473,10 +473,14 @@ class FairMixSampler(SampleStream):
     def draw(self, k: int) -> np.ndarray:
         return _coin_mix(self._rng, k, 0.5, self.sp.draw, self.sq.draw)
 
-    def multinomial_counts(self, k: int) -> np.ndarray:
-        k = int(k)
-        n_p = int(self._rng.binomial(k, 0.5))
-        return self.sp.multinomial_counts(n_p) + self.sq.multinomial_counts(k - n_p)
+
+def fair_mix(sp, sq, rng_seed=0) -> SampleStream:
+    """Sampler of the mixture (p + q)/2: a :class:`Sampler` of the exact
+    mixture when both sides are exact-law samplers, else a :class:`FairMixSampler`."""
+    if isinstance(sp, Sampler) and isinstance(sq, Sampler):
+        _check_same_domain(sp.distribution, sq.distribution)
+        return Sampler(DiscreteDistribution(0.5 * (sp.probs + sq.probs)), rng_seed)
+    return FairMixSampler(sp, sq, rng_seed)
 
 
 def conditional_rejection_sample(sampler, support, count: int, budget: int):

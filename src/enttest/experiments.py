@@ -101,11 +101,12 @@ class ExperimentSpec:
             raise ConfigError("trials must be >= 1")
         if self.kind in ("error_grid", "scaling") and (not self.n_values or not self.eps_values):
             raise ConfigError(f"{self.kind} needs non-empty n and eps grids")
+        if self.kind == "scaling" and (len(set(self.n_values)) < 2 or len(self.eps_values) > 1):
+            raise ConfigError("scaling fits its slope at one eps over two or more distinct n values")
         if self.kind == "bayesnet" and (not self.n_values or not self.eps_values or not self.d_values):
             raise ConfigError("bayesnet needs n, eps and d grids")
-        for n in self.n_values:
-            if int(n) < 1:
-                raise ConfigError("domain sizes must be >= 1")
+        if any(int(n) < 1 for n in self.n_values):
+            raise ConfigError("domain sizes must be >= 1")
         return self
 
     @staticmethod

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, FairMixSampler, mix_sample
+from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, fair_mix, mix_sample
 from .poisson import poissonized_counts, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -151,7 +151,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
         return "hellinger"
 
     # stage 2: heavy-set identification off the fair mixture
-    mix = FairMixSampler(sp_f, sq_f, rng.integers(0, 2**63 - 1))
+    mix = fair_mix(sp_f, sq_f, rng.integers(0, 2**63 - 1))
     heavy_mask, used = identify_heavy_set(mix, n, e_i, cfg)
     trace.append(Stage("heavy-set", float(heavy_mask.sum()), float(n), used))
 

@@ -70,17 +70,6 @@ def poissonized_counts(sp, sq, m: int) -> CountPair:
     return CountPair(x_counts=sp.poisson_counts(m), y_counts=sq.poisson_counts(m), m_nominal=int(m))
 
 
-def _restrict(s_set, *vectors):
-    """Each vector's entries on ``s_set`` (a bool mask or an index array;
-    every entry when ``s_set`` is None)."""
-    if s_set is None:
-        return vectors
-    idx = np.asarray(s_set)
-    if idx.dtype != bool:
-        idx = idx.astype(np.int64)
-    return tuple(v[idx] for v in vectors)
-
-
 def batch_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """T over the last axis of ``(..., n)`` count arrays, 0-terms skipped."""
     j = x + y
@@ -101,30 +90,45 @@ def batch_z(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
 # all n cells instead would change the low bits of the cascade's statistics.
 
 
+def _diff_total(counts: CountPair, s_set):
+    """Float X - Y and X + Y on ``s_set`` (a bool mask or an index array;
+    every cell when None), kept where X + Y > 0 (no copy when all are)."""
+    x, y = counts.x_counts, counts.y_counts
+    if s_set is not None:
+        idx = np.asarray(s_set)
+        idx = idx if idx.dtype == bool else idx.astype(np.int64)
+        x, y = x[idx], y[idx]
+    d = np.subtract(x, y, dtype=np.float64)
+    j = np.add(x, y, dtype=np.float64)
+    if j.all():
+        return d, j
+    nz = j > 0
+    return d[nz], j[nz]
+
+
 def statistic_t(counts: CountPair, s_set=None) -> float:
     """T = sum_i ((X_i - Y_i)^2 - (X_i + Y_i)) / (X_i + Y_i), 0-terms skipped."""
-    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
-    j = x + y
-    nz = j > 0
-    d = (x[nz] - y[nz]).astype(np.float64)
-    jn = j[nz].astype(np.float64)
-    return float(((d * d - jn) / jn).sum())
+    d, j = _diff_total(counts, s_set)
+    d *= d
+    d -= j
+    d /= j
+    return float(d.sum())
 
 
 def statistic_z(counts: CountPair, s_set=None) -> float:
     """Z = sum_i ((X_i - Y_i)/m) log(1/(X_i + Y_i)), 0-terms skipped."""
-    x, y = _restrict(s_set, counts.x_counts, counts.y_counts)
-    j = x + y
-    nz = j > 0
-    d = (x[nz] - y[nz]).astype(np.float64)
-    return float(-(d * np.log(j[nz])).sum() / counts.m_nominal)
+    d, j = _diff_total(counts, s_set)
+    d *= np.log(j, out=j)
+    return float(-d.sum() / counts.m_nominal)
 
 
 def statistic_l2(counts: CountPair) -> float:
     """Collision statistic sum_i ((X_i - Y_i)^2 - X_i - Y_i); E = m^2 ||p-q||_2^2."""
-    x, y = counts.x_counts, counts.y_counts
-    d = (x - y).astype(np.float64)
-    return float((d * d - x - y).sum())
+    d = np.subtract(counts.x_counts, counts.y_counts, dtype=np.float64)
+    d *= d
+    d -= counts.x_counts
+    d -= counts.y_counts
+    return float(d.sum())
 
 
 def expected_t_closed_form(p, q, s: float) -> float:

@@ -18,6 +18,7 @@ from enttest.core import (
     conditional_rejection_sample,
     divergences,
     entropy,
+    fair_mix,
     lambda_term,
     load_distribution,
     mass_floor_eta,
@@ -276,6 +277,38 @@ class TestMixSampler:
         mix = FairMixSampler(sp, sq, 3)
         counts = mix.multinomial_counts(10**5)
         assert abs(counts[0] / 1e5 - 0.5) < 0.01
+
+    def test_fair_mix_of_exact_laws_is_exact(self):
+        sp, sq = _exact(12, 1), Sampler(DiscreteDistribution.uniform(12), 2)
+        mix = fair_mix(sp, sq, 3)
+        assert isinstance(mix, Sampler)
+        assert mix.distribution == DiscreteDistribution(0.5 * (sp.probs + sq.probs))
+        for other in (_pool(12, 4), mix_sample(_pool(12, 5), 0.2, rng_seed=6)):
+            assert type(fair_mix(sp, other, 7)) is FairMixSampler
+            assert type(fair_mix(other, sq, 7)) is FairMixSampler
+        with pytest.raises(DomainMismatch):
+            fair_mix(sp, _exact(13, 8), 9)
+
+    def test_exact_mixture_counts_match_literal_counts_in_law(self):
+        # k draws from (p + q)/2 have Multinomial(k, (p + q)/2) counts whether
+        # drawn in one exact-law step or coin by coin: per cell, the mean
+        # count and the frequency of a zero count match that law
+        n, k, draws = 160, 160, 10_000
+        rng = np.random.default_rng(1)
+        sp, sq = (Sampler(DiscreteDistribution.random_dense(n, rng), seed) for seed in (2, 3))
+        r = 0.5 * (sp.probs + sq.probs)
+        lam, p0 = k * r, (1 - r) ** k
+        for mix in (fair_mix(sp, sq, 4), FairMixSampler(sp, sq, 5)):
+            sums = np.zeros(n)
+            zeros = np.zeros(n)
+            for _ in range(draws):
+                c = mix.multinomial_counts(k)
+                sums += c
+                zeros += c == 0
+            z_mean = (sums / draws - lam) / np.sqrt(lam * (1 - r) / draws)
+            z_zero = (zeros / draws - p0) / np.sqrt(p0 * (1 - p0) / draws)
+            # mean z^2 over 320 cells is 1 with sd 0.08 under the right law
+            assert 0.75 <= np.mean(np.concatenate([z_mean, z_zero]) ** 2) <= 1.3
 
 
 class TestConditionalRejectionSampling:

@@ -33,6 +33,17 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], trials=0).validate()
 
+    def test_scaling_needs_two_distinct_n(self):
+        # one n gives no slope to fit (np.polyfit warns and fits one point)
+        for n_values in ([64], [64, 64]):
+            with pytest.raises(ConfigError, match="two or more distinct n"):
+                ExperimentSpec(kind="scaling", n_values=n_values, eps_values=[0.3]).validate()
+
+    def test_scaling_takes_one_eps(self):
+        # the sweep runs at eps_values[0]; further values would be dropped
+        with pytest.raises(ConfigError, match="at one eps"):
+            ExperimentSpec(kind="scaling", n_values=[64, 128], eps_values=[0.3, 0.1]).validate()
+
     def test_json_roundtrip(self, tmp_path):
         spec = default_spec("error_grid")
         path = tmp_path / "spec.json"
@@ -233,10 +244,12 @@ class TestCli:
         json.dump({"kind": "error_grid", "n_values": [], "eps_values": [0.2]}, open(path, "w"))
         assert cli_main(["grid", "--spec", str(path)]) == 1
 
-    def test_kind_mismatch_exits_one(self, tmp_path):
+    def test_kind_mismatch_exits_one(self, tmp_path, capsys):
+        # a valid scaling spec, so the kind mismatch alone fails it
         path = tmp_path / "spec.json"
-        json.dump({"kind": "scaling", "n_values": [64], "eps_values": [0.3]}, open(path, "w"))
+        json.dump({"kind": "scaling", "n_values": [64, 128], "eps_values": [0.3]}, open(path, "w"))
         assert cli_main(["grid", "--spec", str(path)]) == 1
+        assert "does not match the grid subcommand" in capsys.readouterr().err
 
     def test_missing_spec_file(self):
         assert cli_main(["grid", "--spec", "/nonexistent/spec.json"]) == 1

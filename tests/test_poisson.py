@@ -217,6 +217,51 @@ class TestStatisticL2:
         assert abs(vals.mean() - truth) <= 4 * vals.std(ddof=1) / math.sqrt(reps)
 
 
+def _compacted_t(x, y):
+    # reference: the compact-then-convert forms of T, Z and l2
+    j = x + y
+    nz = j > 0
+    d = (x[nz] - y[nz]).astype(np.float64)
+    jn = j[nz].astype(np.float64)
+    return float(((d * d - jn) / jn).sum())
+
+
+def _compacted_z(x, y, m):
+    j = x + y
+    nz = j > 0
+    d = (x[nz] - y[nz]).astype(np.float64)
+    return float(-(d * np.log(j[nz])).sum() / m)
+
+
+def _compacted_l2(x, y):
+    d = (x - y).astype(np.float64)
+    return float((d * d - x - y).sum())
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("n", [1, 5, 2**10, 2**14])
+    def test_bit_identical_to_compacted_form(self, n):
+        # sparse to dense counts, unrestricted and on bool masks and index
+        # arrays: the in-place kernels keep every term and its order
+        rng = np.random.default_rng(n)
+        for lam in (0.05, 0.7, 4.0, 60.0, 650.0):
+            x = rng.poisson(lam, n)
+            y = rng.poisson(lam * rng.uniform(0.5, 1.5, n))
+            c = pair(x, y, 97)
+            assert statistic_l2(c) == _compacted_l2(x, y)
+            mask = rng.random(n) < 0.5
+            for s_set in (None, mask, np.flatnonzero(mask)):
+                xs, ys = (x, y) if s_set is None else (x[s_set], y[s_set])
+                assert statistic_t(c, s_set) == _compacted_t(xs, ys)
+                assert statistic_z(c, s_set) == _compacted_z(xs, ys, 97)
+
+    def test_counts_are_not_written(self):
+        x, y = np.array([3, 0, 5]), np.array([1, 0, 5])
+        c = pair(x, y, 10)
+        statistic_t(c), statistic_z(c), statistic_l2(c)
+        assert x.tolist() == [3, 0, 5] and y.tolist() == [1, 0, 5]
+
+
 class TestExpectedTClosedForm:
     def test_equal_distributions(self):
         p = DiscreteDistribution.zipf(6)

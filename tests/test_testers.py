@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from enttest.core import DiscreteDistribution, FairMixSampler, Sampler, mix_sample
+from enttest.core import DiscreteDistribution, Sampler, fair_mix, mix_sample
 from enttest.testers import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -124,7 +124,7 @@ class TestIdentifyHeavySet:
     def test_uniform_everything_heavy(self):
         p = DiscreteDistribution.uniform(4)
         sp, sq = samplers(p, p, 10)
-        mix = FairMixSampler(sp, sq, 11)
+        mix = fair_mix(sp, sq, 11)
         mask, used = identify_heavy_set(mix, 4, 0.2)
         assert mask.all()
         assert used == heavy_set_budget(4, 0.2, DEFAULT_CONFIG)
@@ -136,7 +136,7 @@ class TestIdentifyHeavySet:
         hits = 0
         for t in range(100):
             sp, sq = samplers(p, p, 100 + t)
-            mix = FairMixSampler(sp, sq, 200 + t)
+            mix = fair_mix(sp, sq, 200 + t)
             mask, _ = identify_heavy_set(mix, n, 0.2)
             hits += mask[0] and mask.sum() == 1
         assert hits >= 95
@@ -157,7 +157,7 @@ class TestIdentifyHeavySet:
         good = 0
         for t in range(100):
             sp, sq = samplers(p, p, 300 + t)
-            mix = FairMixSampler(sp, sq, 400 + t)
+            mix = fair_mix(sp, sq, 400 + t)
             mask, _ = identify_heavy_set(mix, n, eps)
             s1 = 2 * p.probs >= DEFAULT_CONFIG.c_heavy_low * tau
             s2 = 2 * p.probs >= DEFAULT_CONFIG.c_heavy_high * tau
@@ -167,7 +167,7 @@ class TestIdentifyHeavySet:
     def test_parameter_validation(self):
         p = DiscreteDistribution.uniform(4)
         sp, sq = samplers(p, p, 1)
-        mix = FairMixSampler(sp, sq, 2)
+        mix = fair_mix(sp, sq, 2)
         with pytest.raises(ParameterOutOfRange):
             identify_heavy_set(mix, 4, 0.0)
         with pytest.raises(ConfigError):
