@@ -8,7 +8,7 @@ the scaling exponent.
 import numpy as np
 
 from enttest.experiments import ExperimentSpec, calibrate
-from enttest.pipeline import combined_branch_choice, combined_budgets
+from enttest.pipeline import combined_budgets
 
 # Calibration: for each primitive tester, find the threshold constant
 # meeting the 90/90 null/far targets, doubling the sample multiplier
@@ -26,7 +26,7 @@ print("\nbranch choice across scales (eps = 0.3):")
 for k in range(10, 17):
     n = 2**k
     eet_total, base_total = combined_budgets(n, 0.3, cfg=cfg)
-    choice = combined_branch_choice(n, 0.3, cfg=cfg)
+    choice = "tv-baseline" if base_total <= eet_total else "cascade"
     print(f"  n = 2^{k:2d}: cascade {eet_total:>12,} vs baseline {base_total:>10,}"
           f" -> {choice}")
 

@@ -64,7 +64,6 @@ from .testers import (
 from .pipeline import (
     EetBudgets,
     EetPlan,
-    combined_branch_choice,
     combined_budgets,
     make_eet_plan,
     run_eet,

@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {command} suite")
         p.add_argument("--spec", default=None, help="JSON experiment spec file")
         p.add_argument("--check", action="store_true", help="exit 2 on acceptance violations")
-        p.add_argument("--workers", type=int, default=None, help="parallel workers")
+        # checked by resolve_workers, so a bad count exits 1 like a bad spec
+        p.add_argument("--workers", default=None, help="parallel workers")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--trials", type=int, default=None, help="trials-per-cell override")

@@ -76,6 +76,21 @@ def _as_prob_vector(probs, renormalize: bool = True) -> np.ndarray:
     return v
 
 
+def _unchecked(v: np.ndarray, renormalize: bool = True) -> "DiscreteDistribution":
+    """A distribution over ``v``, a fresh float64 vector already known to be
+    a probability vector up to rounding (a mixture of valid laws, or a
+    checked file), without the constructor's checks.  With ``renormalize``
+    it is divided by its float sum as the constructor does, so ``probs`` is
+    bit-identical to ``DiscreteDistribution(v)``."""
+    total = float(v.sum()) if renormalize else 1.0
+    if total != 1.0:
+        v /= total
+    v.setflags(write=False)
+    d = object.__new__(DiscreteDistribution)
+    object.__setattr__(d, "probs", v)
+    return d
+
+
 class DiscreteDistribution:
     """An exact probability distribution over ``{0, ..., n-1}``.
 
@@ -223,7 +238,7 @@ def mass_floor_mix(d: DiscreteDistribution, eps: float) -> DiscreteDistribution:
     """Mix with the uniform distribution so every atom gets mass
     at least ``eps / (n log(n/eps))``; shifts the entropy by at most eps."""
     eta = mass_floor_eta(d.n, eps)
-    return DiscreteDistribution((1.0 - eta) * d.probs + eta / d.n)
+    return _unchecked((1.0 - eta) * d.probs + eta / d.n)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +494,7 @@ def fair_mix(sp, sq, rng_seed=0) -> SampleStream:
     mixture when both sides are exact-law samplers, else a :class:`FairMixSampler`."""
     if isinstance(sp, Sampler) and isinstance(sq, Sampler):
         _check_same_domain(sp.distribution, sq.distribution)
-        return Sampler(DiscreteDistribution(0.5 * (sp.probs + sq.probs)), rng_seed)
+        return Sampler(_unchecked(0.5 * (sp.probs + sq.probs)), rng_seed)
     return FairMixSampler(sp, sq, rng_seed)
 
 
@@ -553,6 +568,4 @@ def load_distribution(path) -> DiscreteDistribution:
         raise DistributionError(f"expected {n} probabilities, found {probs.size}")
     # the file holds a constructed vector: check it, but keep its bits, since
     # dividing a normalized vector by its float sum again moves low bits
-    d = object.__new__(DiscreteDistribution)
-    object.__setattr__(d, "probs", _as_prob_vector(probs, renormalize=False))
-    return d
+    return _unchecked(_as_prob_vector(probs, renormalize=False), renormalize=False)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,7 @@ from .poisson import (
     CountPair,
     batch_t,
     batch_z,
+    draw_pairs_serially,
     exact_expected_z,
     expected_t_closed_form,
     factorial_moment_check,
@@ -51,7 +53,6 @@ from .testers import (
     tv_budget,
 )
 from .pipeline import (
-    combined_branch_choice,
     combined_budgets,
     make_eet_plan,
     run_eet,
@@ -322,7 +323,8 @@ def _execute(tasks, workers: int):
     if workers <= 1:
         results = [_run_trial(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the workers already fill the cores, so each draws its count pairs serially
+        with ProcessPoolExecutor(max_workers=workers, initializer=draw_pairs_serially) as pool:
             results = list(pool.map(_run_trial, tasks, chunksize=8))
     return sorted(results, key=lambda r: (r["cell"], r["trial"]))
 
@@ -383,22 +385,19 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
             })
     results = _execute(tasks, workers)
     rows, violations = [], []
-    budgets = {}
+    budgets, expected_branch = {}, {}
     for n in spec.n_values:
         eet_total, base_total = combined_budgets(int(n), eps, 0.1, cfg)
         budgets[int(n)] = min(eet_total, base_total)
+        expected_branch[int(n)] = "tv-baseline" if n > 1 and base_total <= eet_total else "cascade"
         rows.append(Row("scaling", "combined", int(n), eps, 0, "budget:nominal",
                         0, 0.0, 0.0, float(budgets[int(n)]), spec.seed))
-        choice = combined_branch_choice(int(n), eps, 0.1, cfg)
-        expected = "tv-baseline" if base_total <= eet_total else "cascade"
-        if choice != expected:
-            violations.append(f"scaling branch mismatch at n={n}")
     for cell_idx, (n, fam) in enumerate(cells):
         acc, rej, mean_s, total = _aggregate(results, cell_idx)
         rows.append(Row("scaling", "combined", int(n), eps, 0, fam,
                         total, acc, rej, mean_s, spec.seed))
         branches = {r["branch"] for r in results if r["cell"] == cell_idx}
-        want = combined_branch_choice(int(n), eps, 0.1, cfg)
+        want = expected_branch[int(n)]
         if branches != {want}:
             violations.append(f"scaling trace branch mismatch at n={n}: {branches} != {want}")
         if fam.startswith("null") and acc < 0.85:
@@ -860,12 +859,19 @@ VALID_KINDS = tuple(SUITES)
 
 
 def resolve_workers(workers=None) -> int:
-    if workers is not None:
-        return max(int(workers), 1)
-    env = os.environ.get("ENTTEST_WORKERS")
-    if env:
-        return max(int(env), 1)
-    return 1
+    """The worker count: ``workers``, else ``ENTTEST_WORKERS``, else 1.
+
+    Raises ``ConfigError`` for a value that is not an integer or is below 1.
+    """
+    if workers is None:
+        workers = os.environ.get("ENTTEST_WORKERS") or 1
+    try:
+        count = int(workers) if isinstance(workers, str) else operator.index(workers)
+    except (TypeError, ValueError):
+        raise ConfigError(f"worker count (--workers, ENTTEST_WORKERS) must be an integer, got {workers!r}") from None
+    if count < 1:
+        raise ConfigError(f"worker count (--workers, ENTTEST_WORKERS) must be at least 1, got {count}")
+    return count
 
 
 def run_experiment(spec: ExperimentSpec, workers=None, check: bool = False) -> int:

@@ -296,7 +296,3 @@ def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: Thresh
     verdict.trace.insert(0, branch)
     return verdict
 
-
-def combined_branch_choice(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> str:
-    eet_total, base_total = combined_budgets(n, eps, delta, cfg)
-    return "tv-baseline" if (n > 1 and base_total <= eet_total) else "cascade"

@@ -311,6 +311,25 @@ class TestMixSampler:
             assert 0.75 <= np.mean(np.concatenate([z_mean, z_zero]) ** 2) <= 1.3
 
 
+class TestMixtureLaws:
+    @pytest.mark.parametrize("n", [2**10, 2**12, 2**14])
+    def test_unchecked_mixtures_match_checked_constructor(self, n):
+        # mass_floor_mix and fair_mix skip the constructor's checks but must
+        # keep its renormalization bit for bit
+        rng = np.random.default_rng(n)
+        laws = [DiscreteDistribution.uniform(n), DiscreteDistribution.zipf(n),
+                DiscreteDistribution.random_dense(n, rng)]
+        for d in laws:
+            eta = mass_floor_eta(n, 0.2)
+            floored = mass_floor_mix(d, 0.2).probs
+            assert np.array_equal(floored, DiscreteDistribution((1.0 - eta) * d.probs + eta / n).probs)
+            assert not floored.flags.writeable
+            for e in laws:
+                mixed = fair_mix(Sampler(d, 1), Sampler(e, 2)).probs
+                assert np.array_equal(mixed, DiscreteDistribution(0.5 * (d.probs + e.probs)).probs)
+                assert not mixed.flags.writeable
+
+
 class TestConditionalRejectionSampling:
     def test_full_domain_passthrough(self):
         s = Sampler(DiscreteDistribution.uniform(4), 1)

@@ -19,6 +19,7 @@ from enttest.experiments import (
     calibrate,
     default_spec,
     make_instance_pair,
+    resolve_workers,
     run_experiment,
 )
 from enttest.testers import DEFAULT_CONFIG, load_config
@@ -150,6 +151,35 @@ class TestReproducibility:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    def test_pool_after_helper_thread(self, tmp_path):
+        # a 1-worker grid at n = 2**13 starts the count-pair helper thread;
+        # the 2-worker run of the same spec then forks its pool from that
+        # process, and must neither hang nor change a byte
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        code = (
+            "from enttest import poisson\n"
+            "from enttest.experiments import ExperimentSpec, run_experiment\n"
+            "for workers in (1, 2):\n"
+            "    spec = ExperimentSpec(kind='error_grid', n_values=[2**13], eps_values=[0.4],"
+            f" trials=2, seed=3, out_dir={str(tmp_path)!r} + f'/w{{workers}}')\n"
+            "    run_experiment(spec, workers=workers)\n"
+            "    print(poisson._helper is not None)\n"
+            # a forked child that draws pairs on two threads starts its own helper
+            "import os, numpy as np\n"
+            "from enttest.core import DiscreteDistribution, Sampler\n"
+            "d = DiscreteDistribution.uniform(2**14)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    pair = poisson.poissonized_counts(Sampler(d, 1), Sampler(d, 2), 2**16)\n"
+            "    os._exit(0 if np.array_equal(pair.y_counts, Sampler(d, 2).poisson_counts(2**16)) else 1)\n"
+            "print(os.waitpid(pid, 0)[1] == 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        assert proc.stdout.split() == ["True", "True", "True"]
+        assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -158,9 +188,11 @@ class TestReproducibility:
             "kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
             "kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
             "kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
+            # n >= 2**13 draws each count pair on two threads
+            "kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
             "kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
         ],
-        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "calibrate"],
+        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "scaling-concurrent-pairs", "calibrate"],
     )
     def test_suite_independent_of_hash_seed(self, spec, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))
@@ -280,6 +312,24 @@ class TestCli:
         path = tmp_path / "spec.json"
         json.dump(spec, open(path, "w"))
         assert cli_main(["grid", "--spec", str(path), "--check"]) == 2
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "abc"])
+    def test_invalid_count_raises(self, workers):
+        with pytest.raises(ConfigError, match="worker count"):
+            resolve_workers(workers)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_invalid_environment_exits_one(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("ENTTEST_WORKERS", value)
+        assert cli_main(["oracle"]) == 1
+        assert "ENTTEST_WORKERS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_flag_exits_one(self, value, capsys):
+        assert cli_main(["oracle", "--workers", value]) == 1
+        assert "worker count" in capsys.readouterr().err
 
 
 def _write_tiny_grid(tmp_path):

@@ -17,7 +17,6 @@ from enttest.core import (
 )
 from enttest.instances import make_correlated_pair, make_entropy_gap_pair
 from enttest.pipeline import (
-    combined_branch_choice,
     combined_budgets,
     make_eet_plan,
     run_eet,
@@ -26,6 +25,7 @@ from enttest.pipeline import (
     solve_tv_threshold,
 )
 from enttest.testers import (
+    DEFAULT_CONFIG,
     ParameterOutOfRange,
     amplification_reps,
     l2_closeness_test,
@@ -168,11 +168,19 @@ class TestTvBaseline:
 
 class TestCombined:
     def test_branch_matches_budget_comparison(self):
-        for n in (64, 1024, 2**14, 2**16, 2**20):
-            for eps in (0.05, 0.2, 0.5):
-                eet_total, base_total = combined_budgets(n, eps)
-                choice = combined_branch_choice(n, eps)
-                assert choice == ("tv-baseline" if base_total <= eet_total else "cascade")
+        # the tester takes the branch with the smaller nominal budget; a
+        # costlier TV budget sends it to the cascade
+        taken = set()
+        for cfg in (DEFAULT_CONFIG, DEFAULT_CONFIG.with_multiplier("tv", 1e4)):
+            for n in (64, 1024, 2**14):
+                for eps in (0.2, 0.5):
+                    eet_total, base_total = combined_budgets(n, eps, cfg=cfg)
+                    p = DiscreteDistribution.uniform(n)
+                    branch = run_eet_combined(*samplers(p, p, n), n, eps, cfg=cfg, rng=0).trace[0]
+                    want = "tv-baseline" if base_total <= eet_total else "cascade"
+                    assert branch.name == f"combined-branch: {want}"
+                    taken.add(want)
+        assert taken == {"tv-baseline", "cascade"}
 
     def test_trace_records_branch_and_budgets(self):
         p = DiscreteDistribution.uniform(512)

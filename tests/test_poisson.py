@@ -1,14 +1,17 @@
 """Poissonized statistics and their expectation oracles."""
 
 import math
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from enttest.core import DiscreteDistribution, SampleStream, Sampler
+from enttest.core import DiscreteDistribution, SampleStream, Sampler, StreamSampler
 from enttest.poisson import (
+    CONCURRENT_PAIR_MIN_N,
     CountPair,
     NonConvergent,
     batch_t,
@@ -118,6 +121,95 @@ class TestPoissonizedCounts:
                 emp = (draws <= k).mean()
                 se = math.sqrt(cdf * (1 - cdf) / reps)
                 assert abs(emp - cdf) <= 5 * se + 1e-9
+
+
+def _recording(sampler, label, calls):
+    """Record (label, thread id) on each of the sampler's count draws."""
+    draw = sampler.poisson_counts
+
+    def recorded(m):
+        calls.append((label, threading.get_ident()))
+        return draw(m)
+
+    sampler.poisson_counts = recorded
+    return sampler
+
+
+class TestConcurrentPairs:
+    @pytest.mark.parametrize("n", [CONCURRENT_PAIR_MIN_N, 2**16])
+    def test_concurrent_pairs_equal_serial_draws(self, n):
+        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
+        calls = []
+        sp, sq = _recording(Sampler(p, 1), "x", calls), _recording(Sampler(q, 2), "y", calls)
+        rp, rq = Sampler(p, 1), Sampler(q, 2)
+        for m in (n // 4, 5 * n, 200 * n):
+            pair = poissonized_counts(sp, sq, m)
+            assert np.array_equal(pair.x_counts, rp.poisson_counts(m))
+            assert np.array_equal(pair.y_counts, rq.poisson_counts(m))
+        main = threading.get_ident()
+        assert {label for label, tid in calls if tid != main} == {"y"}  # q drew on the helper
+
+    def test_threads_sharing_the_helper_keep_their_own_streams(self):
+        # more calling threads than cores hand their q-draws to the one helper
+        # thread; with a short switch interval, every pair must still equal its
+        # serial reference
+        n, m, reps = CONCURRENT_PAIR_MIN_N, 2**16, 10
+        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
+        mismatches = []
+
+        def worker(seed):
+            sp, sq = Sampler(p, seed), Sampler(q, seed + 1)
+            rp, rq = Sampler(p, seed), Sampler(q, seed + 1)
+            for _ in range(reps):
+                pair = poissonized_counts(sp, sq, m)
+                if not (np.array_equal(pair.x_counts, rp.poisson_counts(m))
+                        and np.array_equal(pair.y_counts, rq.poisson_counts(m))):
+                    mismatches.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(10 * k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
+    def test_serial_below_threshold(self):
+        d = DiscreteDistribution.uniform(CONCURRENT_PAIR_MIN_N // 2)
+        calls = []
+        poissonized_counts(_recording(Sampler(d, 1), "x", calls), _recording(Sampler(d, 2), "y", calls), 500)
+        assert calls == [("x", threading.get_ident()), ("y", threading.get_ident())]
+
+    def test_shared_generator_keeps_serial_order(self):
+        # two Samplers over one Generator: x's variates first, then y's
+        n, m = 2**14, 3 * 2**14
+        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
+        gen = np.random.default_rng(7)
+        calls = []
+        sp, sq = _recording(Sampler(p, gen), "x", calls), _recording(Sampler(q, gen), "y", calls)
+        pair = poissonized_counts(sp, sq, m)
+        ref = np.random.default_rng(7)
+        assert np.array_equal(pair.x_counts, ref.poisson(m * p.probs))
+        assert np.array_equal(pair.y_counts, ref.poisson(m * q.probs))
+        assert calls == [("x", threading.get_ident()), ("y", threading.get_ident())]
+
+    def test_stream_pools_keep_serial_order(self):
+        n, m = 2**14, 2**12
+        rng = np.random.default_rng(8)
+        pools = rng.integers(0, n, size=(2, 4 * m))
+        calls = []
+        sp = _recording(StreamSampler(pools[0], n, rng_seed=9), "x", calls)
+        sq = _recording(StreamSampler(pools[1], n, rng_seed=10), "y", calls)
+        pair = poissonized_counts(sp, sq, m)
+        rx, ry = StreamSampler(pools[0], n, rng_seed=9), StreamSampler(pools[1], n, rng_seed=10)
+        assert np.array_equal(pair.x_counts, rx.poisson_counts(m))
+        assert np.array_equal(pair.y_counts, ry.poisson_counts(m))
+        assert calls == [("x", threading.get_ident()), ("y", threading.get_ident())]
 
 
 class TestStatisticT:
