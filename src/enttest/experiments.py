@@ -34,7 +34,6 @@ from .poisson import (
     CountPair,
     batch_t,
     batch_z,
-    draw_pairs_serially,
     exact_expected_z,
     expected_t_closed_form,
     factorial_moment_check,
@@ -323,8 +322,7 @@ def _execute(tasks, workers: int):
     if workers <= 1:
         results = [_run_trial(t) for t in tasks]
     else:
-        # the workers already fill the cores, so each draws its count pairs serially
-        with ProcessPoolExecutor(max_workers=workers, initializer=draw_pairs_serially) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, tasks, chunksize=8))
     return sorted(results, key=lambda r: (r["cell"], r["trial"]))
 

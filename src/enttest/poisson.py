@@ -62,13 +62,11 @@ class CountPair:
 CONCURRENT_PAIR_MIN_N = 2**13
 
 _helper = None  # (pid, executor); a forked child inherits the executor but not its thread
-_serial_pairs = False  # set in process-pool workers, which already fill the cores
 
-
-def draw_pairs_serially():
-    """Process-pool initializer: this process draws every pair on one thread."""
-    global _serial_pairs
-    _serial_pairs = True
+# The method as defined.  A wrapper installed over it later (a profiler's or
+# a tracer's span) would be entered from two threads at once and may keep
+# state that is not thread-safe, so pairs then draw serially.
+_PLAIN_POISSON_COUNTS = Sampler.poisson_counts
 
 
 def _helper_thread() -> ThreadPoolExecutor:
@@ -91,6 +89,7 @@ def poissonized_counts(sp, sq, m: int) -> CountPair:
     generators at n >= ``CONCURRENT_PAIR_MIN_N`` draw at the same time,
     q's counts on a helper thread; each generator still serves one thread
     in program order, so the counts are the serial ones bit for bit.
+    While ``Sampler.poisson_counts`` is wrapped, pairs draw serially.
     """
     if m < 1:
         raise ValueError(f"nominal budget must be >= 1, got {m}")
@@ -99,10 +98,10 @@ def poissonized_counts(sp, sq, m: int) -> CountPair:
     # two threads consume each generator exactly as the serial order does
     # only for exact-law samplers over distinct generators
     if (
-        _serial_pairs
-        or sp.n < CONCURRENT_PAIR_MIN_N
+        sp.n < CONCURRENT_PAIR_MIN_N
         or not (isinstance(sp, Sampler) and isinstance(sq, Sampler))
         or sp._rng.bit_generator is sq._rng.bit_generator
+        or Sampler.poisson_counts is not _PLAIN_POISSON_COUNTS
     ):
         return CountPair(x_counts=sp.poisson_counts(m), y_counts=sq.poisson_counts(m), m_nominal=int(m))
     y_future = _helper_thread().submit(sq.poisson_counts, m)

@@ -154,7 +154,8 @@ class TestReproducibility:
     def test_pool_after_helper_thread(self, tmp_path):
         # a 1-worker grid at n = 2**13 starts the count-pair helper thread;
         # the 2-worker run of the same spec then forks its pool from that
-        # process, and must neither hang nor change a byte
+        # process, whose workers start their own helpers, and must neither
+        # hang nor change a byte
         src = os.path.dirname(os.path.dirname(enttest.__file__))
         code = (
             "from enttest import poisson\n"

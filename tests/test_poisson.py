@@ -1,5 +1,6 @@
 """Poissonized statistics and their expectation oracles."""
 
+import functools
 import math
 import sys
 import threading
@@ -178,6 +179,24 @@ class TestConcurrentPairs:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
+
+    def test_wrapped_method_keeps_serial_order(self, monkeypatch):
+        # a wrapper over the class's method (a tracer's span) is entered from
+        # the calling thread only
+        n, m = 2**14, 3 * 2**14
+        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
+        draw, calls = Sampler.poisson_counts, []
+
+        @functools.wraps(draw)
+        def wrapped(self, m):
+            calls.append(threading.get_ident())
+            return draw(self, m)
+
+        monkeypatch.setattr(Sampler, "poisson_counts", wrapped)
+        pair = poissonized_counts(Sampler(p, 1), Sampler(q, 2), m)
+        assert calls == [threading.get_ident()] * 2
+        assert np.array_equal(pair.x_counts, draw(Sampler(p, 1), m))
+        assert np.array_equal(pair.y_counts, draw(Sampler(q, 2), m))
 
     def test_serial_below_threshold(self):
         d = DiscreteDistribution.uniform(CONCURRENT_PAIR_MIN_N // 2)
