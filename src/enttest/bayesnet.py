@@ -210,11 +210,6 @@ def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
     return np.concatenate(tables).reshape(len(subsets), 2**width)
 
 
-def bn_exact_marginal(net: BayesNet, subset) -> np.ndarray:
-    """Exact marginal table over ``subset`` (bit j = j-th smallest variable)."""
-    return joint_marginal(bn_exact_joint(net), subset, net.n)
-
-
 # ---------------------------------------------------------------------------
 # Mixture with the uniform distribution
 # ---------------------------------------------------------------------------

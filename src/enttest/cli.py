@@ -6,7 +6,8 @@
 Each subcommand runs the corresponding suite with its pinned default grid
 unless a JSON spec file overrides it.  ``--check`` turns acceptance
 violations into exit code 2; bad specs exit 1.  ``ENTTEST_WORKERS`` sets
-the default worker count.
+the default worker count.  A worker is one process, which runs its
+exact-law trials on ``max(1, cpus // workers)`` threads.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=f"run the {command} suite")
         p.add_argument("--spec", default=None, help="JSON experiment spec file")
         p.add_argument("--check", action="store_true", help="exit 2 on acceptance violations")
-        # checked by resolve_workers, so a bad count exits 1 like a bad spec
-        p.add_argument("--workers", default=None, help="parallel workers")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--trials", type=int, default=None, help="trials-per-cell override")
+        # numbers are checked by resolve_workers and validate: a bad one exits 1
+        p.add_argument("--workers", default=None, help="worker processes (each with cpus // workers trial threads)")
+        p.add_argument("--seed", default=None, help="master seed override")
+        p.add_argument("--out", dest="out_dir", default=None, help="output directory override")
+        p.add_argument("--trials", default=None, help="trials-per-cell override")
     return parser
 
 
@@ -58,12 +59,9 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"spec kind {spec.kind!r} does not match the {args.command} subcommand"
             )
-        if args.seed is not None:
-            spec.seed = args.seed
-        if args.out is not None:
-            spec.out_dir = args.out
-        if args.trials is not None:
-            spec.trials = args.trials
+        for name in ("seed", "out_dir", "trials"):
+            if getattr(args, name) is not None:
+                setattr(spec, name, getattr(args, name))
         spec.validate()
         code = run_experiment(spec, workers=args.workers, check=args.check)
     except (ConfigError, FileNotFoundError, CalibrationFailed) as exc:

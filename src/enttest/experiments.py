@@ -3,8 +3,10 @@ Bayes-net suites, and the deterministic oracle suite.
 
 All suites write a ``results.csv`` whose content is a pure function of
 (spec, master seed, threshold config): per-trial seeds derive from
-(master seed, cell index, trial index), never from worker identity, so
-1-worker and N-worker runs agree byte for byte.  Wall-clock measurements
+(master seed, cell index, trial index), never from worker or thread
+identity, so 1-worker and N-worker runs agree byte for byte.  A worker is
+one process, which runs its exact-law trials on its share of the cores
+(see :func:`_execute`).  Wall-clock measurements
 go to a separate ``timings.csv`` (excluded from the determinism contract);
 the ``wall_ms`` column of results.csv is fixed at 0 for that reason.
 No seed passes through Python's ``hash``, so the CSV does not depend on
@@ -23,8 +25,9 @@ import json
 import math
 import operator
 import os
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -97,6 +100,10 @@ class ExperimentSpec:
     def validate(self):
         if self.kind not in VALID_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        self.seed = _as_integer(self.seed, "seed")
+        self.trials = _as_integer(self.trials, "trials")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.kind in ("error_grid", "scaling") and (not self.n_values or not self.eps_values):
@@ -212,14 +219,26 @@ NULL_FAMILIES = ("null:uniform", "null:zipf", "null:dense")
 FAR_FAMILIES = ("far:entropy-gap", "far:mi")
 
 
-@functools.lru_cache(maxsize=1)
+def _cpus() -> int:  # the cores this process may run on
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+_pair_lock = threading.Lock()
+
+
 def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
     """(p, q) for a family; far instances carry exact certificates.
 
-    Memoized for the last arguments seen: trials reach a process in cell
-    order, so each cell's pair is built once per process.  The returned
-    distributions are immutable and safe to share between trials.
+    Built once per cell and process: trials reach a process in cell order,
+    the cache keeps one cell per core (per trial thread), and the lock
+    stops two threads building one cell.  The pair is immutable and shared.
     """
+    with _pair_lock:
+        return _instance_pair(family, n, eps, master, cell)
+
+
+@functools.lru_cache(maxsize=_cpus())
+def _instance_pair(family: str, n: int, eps: float, master: int, cell: int):
     if family == "null:uniform":
         p = DiscreteDistribution.uniform(n)
         return p, p
@@ -317,13 +336,33 @@ def _run_trial(payload) -> dict:
     }
 
 
+# Trial ops run on threads: numpy's draws and ufuncs release the GIL.  Two
+# Bayes-net trials in flight raise the n = 12 peak memory by a third, and
+# MI-reduction trials hold whole-sample pools, so both stay serial.
+_THREADED_OPS = {"grid"}
+
+
+def _run_trials(tasks, threads: int):
+    if threads <= 1:
+        return [_run_trial(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(_run_trial, tasks))
+
+
 def _execute(tasks, workers: int):
-    """Run trial payloads; output order is deterministic regardless of workers."""
+    """Run trial payloads; output order is deterministic regardless of
+    workers and threads.  Trials run serially while ``_run_trial`` is
+    wrapped (``functools.wraps`` sets ``__wrapped__``), as a tracer's span
+    wraps it: a wrapper may not be thread-safe."""
+    threaded = all(t["op"] in _THREADED_OPS for t in tasks) and not hasattr(_run_trial, "__wrapped__")
+    threads = max(1, _cpus() // workers) if threaded else 1  # a worker's share of the cores
     if workers <= 1:
-        results = [_run_trial(t) for t in tasks]
+        results = _run_trials(tasks, threads)
     else:
+        size = 8 * threads
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, tasks, chunksize=8))
+            results = [r for chunk in pool.map(_run_trials, chunks, [threads] * len(chunks)) for r in chunk]
     return sorted(results, key=lambda r: (r["cell"], r["trial"]))
 
 
@@ -856,17 +895,26 @@ SUITES = {
 VALID_KINDS = tuple(SUITES)
 
 
+def _as_integer(value, what: str) -> int:
+    """An integer (not a bool) or a string of one as an int, else ``ConfigError``."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
 def resolve_workers(workers=None) -> int:
     """The worker count: ``workers``, else ``ENTTEST_WORKERS``, else 1.
 
-    Raises ``ConfigError`` for a value that is not an integer or is below 1.
+    A worker is one process, which runs its exact-law trials on its share
+    of the cores (see :func:`_execute`).  Raises ``ConfigError`` for a
+    value that is not an integer or is below 1.
     """
     if workers is None:
         workers = os.environ.get("ENTTEST_WORKERS") or 1
-    try:
-        count = int(workers) if isinstance(workers, str) else operator.index(workers)
-    except (TypeError, ValueError):
-        raise ConfigError(f"worker count (--workers, ENTTEST_WORKERS) must be an integer, got {workers!r}") from None
+    count = _as_integer(workers, "worker count (--workers, ENTTEST_WORKERS)")
     if count < 1:
         raise ConfigError(f"worker count (--workers, ENTTEST_WORKERS) must be at least 1, got {count}")
     return count

@@ -16,13 +16,11 @@ verification suites.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainMismatch, Sampler
+from .core import DomainMismatch
 
 MAX_SERIES_TERMS = 1_000_000
 
@@ -56,60 +54,20 @@ class CountPair:
         return self.x_total + self.y_total
 
 
-# Pairs at n >= this draw their two count vectors at once, q's on a helper
-# thread (Generator.poisson releases the GIL over an array).  At n = 2**12
-# the hand-off costs about what the overlap saves (numpy 2.4, two cores).
-CONCURRENT_PAIR_MIN_N = 2**13
-
-_helper = None  # (pid, executor); a forked child inherits the executor but not its thread
-
-# The method as defined.  A wrapper installed over it later (a profiler's or
-# a tracer's span) would be entered from two threads at once and may keep
-# state that is not thread-safe, so pairs then draw serially.
-_PLAIN_POISSON_COUNTS = Sampler.poisson_counts
-
-
-def _helper_thread() -> ThreadPoolExecutor:
-    # threads racing here may each make an executor; each still runs the
-    # draws handed to it, so the race costs an idle thread at most
-    global _helper
-    if _helper is None or _helper[0] != os.getpid():
-        _helper = (os.getpid(), ThreadPoolExecutor(max_workers=1, thread_name_prefix="enttest-counts"))
-    return _helper[1]
-
-
 def poissonized_counts(sp, sq, m: int) -> CountPair:
-    """Poissonized counts of nominal size m from each stream.
+    """Poissonized counts of nominal size m from each stream, x then y.
 
     Each sampler draws its own counts: a :class:`~enttest.core.Sampler`
     draws independent ``Poi(m * p_i)`` counts straight from its known
     distribution, and any other stream tabulates ``N ~ Poi(m)`` literal
     draws (``SampleStream.poisson_counts``, the reference procedure).  The
-    two are identical in law.  Two ``Sampler`` objects over distinct
-    generators at n >= ``CONCURRENT_PAIR_MIN_N`` draw at the same time,
-    q's counts on a helper thread; each generator still serves one thread
-    in program order, so the counts are the serial ones bit for bit.
-    While ``Sampler.poisson_counts`` is wrapped, pairs draw serially.
+    two are identical in law.
     """
     if m < 1:
         raise ValueError(f"nominal budget must be >= 1, got {m}")
     if sp.n != sq.n:
         raise DomainMismatch(f"domain sizes differ: {sp.n} vs {sq.n}")
-    # two threads consume each generator exactly as the serial order does
-    # only for exact-law samplers over distinct generators
-    if (
-        sp.n < CONCURRENT_PAIR_MIN_N
-        or not (isinstance(sp, Sampler) and isinstance(sq, Sampler))
-        or sp._rng.bit_generator is sq._rng.bit_generator
-        or Sampler.poisson_counts is not _PLAIN_POISSON_COUNTS
-    ):
-        return CountPair(x_counts=sp.poisson_counts(m), y_counts=sq.poisson_counts(m), m_nominal=int(m))
-    y_future = _helper_thread().submit(sq.poisson_counts, m)
-    try:
-        x = sp.poisson_counts(m)
-    finally:
-        y = y_future.result()  # q's generator is idle again before this returns
-    return CountPair(x_counts=x, y_counts=y, m_nominal=int(m))
+    return CountPair(x_counts=sp.poisson_counts(m), y_counts=sq.poisson_counts(m), m_nominal=int(m))
 
 
 def batch_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -17,7 +17,6 @@ from enttest.bayesnet import (
     TooLargeForExact,
     bn_closeness_test,
     bn_exact_joint,
-    bn_exact_marginal,
     bn_identity_test,
     bn_kl_to_projection,
     bn_mixture_weight,
@@ -96,11 +95,11 @@ class TestExactJointAndMarginals:
         assert j == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
     def test_marginal_independence(self):
-        m = bn_exact_marginal(fair_coins(4), (0, 2))
+        m = joint_marginal(bn_exact_joint(fair_coins(4)), (0, 2), 4)
         assert m == pytest.approx([0.25] * 4)
 
     def test_chain_marginal_correlated(self):
-        m = bn_exact_marginal(copy_chain(), (0, 1))
+        m = joint_marginal(bn_exact_joint(copy_chain()), (0, 1), 2)
         assert m == pytest.approx([0.5, 0.0, 0.0, 0.5])
 
     def test_exact_guard(self):
@@ -115,7 +114,7 @@ class TestExactJointAndMarginals:
 
     def test_exact_marginal_rejects_variable_out_of_range(self):
         with pytest.raises(ValueError):
-            bn_exact_marginal(fair_coins(4), (0, 9))
+            joint_marginal(bn_exact_joint(fair_coins(4)), (0, 9), 4)
 
     @pytest.mark.parametrize("n", [6, 8, 12])
     def test_subset_tables_bit_identical_to_joint_marginal(self, n, monkeypatch):

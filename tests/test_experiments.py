@@ -1,14 +1,17 @@
 """Experiment harness: spec validation, CSV determinism, worker
 equivalence, calibration, and the CLI surface."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import enttest
+from enttest import experiments
 from enttest import instances as inst
 from enttest.cli import main as cli_main
 from enttest.experiments import (
@@ -33,6 +36,24 @@ class TestExperimentSpec:
             ExperimentSpec(kind="error_grid", n_values=[], eps_values=[0.2]).validate()
         with pytest.raises(ConfigError):
             ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], trials=0).validate()
+
+    @pytest.mark.parametrize("field", ["seed", "trials"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, None, "abc", "1.5"])
+    def test_non_integer_seed_or_trials_rejected(self, field, value):
+        # a float seed once ran from int(seed) while results.csv recorded the float
+        spec = ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2])
+        setattr(spec, field, value)
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            spec.validate()
+
+    def test_decimal_strings_become_integers(self):
+        spec = ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], trials="7", seed="11")
+        assert (spec.validate().trials, spec.seed) == (7, 11)
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence takes non-negative integers only
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], seed=-1).validate()
 
     def test_scaling_needs_two_distinct_n(self):
         # one n gives no slope to fit (np.polyfit warns and fits one point)
@@ -92,7 +113,9 @@ class TestInstanceFamilies:
         assert abs(entropy(p) - entropy(q)) == pytest.approx(0.3, abs=1e-8)
 
     def test_pair_built_once_per_cell(self, tmp_path, monkeypatch):
-        make_instance_pair.cache_clear()  # the single entry outlives other tests
+        # the benchmark grid's cells: on two or more cores, trial threads
+        # meet at every cell boundary, and each cell's pair is still built once
+        experiments._instance_pair.cache_clear()  # entries outlive other tests
         calls = []
         build = inst.make_correlated_pair
 
@@ -102,11 +125,13 @@ class TestInstanceFamilies:
 
         monkeypatch.setattr(inst, "make_correlated_pair", counted)
         spec = ExperimentSpec(
-            kind="error_grid", n_values=[1024], eps_values=[0.3], trials=10,
+            kind="error_grid", n_values=[2**10, 2**12, 2**14], eps_values=[0.2, 0.4], trials=10,
             seed=2024, out_dir=str(tmp_path / "memo"),
         )
         run_experiment(spec, workers=1)
-        assert calls == [(512, 2, 0.3)]  # one far:mi cell, one build
+        far_mi = [(n // 2, 2, eps) for n in spec.n_values for eps in spec.eps_values]
+        assert sorted(calls) == sorted(far_mi)  # one build per far:mi cell
+        assert experiments._instance_pair.cache_info().misses == 30  # one per cell
 
 
 class TestReproducibility:
@@ -151,36 +176,6 @@ class TestReproducibility:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
-    def test_pool_after_helper_thread(self, tmp_path):
-        # a 1-worker grid at n = 2**13 starts the count-pair helper thread;
-        # the 2-worker run of the same spec then forks its pool from that
-        # process, whose workers start their own helpers, and must neither
-        # hang nor change a byte
-        src = os.path.dirname(os.path.dirname(enttest.__file__))
-        code = (
-            "from enttest import poisson\n"
-            "from enttest.experiments import ExperimentSpec, run_experiment\n"
-            "for workers in (1, 2):\n"
-            "    spec = ExperimentSpec(kind='error_grid', n_values=[2**13], eps_values=[0.4],"
-            f" trials=2, seed=3, out_dir={str(tmp_path)!r} + f'/w{{workers}}')\n"
-            "    run_experiment(spec, workers=workers)\n"
-            "    print(poisson._helper is not None)\n"
-            # a forked child that draws pairs on two threads starts its own helper
-            "import os, numpy as np\n"
-            "from enttest.core import DiscreteDistribution, Sampler\n"
-            "d = DiscreteDistribution.uniform(2**14)\n"
-            "pid = os.fork()\n"
-            "if pid == 0:\n"
-            "    pair = poisson.poissonized_counts(Sampler(d, 1), Sampler(d, 2), 2**16)\n"
-            "    os._exit(0 if np.array_equal(pair.y_counts, Sampler(d, 2).poisson_counts(2**16)) else 1)\n"
-            "print(os.waitpid(pid, 0)[1] == 0)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True, timeout=300)
-        assert proc.stdout.split() == ["True", "True", "True"]
-        assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
-
     @pytest.mark.parametrize(
         "spec",
         [
@@ -189,11 +184,11 @@ class TestReproducibility:
             "kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
             "kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
             "kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
-            # n >= 2**13 draws each count pair on two threads
+            # large-n count pairs, on trial threads when the process has two cores
             "kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
             "kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
         ],
-        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "scaling-concurrent-pairs", "calibrate"],
+        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "scaling-large-n", "calibrate"],
     )
     def test_suite_independent_of_hash_seed(self, spec, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))
@@ -217,6 +212,100 @@ class TestReproducibility:
         assert header == ",".join(CSV_COLUMNS)
         assert all(line.split(",")[10] == "0" for line in
                    open(tmp_path / "h" / "results.csv").readlines()[1:])
+
+
+class TestTrialThreads:
+    def _spec(self, kind, out):
+        if kind == "scaling":
+            return ExperimentSpec(kind="scaling", n_values=[64, 2**13], eps_values=[0.3], trials=6,
+                                  seed=7, out_dir=str(out))
+        return ExperimentSpec(kind="error_grid", n_values=[64, 256], eps_values=[0.3], trials=6,
+                              seed=7, out_dir=str(out))
+
+    def _recording(self, monkeypatch, op):
+        threads = []
+        trial = experiments._TRIAL_OPS[op]
+
+        def recorded(payload):
+            threads.append(threading.get_ident())
+            return trial(payload)
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, op, recorded)
+        return threads
+
+    @pytest.mark.parametrize("kind", ["error_grid", "scaling"])
+    def test_threaded_run_equals_serial_run(self, kind, tmp_path, monkeypatch):
+        # more threads than cores, switching often, share the pair cache
+        outs = {}
+        interval = sys.getswitchinterval()
+        try:
+            for cpus in (1, 8):
+                monkeypatch.setattr(experiments, "_cpus", lambda cpus=cpus: cpus)
+                sys.setswitchinterval(1e-5 if cpus > 1 else interval)
+                run_experiment(self._spec(kind, tmp_path / f"c{cpus}"), workers=1)
+                outs[cpus] = (tmp_path / f"c{cpus}" / "results.csv").read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outs[1] == outs[8]
+
+    def test_wrapped_trial_runs_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # a profiler's or tracer's span over _run_trial may not be thread-safe
+        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+        trial, threads = experiments._run_trial, []
+
+        @functools.wraps(trial)
+        def wrapped(payload):
+            threads.append(threading.get_ident())
+            return trial(payload)
+
+        monkeypatch.setattr(experiments, "_run_trial", wrapped)
+        run_experiment(self._spec("error_grid", tmp_path / "w"), workers=1)
+        assert threads == [threading.get_ident()] * 60
+
+    @pytest.mark.skipif(experiments._cpus() < 2, reason="needs two cores")
+    def test_grid_trials_share_the_cores(self, tmp_path, monkeypatch):
+        threads = self._recording(monkeypatch, "grid")
+        run_experiment(self._spec("error_grid", tmp_path / "g"), workers=1)
+        assert len(threads) == 60 and len(set(threads)) > 1
+
+    def test_bayesnet_trials_stay_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+        threads = self._recording(monkeypatch, "bn")
+        spec = ExperimentSpec(kind="bayesnet", n_values=[6], eps_values=[0.3], d_values=[2], trials=2,
+                              seed=7, out_dir=str(tmp_path / "bn"))
+        run_experiment(spec, workers=1)
+        assert threads == [threading.get_ident()] * 8
+
+    def test_trial_error_propagates(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+        trial = experiments._TRIAL_OPS["grid"]
+
+        def failing(payload):
+            if (payload["cell"], payload["trial"]) == (3, 2):
+                raise RuntimeError("trial 3/2 failed")
+            return trial(payload)
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, "grid", failing)
+        with pytest.raises(RuntimeError, match="trial 3/2 failed"):
+            run_experiment(self._spec("error_grid", tmp_path / "e"), workers=1)
+
+    def test_pool_after_trial_threads(self, tmp_path):
+        # the 1-worker run starts trial threads; the 2-worker run of the same
+        # spec then forks its pool from that process, and each worker runs
+        # its trials on two threads of its own; neither may hang or change a byte
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        code = (
+            "from enttest import experiments\n"
+            "from enttest.experiments import ExperimentSpec, run_experiment\n"
+            "experiments._cpus = lambda: 4\n"
+            "for workers in (1, 2):\n"
+            "    spec = ExperimentSpec(kind='error_grid', n_values=[2**13], eps_values=[0.4],"
+            f" trials=4, seed=3, out_dir={str(tmp_path)!r} + f'/w{{workers}}')\n"
+            "    run_experiment(spec, workers=workers)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
 
 
 class TestScalingSuite:
@@ -297,6 +386,12 @@ class TestCli:
         content = open(out / "results.csv").readlines()[1]
         assert content.strip().endswith(",11")
 
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_non_integer_seed_or_trials_exits_one(self, flag, value, capsys):
+        assert cli_main(["oracle", flag, value]) == 1
+        assert f"{flag[2:]} must be an integer" in capsys.readouterr().err
+
     def test_check_failure_exit_two(self, tmp_path, monkeypatch):
         # sabotage: a config whose Z threshold fires on everything
         from enttest.testers import save_config, DEFAULT_CONFIG
@@ -316,7 +411,7 @@ class TestCli:
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "abc"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "abc", True])
     def test_invalid_count_raises(self, workers):
         with pytest.raises(ConfigError, match="worker count"):
             resolve_workers(workers)

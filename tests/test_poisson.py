@@ -1,8 +1,6 @@
 """Poissonized statistics and their expectation oracles."""
 
-import functools
 import math
-import sys
 import threading
 import time
 
@@ -12,7 +10,6 @@ from scipy import stats as spstats
 
 from enttest.core import DiscreteDistribution, SampleStream, Sampler, StreamSampler
 from enttest.poisson import (
-    CONCURRENT_PAIR_MIN_N,
     CountPair,
     NonConvergent,
     batch_t,
@@ -31,6 +28,18 @@ from enttest.poisson import (
 
 def pair(x, y, m):
     return CountPair(np.asarray(x), np.asarray(y), m)
+
+
+def _recording(sampler, label, calls):
+    """Record (label, thread id) on each of the sampler's count draws."""
+    draw = sampler.poisson_counts
+
+    def recorded(m):
+        calls.append((label, threading.get_ident()))
+        return draw(m)
+
+    sampler.poisson_counts = recorded
+    return sampler
 
 
 class TestPoissonizedCounts:
@@ -123,85 +132,14 @@ class TestPoissonizedCounts:
                 se = math.sqrt(cdf * (1 - cdf) / reps)
                 assert abs(emp - cdf) <= 5 * se + 1e-9
 
-
-def _recording(sampler, label, calls):
-    """Record (label, thread id) on each of the sampler's count draws."""
-    draw = sampler.poisson_counts
-
-    def recorded(m):
-        calls.append((label, threading.get_ident()))
-        return draw(m)
-
-    sampler.poisson_counts = recorded
-    return sampler
-
-
-class TestConcurrentPairs:
-    @pytest.mark.parametrize("n", [CONCURRENT_PAIR_MIN_N, 2**16])
-    def test_concurrent_pairs_equal_serial_draws(self, n):
+    def test_exact_pairs_draw_x_then_y_on_the_calling_thread(self):
+        n, m = 2**16, 3 * 2**16
         p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
         calls = []
         sp, sq = _recording(Sampler(p, 1), "x", calls), _recording(Sampler(q, 2), "y", calls)
-        rp, rq = Sampler(p, 1), Sampler(q, 2)
-        for m in (n // 4, 5 * n, 200 * n):
-            pair = poissonized_counts(sp, sq, m)
-            assert np.array_equal(pair.x_counts, rp.poisson_counts(m))
-            assert np.array_equal(pair.y_counts, rq.poisson_counts(m))
-        main = threading.get_ident()
-        assert {label for label, tid in calls if tid != main} == {"y"}  # q drew on the helper
-
-    def test_threads_sharing_the_helper_keep_their_own_streams(self):
-        # more calling threads than cores hand their q-draws to the one helper
-        # thread; with a short switch interval, every pair must still equal its
-        # serial reference
-        n, m, reps = CONCURRENT_PAIR_MIN_N, 2**16, 10
-        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
-        mismatches = []
-
-        def worker(seed):
-            sp, sq = Sampler(p, seed), Sampler(q, seed + 1)
-            rp, rq = Sampler(p, seed), Sampler(q, seed + 1)
-            for _ in range(reps):
-                pair = poissonized_counts(sp, sq, m)
-                if not (np.array_equal(pair.x_counts, rp.poisson_counts(m))
-                        and np.array_equal(pair.y_counts, rq.poisson_counts(m))):
-                    mismatches.append(seed)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(10 * k,)) for k in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert mismatches == []
-
-    def test_wrapped_method_keeps_serial_order(self, monkeypatch):
-        # a wrapper over the class's method (a tracer's span) is entered from
-        # the calling thread only
-        n, m = 2**14, 3 * 2**14
-        p, q = DiscreteDistribution.zipf(n), DiscreteDistribution.uniform(n)
-        draw, calls = Sampler.poisson_counts, []
-
-        @functools.wraps(draw)
-        def wrapped(self, m):
-            calls.append(threading.get_ident())
-            return draw(self, m)
-
-        monkeypatch.setattr(Sampler, "poisson_counts", wrapped)
-        pair = poissonized_counts(Sampler(p, 1), Sampler(q, 2), m)
-        assert calls == [threading.get_ident()] * 2
-        assert np.array_equal(pair.x_counts, draw(Sampler(p, 1), m))
-        assert np.array_equal(pair.y_counts, draw(Sampler(q, 2), m))
-
-    def test_serial_below_threshold(self):
-        d = DiscreteDistribution.uniform(CONCURRENT_PAIR_MIN_N // 2)
-        calls = []
-        poissonized_counts(_recording(Sampler(d, 1), "x", calls), _recording(Sampler(d, 2), "y", calls), 500)
+        pair = poissonized_counts(sp, sq, m)
+        assert np.array_equal(pair.x_counts, Sampler(p, 1).poisson_counts(m))
+        assert np.array_equal(pair.y_counts, Sampler(q, 2).poisson_counts(m))
         assert calls == [("x", threading.get_ident()), ("y", threading.get_ident())]
 
     def test_shared_generator_keeps_serial_order(self):
