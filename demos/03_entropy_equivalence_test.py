@@ -11,7 +11,8 @@ from enttest.instances import make_correlated_pair, make_entropy_gap_pair
 n, eps = 4096, 0.3
 plan = make_eet_plan(n, eps)
 print(f"cascade plan at n={n}, eps={eps}: internal accuracy {plan.eps_internal}")
-print(f"  stage budgets: {plan.budgets}")
+for stage in plan.stages:  # one record per sampling stage, in cascade order
+    print(f"  {stage.name:20s} {stage.budget:>12,} draws x {stage.streams} stream(s)")
 print(f"  nominal total: {plan.total_nominal:,} samples")
 
 # Equal distributions: the cascade should accept.

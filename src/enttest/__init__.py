@@ -62,8 +62,8 @@ from .testers import (
     tv_closeness_test,
 )
 from .pipeline import (
-    EetBudgets,
     EetPlan,
+    StagePlan,
     combined_budgets,
     make_eet_plan,
     run_eet,

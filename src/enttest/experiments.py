@@ -6,12 +6,10 @@ All suites write a ``results.csv`` whose content is a pure function of
 (master seed, cell index, trial index), never from worker or thread
 identity, so 1-worker and N-worker runs agree byte for byte.  A worker is
 one process, which runs its exact-law trials on its share of the cores
-(see :func:`_execute`).  Wall-clock measurements
-go to a separate ``timings.csv`` (excluded from the determinism contract);
-the ``wall_ms`` column of results.csv is fixed at 0 for that reason.
-No seed passes through Python's ``hash``, so the CSV does not depend on
-``PYTHONHASHSEED`` either.  Plots are SVG files regenerated from the CSV
-contents.
+(see :func:`_execute`).  Wall-clock measurements go to a separate
+``timings.csv``, outside the determinism contract.  No seed passes through
+Python's ``hash``, so the CSV does not depend on ``PYTHONHASHSEED``
+either.  Plots are SVG files regenerated from the CSV contents.
 
 Each cell's instance pair is built at most once per process and shared
 read-only by that cell's trials (see :func:`make_instance_pair`); building
@@ -23,12 +21,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .testers import (
     DEFAULT_CONFIG,
     ConfigError,
     ThresholdConfig,
+    _t_noise_floor,
     hellinger_budget,
     l2_budget,
     load_config,
@@ -66,22 +67,6 @@ from . import instances as inst
 
 class CalibrationFailed(RuntimeError):
     """No threshold constant satisfied the protocol within the multiplier cap."""
-
-
-CSV_COLUMNS = (
-    "kind",
-    "tester",
-    "n",
-    "eps",
-    "d",
-    "instance_family",
-    "trials",
-    "accept_rate",
-    "reject_rate",
-    "mean_samples",
-    "wall_ms",
-    "seed",
-)
 
 
 @dataclass
@@ -106,14 +91,20 @@ class ExperimentSpec:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        self.n_values = [_as_integer(n, "n") for n in self.n_values]
+        self.d_values = [_as_integer(d, "d") for d in self.d_values]
+        top = 0.5 if self.kind in ("error_grid", "scaling") else 1.0
+        self.eps_values = [_as_eps(eps, top) for eps in self.eps_values]
         if self.kind in ("error_grid", "scaling") and (not self.n_values or not self.eps_values):
             raise ConfigError(f"{self.kind} needs non-empty n and eps grids")
         if self.kind == "scaling" and (len(set(self.n_values)) < 2 or len(self.eps_values) > 1):
             raise ConfigError("scaling fits its slope at one eps over two or more distinct n values")
         if self.kind == "bayesnet" and (not self.n_values or not self.eps_values or not self.d_values):
             raise ConfigError("bayesnet needs n, eps and d grids")
-        if any(int(n) < 1 for n in self.n_values):
+        if any(n < 1 for n in self.n_values):
             raise ConfigError("domain sizes must be >= 1")
+        if any(d < 1 or d >= min(self.n_values, default=math.inf) for d in self.d_values):
+            raise ConfigError(f"in-degree bounds d must satisfy 1 <= d <= n - 1, got d in {self.d_values}")
         return self
 
     @staticmethod
@@ -175,22 +166,12 @@ class Row:
     seed: int
 
     def csv_line(self) -> str:
-        return ",".join(
-            [
-                self.kind,
-                self.tester,
-                str(self.n),
-                f"{self.eps:.6g}",
-                str(self.d),
-                self.instance_family,
-                str(self.trials),
-                f"{self.accept_rate:.6f}",
-                f"{self.reject_rate:.6f}",
-                f"{self.mean_samples:.6f}",
-                "0",  # wall_ms: the measured value lives in timings.csv
-                str(self.seed),
-            ]
-        )
+        return ",".join(_CSV_FORMATS.get(name, "{}").format(getattr(self, name)) for name in CSV_COLUMNS)
+
+
+# results.csv has one column per Row field; the ones not listed print with str()
+CSV_COLUMNS = tuple(f.name for f in fields(Row))
+_CSV_FORMATS = {"eps": "{:.6g}", "accept_rate": "{:.6f}", "reject_rate": "{:.6f}", "mean_samples": "{:.6f}"}
 
 
 def _write_results(rows, out_dir, timings):
@@ -308,11 +289,8 @@ def _reduction_trial(payload):
     child = seq.spawn(4)
     cfg = payload["cfg"]
     n, eps = payload["n"], payload["eps"]
-    if payload["family"] == "mi-product":
-        pair = inst.make_correlated_pair(n // 2, 2, 0.0)
-    else:
-        pair = inst.make_correlated_pair(2, 2, math.log(2.0))
-        n = 4
+    # the product family has no mutual information; the correlated one log 2
+    pair = inst.make_correlated_pair(n // 2, 2, 0.0 if payload["family"] == "mi-product" else math.log(2.0))
     eet_budget, base_budget = combined_budgets(n, eps, 0.1, cfg)
     per_stream = min(eet_budget, base_budget) // 2 + 1
     t = int(per_stream + 10 * math.sqrt(per_stream) + 200)
@@ -366,12 +344,46 @@ def _execute(tasks, workers: int):
     return sorted(results, key=lambda r: (r["cell"], r["trial"]))
 
 
-def _aggregate(results, cell: int):
-    rs = [r for r in results if r["cell"] == cell]
-    accepts = sum(1 for r in rs if r["accepted"])
-    total = len(rs)
-    mean_samples = sum(r["samples"] for r in rs) / total if total else 0.0
-    return accepts / total, 1.0 - accepts / total, mean_samples, total
+class CellStats(NamedTuple):
+    """One cell's tally over its trials; ``branches`` holds the combined
+    tester's branches its trials took ("" for the other testers)."""
+
+    accept_rate: float
+    reject_rate: float
+    mean_samples: float
+    trials: int
+    branches: set
+
+
+def _run_cells(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int, op: str, cells, trials=None):
+    """Run ``trials`` (default ``spec.trials``) trials of ``op`` on each cell,
+    a dict of payload fields; return each cell's :class:`CellStats`."""
+    trials = spec.trials if trials is None else trials
+    tasks = [
+        {"op": op, **cell, "cfg": cfg, "master": spec.seed, "cell": idx, "trial": trial}
+        for idx, cell in enumerate(cells)
+        for trial in range(trials)
+    ]
+    results = _execute(tasks, workers)
+    stats = []
+    for idx in range(len(cells)):
+        rs = results[idx * trials:(idx + 1) * trials]
+        accept = sum(r["accepted"] for r in rs) / trials
+        mean_samples = sum(r["samples"] for r in rs) / trials
+        stats.append(CellStats(accept, 1.0 - accept, mean_samples, trials, {r["branch"] for r in rs}))
+    return stats
+
+
+def _cell_row(kind: str, cell: dict, stats: CellStats, seed: int) -> Row:
+    return Row(kind, cell["tester"], cell["n"], cell["eps"], cell.get("d", 0), cell["family"],
+               stats.trials, stats.accept_rate, stats.reject_rate, stats.mean_samples, seed)
+
+
+def _gate(violations, label: str, null: bool, stats: CellStats, bar: float = 0.85):
+    """A null cell must accept, and a far cell reject, in ``bar`` of its trials."""
+    verb, rate = ("accept", stats.accept_rate) if null else ("reject", stats.reject_rate)
+    if rate < bar:
+        violations.append(f"{label}: {verb} {rate:.3f} < {bar}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,69 +392,45 @@ def _aggregate(results, cell: int):
 
 
 def run_error_grid(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
-    families = list(NULL_FAMILIES) + list(FAR_FAMILIES)
     cells = [
-        (n, eps, fam)
+        {"tester": "cascade", "family": fam, "n": n, "eps": eps}
         for n in spec.n_values
         for eps in spec.eps_values
-        for fam in families
+        for fam in NULL_FAMILIES + FAR_FAMILIES
     ]
-    tasks = []
-    for cell_idx, (n, eps, fam) in enumerate(cells):
-        for trial in range(spec.trials):
-            tasks.append({
-                "op": "grid", "tester": "cascade", "family": fam, "n": int(n),
-                "eps": float(eps), "cfg": cfg, "master": spec.seed,
-                "cell": cell_idx, "trial": trial,
-            })
-    results = _execute(tasks, workers)
     rows, violations = [], []
-    for cell_idx, (n, eps, fam) in enumerate(cells):
-        acc, rej, mean_s, total = _aggregate(results, cell_idx)
-        rows.append(Row("error_grid", "cascade", int(n), float(eps), 0, fam,
-                        total, acc, rej, mean_s, spec.seed))
-        if fam.startswith("null") and acc < 0.85:
-            violations.append(f"grid null cell n={n} eps={eps} {fam}: accept {acc:.3f} < 0.85")
-        if fam.startswith("far") and rej < 0.85:
-            violations.append(f"grid far cell n={n} eps={eps} {fam}: reject {rej:.3f} < 0.85")
+    for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "grid", cells)):
+        rows.append(_cell_row("error_grid", cell, stats, spec.seed))
+        _gate(violations, f"grid cell n={cell['n']} eps={cell['eps']} {cell['family']}",
+              cell["family"].startswith("null"), stats)
     return rows, violations
 
 
 def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
-    eps = float(spec.eps_values[0])
-    families = ("null:uniform", "far:entropy-gap")
-    cells = [(n, fam) for n in spec.n_values for fam in families]
-    tasks = []
-    for cell_idx, (n, fam) in enumerate(cells):
-        for trial in range(spec.trials):
-            tasks.append({
-                "op": "grid", "tester": "combined", "family": fam, "n": int(n),
-                "eps": eps, "cfg": cfg, "master": spec.seed,
-                "cell": cell_idx, "trial": trial,
-            })
-    results = _execute(tasks, workers)
+    eps = spec.eps_values[0]
+    cells = [
+        {"tester": "combined", "family": fam, "n": n, "eps": eps}
+        for n in spec.n_values
+        for fam in ("null:uniform", "far:entropy-gap")
+    ]
+    stats = _run_cells(spec, cfg, workers, "grid", cells)
     rows, violations = [], []
     budgets, expected_branch = {}, {}
     for n in spec.n_values:
-        eet_total, base_total = combined_budgets(int(n), eps, 0.1, cfg)
-        budgets[int(n)] = min(eet_total, base_total)
-        expected_branch[int(n)] = "tv-baseline" if n > 1 and base_total <= eet_total else "cascade"
-        rows.append(Row("scaling", "combined", int(n), eps, 0, "budget:nominal",
-                        0, 0.0, 0.0, float(budgets[int(n)]), spec.seed))
-    for cell_idx, (n, fam) in enumerate(cells):
-        acc, rej, mean_s, total = _aggregate(results, cell_idx)
-        rows.append(Row("scaling", "combined", int(n), eps, 0, fam,
-                        total, acc, rej, mean_s, spec.seed))
-        branches = {r["branch"] for r in results if r["cell"] == cell_idx}
-        want = expected_branch[int(n)]
-        if branches != {want}:
-            violations.append(f"scaling trace branch mismatch at n={n}: {branches} != {want}")
-        if fam.startswith("null") and acc < 0.85:
-            violations.append(f"scaling null n={n}: accept {acc:.3f} < 0.85")
-        if fam.startswith("far") and rej < 0.85:
-            violations.append(f"scaling far n={n}: reject {rej:.3f} < 0.85")
+        eet_total, base_total = combined_budgets(n, eps, 0.1, cfg)
+        budgets[n] = min(eet_total, base_total)
+        expected_branch[n] = "tv-baseline" if n > 1 and base_total <= eet_total else "cascade"
+        rows.append(Row("scaling", "combined", n, eps, 0, "budget:nominal",
+                        0, 0.0, 0.0, float(budgets[n]), spec.seed))
+    for cell, cell_stats in zip(cells, stats):
+        n = cell["n"]
+        rows.append(_cell_row("scaling", cell, cell_stats, spec.seed))
+        if cell_stats.branches != {expected_branch[n]}:
+            violations.append(f"scaling trace branch mismatch at n={n}: "
+                              f"{cell_stats.branches} != {expected_branch[n]}")
+        _gate(violations, f"scaling {cell['family']} n={n}", cell["family"].startswith("null"), cell_stats)
     ns = np.array(sorted(budgets), dtype=np.float64)
-    bs = np.array([budgets[int(nv)] for nv in sorted(budgets)], dtype=np.float64)
+    bs = np.array([budgets[n] for n in sorted(budgets)], dtype=np.float64)
     slope = float(np.polyfit(np.log(ns), np.log(bs), 1)[0])
     rows.append(Row("scaling", "combined", 0, eps, 0, "regression:slope",
                     len(ns), 0.0, 0.0, slope, spec.seed))
@@ -452,27 +440,16 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
 
 
 def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
-    n = int(spec.n_values[0])
-    d = int(spec.d_values[0])
-    eps = float(spec.eps_values[0])
-    families = ("bn-null", "bn-far", "bn-id-null", "bn-id-far")
-    tasks = []
-    for cell_idx, fam in enumerate(families):
-        for trial in range(spec.trials):
-            tasks.append({
-                "op": "bn", "family": fam, "n": n, "d": d, "eps": eps,
-                "cfg": cfg, "master": spec.seed, "cell": cell_idx, "trial": trial,
-            })
-    results = _execute(tasks, workers)
+    n, d, eps = spec.n_values[0], spec.d_values[0], spec.eps_values[0]
+    cells = [
+        {"tester": "bn-identity" if fam.startswith("bn-id") else "bn-closeness",
+         "family": fam, "n": n, "d": d, "eps": eps}
+        for fam in ("bn-null", "bn-far", "bn-id-null", "bn-id-far")
+    ]
     rows, violations = [], []
-    for cell_idx, fam in enumerate(families):
-        acc, rej, mean_s, total = _aggregate(results, cell_idx)
-        tester = "bn-identity" if fam.startswith("bn-id") else "bn-closeness"
-        rows.append(Row("bayesnet", tester, n, eps, d, fam, total, acc, rej, mean_s, spec.seed))
-        if fam.endswith("null") and acc < 0.8:
-            violations.append(f"bayesnet {fam}: accept {acc:.3f} < 0.8")
-        if fam.endswith("far") and rej < 0.8:
-            violations.append(f"bayesnet {fam}: reject {rej:.3f} < 0.8")
+    for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "bn", cells)):
+        rows.append(_cell_row("bayesnet", cell, stats, spec.seed))
+        _gate(violations, f"bayesnet {cell['family']}", cell["family"].endswith("null"), stats, bar=0.8)
 
     # deterministic structure checks ride along with the statistical cells
     for name, ok, value in bn_exact_checks(spec.seed, eps, d):
@@ -651,25 +628,11 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     record("z-variance-bound", worst_ratio <= 1.0, worst_ratio, trials=20)
 
     # 8. reduction sanity: entropy tester driven by the MI reduction streams
-    red_trials = min(spec.trials, 200)
-    tasks = []
-    for cell_idx, fam in enumerate(("mi-product", "mi-correlated")):
-        for trial in range(red_trials):
-            tasks.append({
-                "op": "reduction", "family": fam, "n": 64, "eps": 0.3,
-                "cfg": cfg, "master": seed, "cell": cell_idx, "trial": trial,
-            })
-    results = _execute(tasks, workers)
-    acc0, _, mean0, tot0 = _aggregate(results, 0)
-    acc1, rej1, mean1, tot1 = _aggregate(results, 1)
-    rows.append(Row("oracle_suite", "combined", 64, 0.3, 0, "mi-product",
-                    tot0, acc0, 1 - acc0, mean0, seed))
-    rows.append(Row("oracle_suite", "combined", 4, 0.3, 0, "mi-correlated",
-                    tot1, acc1, rej1, mean1, seed))
-    if acc0 < 0.85:
-        violations.append(f"reduction product accept {acc0:.3f} < 0.85")
-    if rej1 < 0.85:
-        violations.append(f"reduction correlated reject {rej1:.3f} < 0.85")
+    cells = [{"tester": "combined", "family": "mi-product", "n": 64, "eps": 0.3},
+             {"tester": "combined", "family": "mi-correlated", "n": 4, "eps": 0.3}]
+    for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "reduction", cells, min(spec.trials, 200))):
+        rows.append(_cell_row("oracle_suite", cell, stats, seed))
+        _gate(violations, f"reduction {cell['family']}", cell["family"] == "mi-product", stats)
     return rows, violations
 
 
@@ -701,17 +664,16 @@ def _tester_statistics(tester: str, n: int, eps_cal: float, cfg: ThresholdConfig
         budget = hellinger_budget(n, eps_cal, cfg)
         c_bump = math.sqrt(max(2.0 * eps_cal - eps_cal**2, 0.0))
         far_p, far_q = _paired_bump(n, c_bump), uniform
-        unit = math.sqrt(min(n, budget) + 1.0)
     elif tester == "tv":
         budget = tv_budget(n, eps_cal, cfg)
         far_p, far_q = _paired_bump(n, eps_cal), uniform
-        unit = math.sqrt(min(n, budget) + 1.0)
     elif tester == "l2":
         budget = l2_budget(eps_cal, cfg)
         far_p, far_q = _concentrated_pair(n, eps_cal / (2.0 * math.sqrt(2.0)))
-        unit = eps_cal**2
     else:
         raise ValueError(tester)
+    # the T testers' threshold unit is their own noise floor
+    unit = eps_cal**2 if tester == "l2" else _t_noise_floor(n, budget)
 
     def stats_for(p, q):
         out = np.empty(trials)
@@ -903,6 +865,13 @@ def _as_integer(value, what: str) -> int:
         return int(value) if isinstance(value, str) else operator.index(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _as_eps(value, top: float) -> float:
+    """A real number (not a bool) in (0, top] as a float, else ``ConfigError``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value <= top:
+        return float(value)
+    raise ConfigError(f"eps values must be numbers in (0, {top:g}], got {value!r}")
 
 
 def resolve_workers(workers=None) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,31 +51,47 @@ from .testers import (
 EPS_SPLIT = 8.0  # internal accuracy rescaling of the cascade
 
 
-@dataclass(frozen=True)
-class EetBudgets:
-    """Per-stage nominal sample counts (per stream unless noted)."""
+class StagePlan(NamedTuple):
+    """One sampling stage of the cascade: the name its trace record carries,
+    its nominal draws per stream, and the streams it draws from (the
+    heavy-set pool draws from the fair mixture, one stream)."""
 
-    m_hell: int  # Hellinger screen
-    m1_mix_total: int  # heavy-set identification, total mixture draws
-    m2_coin: int  # low-mass floor coin test
-    m3_mass: int  # low-mass |p-q| mass comparison
-    s_bias: int  # bias-check statistic T
-    m5_guard: int  # stage-5 mass guard on S
-    m5_l2: int  # stage-5 l2 guard
-    m4_z: int  # entropy-difference statistic Z
+    name: str
+    budget: int
+    streams: int = 2
 
 
 @dataclass(frozen=True)
 class EetPlan:
-    """Deterministic budget plan for one cascade invocation."""
+    """Deterministic budget plan for one cascade invocation: one
+    :class:`StagePlan` per sampling stage, in cascade order."""
 
     n: int
     eps: float
     delta: float
-    eps_internal: float
-    budgets: EetBudgets
-    total_nominal: int
     cfg: ThresholdConfig
+    stages: tuple  # of StagePlan
+
+    @property
+    def eps_internal(self) -> float:
+        return self.eps / EPS_SPLIT
+
+    @property
+    def total_nominal(self) -> int:
+        """Nominal draws over every stage, stream and amplification repetition."""
+        return sum(s.budget * s.streams for s in self.stages) * amplification_reps(self.delta)
+
+    @property
+    def log_m(self) -> float:
+        """log of the Z budget: the stage-5 guards test at eps / log m."""
+        return _log_m(self.budget("z"))
+
+    def budget(self, name: str) -> int:
+        return next(s.budget for s in self.stages if s.name == name)
+
+
+def _log_m(m_z: int) -> float:
+    return math.log(max(m_z, 3))
 
 
 def _validate_eps(eps: float):
@@ -86,9 +103,9 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     """Compute all stage budgets for domain size n at accuracy eps.
 
     Budgets are ceilings of the asymptotic formulas scaled by the config's
-    sample multipliers; the low-mass conditional stage is excluded from the
-    nominal total because its raw-draw cost is data dependent (bounded by
-    its Markov cutoff at run time).
+    sample multipliers; the low-mass conditional TV stage has no record
+    because its raw-draw cost is data dependent (bounded by its Markov
+    cutoff at run time).
     """
     _validate_eps(eps)
     if not 0 < delta <= 1:
@@ -98,38 +115,23 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     e_i = eps / EPS_SPLIT
     log_r = math.log(max(n / e_i, LOG_FLOOR))
     n34 = n**0.75
-
-    m_hell = hellinger_budget(n, e_i, cfg)
-    m1 = heavy_set_budget(n, e_i, cfg)
-    _, m2, m3 = lowmass_budgets(n, e_i, cfg)
-    s_bias = math.ceil(cfg.multiplier("bias_s") * n34 * log_r / e_i)
-    m4 = math.ceil(
+    _, coin_n, m3 = lowmass_budgets(n, e_i, cfg)
+    m_z = math.ceil(
         cfg.multiplier("z_m4_poly") * n34 * log_r / e_i
         + cfg.multiplier("z_m4_log") * log_r**2 / e_i**2
     )
-    log_m = math.log(max(m4, 3))
-    m5 = math.ceil(cfg.multiplier("stage5") * log_m**2 / e_i**2)
-    m5_l2 = l2_budget(e_i / log_m, cfg)
-    budgets = EetBudgets(
-        m_hell=m_hell,
-        m1_mix_total=m1,
-        m2_coin=m2,
-        m3_mass=m3,
-        s_bias=s_bias,
-        m5_guard=m5,
-        m5_l2=m5_l2,
-        m4_z=m4,
+    log_m = _log_m(m_z)
+    stages = (
+        StagePlan("hellinger", hellinger_budget(n, e_i, cfg)),
+        StagePlan("heavy-set", heavy_set_budget(n, e_i, cfg), streams=1),
+        StagePlan("lowmass-mass-floor", coin_n),
+        StagePlan("lowmass-mass-gap", m3),
+        StagePlan("bias-T", math.ceil(cfg.multiplier("bias_s") * n34 * log_r / e_i)),
+        StagePlan("mass-S", math.ceil(cfg.multiplier("stage5") * log_m**2 / e_i**2)),
+        StagePlan("l2", l2_budget(e_i / log_m, cfg)),
+        StagePlan("z", m_z),
     )
-    total = 2 * (m_hell + m2 + m3 + s_bias + m5 + m5_l2 + m4) + m1
-    return EetPlan(
-        n=n,
-        eps=eps,
-        delta=delta,
-        eps_internal=e_i,
-        budgets=budgets,
-        total_nominal=int(total),
-        cfg=cfg,
-    )
+    return EetPlan(n=n, eps=eps, delta=delta, cfg=cfg, stages=stages)
 
 
 def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
@@ -138,7 +140,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
     cfg = plan.cfg
     n = plan.n
     e_i = plan.eps_internal
-    b = plan.budgets
+    log_m = plan.log_m
 
     # stage 0: mass floor both streams (one floored draw costs one raw draw)
     sp_f = mix_sample(sp, e_i, rng.integers(0, 2**63 - 1))
@@ -166,7 +168,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
         trace.append(Stage("lowmass-mass-floor", 0.0, 0.0))
 
     # stage 4: bias check, T over the heavy set against c_T sqrt(n)
-    pair = poissonized_counts(sp_f, sq_f, b.s_bias)
+    pair = poissonized_counts(sp_f, sq_f, plan.budget("bias-T"))
     t_stat = statistic_t(pair, heavy_mask)
     t_thr = cfg.c_T_threshold * math.sqrt(n)
     trace.append(Stage("bias-T", t_stat, t_thr, pair.samples_used))
@@ -175,10 +177,9 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
 
     # stage 5: |p(S) - q(S)| and l2 guards at the eps/log(m) scale; the
     # trace records the chosen scale next to the log(n/eps) alternative
-    log_m = math.log(max(b.m4_z, 3))
     trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / math.log(max(n / e_i, math.e))))
     guard_tol = cfg.c_massS_diff * e_i / log_m
-    cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, b.m5_guard)
+    cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, plan.budget("mass-S"))
     gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)
     trace.append(Stage("mass-S", gap, guard_tol, cmp_res.samples_used))
     if cmp_res.diff_flag:
@@ -190,7 +191,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
         return "l2"
 
     # stage 6: entropy-difference statistic Z over the heavy set
-    pair = poissonized_counts(sp_f, sq_f, b.m4_z)
+    pair = poissonized_counts(sp_f, sq_f, plan.budget("z"))
     z_stat = statistic_z(pair, heavy_mask)
     z_thr = cfg.c_Z_threshold * e_i
     trace.append(Stage("z", z_stat, z_thr, pair.samples_used))
@@ -272,9 +273,7 @@ def run_eet_tv_baseline(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: Thr
 
 def combined_budgets(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> tuple[int, int]:
     """(cascade nominal, baseline nominal) total budgets for the pair."""
-    plan = make_eet_plan(n, eps, delta, cfg)
-    base = tv_baseline_budget(n, eps, delta, cfg)
-    return plan.total_nominal * amplification_reps(delta), base
+    return make_eet_plan(n, eps, delta, cfg).total_nominal, tv_baseline_budget(n, eps, delta, cfg)
 
 
 def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:
@@ -283,16 +282,14 @@ def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: Thresh
     The leading trace record notes both nominal budgets (the chosen branch's
     as its statistic) and draws no samples.
     """
-    _validate_eps(eps)
     rng = np.random.default_rng(rng)
-    eet_total, base_total = combined_budgets(n, eps, delta, cfg)
+    plan = make_eet_plan(n, eps, delta, cfg)
+    eet_total, base_total = plan.total_nominal, tv_baseline_budget(n, eps, delta, cfg)
     if n > 1 and base_total <= eet_total:
         verdict = run_eet_tv_baseline(sp, sq, n, eps, delta, cfg)
         branch = Stage("combined-branch: tv-baseline", float(base_total), float(eet_total))
     else:
-        plan = make_eet_plan(n, eps, delta, cfg)
         verdict = run_eet(sp, sq, plan, rng)
         branch = Stage("combined-branch: cascade", float(eet_total), float(base_total))
     verdict.trace.insert(0, branch)
     return verdict
-

@@ -2,6 +2,7 @@
 equivalence, calibration, and the CLI surface."""
 
 import functools
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,11 @@ class TestExperimentSpec:
         # SeedSequence takes non-negative integers only
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], seed=-1).validate()
+
+    def test_eps_range_depends_on_kind(self):
+        # bad values of every grid are in TestCli.test_bad_grid_value_exits_one
+        assert ExperimentSpec(kind="bayesnet", n_values=[8], eps_values=[1], d_values=[2]).validate().eps_values == [1.0]
+        assert ExperimentSpec(kind="error_grid", n_values=[8], eps_values=[0.5]).validate().eps_values == [0.5]
 
     def test_scaling_needs_two_distinct_n(self):
         # one n gives no slope to fit (np.polyfit warns and fits one point)
@@ -176,21 +182,29 @@ class TestReproducibility:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
 
+    # The SHA-256 of each results.csv is pinned: a change in RNG use or in
+    # the CSV bytes must re-pin these and say so.
     @pytest.mark.parametrize(
-        "spec",
+        "spec, sha256",
         [
-            "kind='bayesnet', n_values=[6], eps_values=[0.3], d_values=[2], trials=2",
+            ("kind='bayesnet', n_values=[6], eps_values=[0.3], d_values=[2], trials=2",
+             "e3cf8217541de9c5615818e69d789bdd023a3c8989b52f11d3fd370cb60d85bb"),
             # n = 12 draws its block counts as atom totals plus block labels
-            "kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
-            "kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
-            "kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
+            ("kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
+             "11bbf522aa744853abe486dc63efe8734f2eacae4d14e6a304c67dedcaee7a04"),
+            ("kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
+             "de304c0adcf35f4e932a4d2cabe5b9553f521b79924400e2818d5fd37085eb6f"),
+            ("kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
+             "db7e4b96c854ef8ebb478ecdf60002e08d88a1353c75b3bcdb1a41c2430574fa"),
             # large-n count pairs, on trial threads when the process has two cores
-            "kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
-            "kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
+            ("kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
+             "ee9738e1bd008d805d42009a2ab47a17a4efcb8bb11815e0179fc9230761fef6"),
+            ("kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
+             "8bb7efe42ec03544b8dcaaea52a714bd616377faf85700a3fc33fd0b75326cd8"),
         ],
         ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "scaling-large-n", "calibrate"],
     )
-    def test_suite_independent_of_hash_seed(self, spec, tmp_path):
+    def test_suite_independent_of_hash_seed(self, spec, sha256, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))
         csvs = []
         for hash_seed in ("1", "2"):
@@ -204,14 +218,14 @@ class TestReproducibility:
             subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
             csvs.append((out / "results.csv").read_bytes())
         assert csvs[0] == csvs[1]
+        assert hashlib.sha256(csvs[0]).hexdigest() == sha256
 
     def test_csv_header(self, tmp_path):
         spec = self._grid_spec(tmp_path / "h")
         run_experiment(spec, workers=1)
         header = open(tmp_path / "h" / "results.csv").readline().strip()
         assert header == ",".join(CSV_COLUMNS)
-        assert all(line.split(",")[10] == "0" for line in
-                   open(tmp_path / "h" / "results.csv").readlines()[1:])
+        assert header == "kind,tester,n,eps,d,instance_family,trials,accept_rate,reject_rate,mean_samples,seed"
 
 
 class TestTrialThreads:
@@ -365,6 +379,35 @@ class TestCli:
         path = tmp_path / "spec.json"
         json.dump({"kind": "error_grid", "n_values": [], "eps_values": [0.2]}, open(path, "w"))
         assert cli_main(["grid", "--spec", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            # eps 1.5 once ended in a traceback from inside the first trial
+            {"kind": "error_grid", "n_values": [64], "eps_values": [1.5]},
+            {"kind": "error_grid", "n_values": [64], "eps_values": ["abc"]},
+            {"kind": "error_grid", "n_values": [64], "eps_values": [0.6]},
+            {"kind": "error_grid", "n_values": [64], "eps_values": [float("nan")]},
+            {"kind": "error_grid", "n_values": [64], "eps_values": [True]},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [0.0], "d_values": [2]},
+            # n 64.7 and d 2.5 once ran silently at their integer parts
+            {"kind": "error_grid", "n_values": [64.7], "eps_values": [0.3]},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [2.5]},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [0]},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [8]},
+        ],
+        ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
+             "n-64.7", "d-2.5", "d-0", "d-n"],
+    )
+    def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = tmp_path / "spec.json"
+        json.dump(dict(spec, trials=2, out_dir=str(out)), open(path, "w"))
+        command = "grid" if spec["kind"] == "error_grid" else spec["kind"]
+        assert cli_main([command, "--spec", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (out / "results.csv").exists()
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         # a valid scaling spec, so the kind mismatch alone fails it

@@ -47,10 +47,24 @@ class TestEetPlan:
 
     def test_budgets_positive(self):
         plan = make_eet_plan(4096, 0.3)
-        b = plan.budgets
-        assert min(b.m_hell, b.m1_mix_total, b.m2_coin, b.m3_mass,
-                   b.s_bias, b.m5_guard, b.m5_l2, b.m4_z) >= 1
+        assert [s.name for s in plan.stages] == [
+            "hellinger", "heavy-set", "lowmass-mass-floor", "lowmass-mass-gap", "bias-T", "mass-S", "l2", "z",
+        ]
+        assert min(s.budget for s in plan.stages) >= 1
+        assert [s.streams for s in plan.stages] == [2, 1, 2, 2, 2, 2, 2, 2]
         assert plan.eps_internal == pytest.approx(0.3 / 8)
+
+    @pytest.mark.parametrize(
+        "n, totals",
+        [(2**10, (67356551, 14791212)), (2**12, (81332964, 20072901)), (2**14, (116321259, 35266862))],
+    )
+    def test_total_nominal_pinned(self, n, totals):
+        assert (make_eet_plan(n, 0.2).total_nominal, make_eet_plan(n, 0.4).total_nominal) == totals
+
+    def test_total_nominal_counts_amplification(self):
+        plan = make_eet_plan(64, 0.3, delta=0.01)
+        assert plan.total_nominal == make_eet_plan(64, 0.3).total_nominal * amplification_reps(0.01)
+        assert combined_budgets(64, 0.3) == (21271985, 154030)
 
     def test_budget_monotonicity(self):
         # non-decreasing in n, non-increasing in eps
@@ -64,7 +78,7 @@ class TestEetPlan:
     def test_deterministic(self):
         a = make_eet_plan(1000, 0.25)
         b = make_eet_plan(1000, 0.25)
-        assert a.budgets == b.budgets and a.total_nominal == b.total_nominal
+        assert a.stages == b.stages and a.total_nominal == b.total_nominal
 
 
 class TestRunEet:
@@ -214,19 +228,33 @@ class TestCombined:
 
 
 class TestLightTailNull:
-    def test_cascade_runs_the_conditional_stage(self):
-        # 99% of the mass on 100 atoms, 1% over the other 3,996: the light
-        # part is below the heavy threshold but above the low-mass floor,
-        # so the cascade runs the conditional TV stage on mass-floored
-        # exact samplers
-        n = 4096
-        v = np.full(n, 0.01 / (n - 100))
+    # 99% of the mass on 100 atoms, 1% over the other 3,996: the light part
+    # is below the heavy threshold but above the low-mass floor, so the
+    # cascade runs the conditional TV stage on mass-floored exact samplers,
+    # and its trace reaches every sampling stage
+    N = 4096
+
+    def _run(self):
+        v = np.full(self.N, 0.01 / (self.N - 100))
         v[:100] = 0.99 / 100
         d = DiscreteDistribution(v)
-        verdict = run_eet(*samplers(d, d, 1), make_eet_plan(n, 0.5), rng=3)
+        plan = make_eet_plan(self.N, 0.5)
+        return plan, run_eet(*samplers(d, d, 1), plan, rng=3)
+
+    def test_cascade_runs_the_conditional_stage(self):
+        _, verdict = self._run()
         stages = [record.name for record in verdict.trace]
         assert "lowmass-cond-tv" in stages
         assert stages[-1] == "z"
+
+    def test_plan_matches_the_run(self):
+        plan, verdict = self._run()
+        drawn = {record.name: record.samples for record in verdict.trace}
+        assert {stage.name for stage in plan.stages} <= set(drawn)
+        # the stages that draw fixed counts record exactly their planned draws
+        for stage in plan.stages:
+            if stage.name in ("heavy-set", "lowmass-mass-floor", "lowmass-mass-gap", "mass-S"):
+                assert drawn[stage.name] == stage.streams * stage.budget
 
 
 # ---------------------------------------------------------------------------
