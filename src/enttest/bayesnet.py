@@ -77,7 +77,7 @@ class BayesNet:
                 raise BayesNetError(
                     f"node {i}: CPT must have 2^{len(ps)} entries, got {arr.shape}"
                 )
-            if np.any(arr < 0) or np.any(arr > 1) or not np.all(np.isfinite(arr)):
+            if not ((arr >= 0) & (arr <= 1)).all():  # NaN fails both
                 raise BayesNetError(f"node {i}: CPT entries must lie in [0, 1]")
             arr = arr.copy()
             arr.setflags(write=False)
@@ -145,12 +145,14 @@ def bn_exact_joint(net: BayesNet) -> np.ndarray:
     atoms = np.arange(2**net.n, dtype=np.int64)
     probs = np.ones(2**net.n)
     for i in range(net.n):
-        pmask = np.zeros(atoms.size, dtype=np.int64)
+        cpt = net.cpts[i]  # factor[mask << 1 | x] = P(X_i = x | parents spell mask)
+        factor = np.empty(2 * cpt.size)
+        factor[0::2] = 1.0 - cpt
+        factor[1::2] = cpt
+        cell = (atoms >> i) & 1
         for j, p in enumerate(net.parents[i]):
-            pmask |= ((atoms >> p) & 1) << j
-        p1 = net.cpts[i][pmask]
-        xi = (atoms >> i) & 1
-        probs *= np.where(xi == 1, p1, 1.0 - p1)
+            cell |= ((atoms >> p) & 1) << (j + 1)
+        probs *= factor[cell]
     return probs
 
 
@@ -162,10 +164,7 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     """
     if joint.size != 2**n:
         raise ValueError(f"joint has {joint.size} entries, not 2^{n}")
-    subset = tuple(sorted(subset))
-    if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
-        raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
-    return np.bincount(_atom_cells(n, subset), joint, minlength=2 ** len(subset))
+    return np.bincount(_atom_cells(n, tuple(sorted(subset))), joint, minlength=2 ** len(subset))
 
 
 def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
@@ -180,10 +179,27 @@ def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndar
     return cells
 
 
-def _atom_cells(n: int, subset) -> np.ndarray:
-    """Cell of each of the 2^n atoms on one sorted ``subset``."""
+def _atom_cells(n: int, subset: tuple) -> np.ndarray:
+    """Cell of each of the 2^n atoms on one sorted ``subset`` (read-only);
+    ``ValueError`` when a variable is out of ``[0, n)`` or repeated.  Up to
+    n = 12 the cells are memoized (at most 512 tables, 16 MB): the exact
+    checks of every Bayes-net suite look up the same few hundred tables
+    thousands of times."""
+    if n <= 12:
+        return _memo_atom_cells(n, subset)
+    return _build_atom_cells(n, subset)
+
+
+def _build_atom_cells(n: int, subset: tuple) -> np.ndarray:
+    if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
+        raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
     atoms = np.arange(2**n, dtype=np.int64)
-    return _subset_cells(atoms, np.array([subset], dtype=np.int64), len(subset))[0]
+    cells = _subset_cells(atoms, np.array([subset], dtype=np.int64), len(subset))[0]
+    cells.setflags(write=False)
+    return cells
+
+
+_memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 
 
 # atoms times subsets per bincount in _subset_tables: 512 KB of int64
@@ -197,16 +213,23 @@ def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
 
     One weighted bincount per chunk of subsets over (subset, cell) offsets,
     as ``joint_marginal`` does for one subset; a bincount adds in index
-    order, so every table is bit-identical to ``joint_marginal``'s.
+    order, so every table is bit-identical to ``joint_marginal``'s.  The
+    atom index is high half times low half, so a subset's cells are the
+    outer sum of its cells on the high ``n - n//2`` variables and on the
+    low ones.
     """
     subsets = np.array(list(combinations(range(n), width)), dtype=np.int64)
-    atoms = np.arange(2**n, dtype=np.int64)
+    low = n // 2
+    hi_cells = _subset_cells(np.arange(2 ** (n - low), dtype=np.int64) << low, subsets, width)
+    lo_cells = _subset_cells(np.arange(2**low, dtype=np.int64), subsets, width) & ((1 << width) - 1)
     step = max(1, _TABLE_CHUNK >> n)
+    weights = np.tile(joint, min(step, len(subsets)))
     tables = []
     for start in range(0, len(subsets), step):
-        cells = _subset_cells(atoms, subsets[start : start + step], width)
-        weights = np.broadcast_to(joint, cells.shape).ravel()
-        tables.append(np.bincount(cells.ravel(), weights, minlength=cells.shape[0] << width))
+        # chunk-local offsets: row s of the chunk starts at cell s * 2^width
+        hi, lo = hi_cells[start : start + step], lo_cells[start : start + step] - (start << width)
+        cells = hi[:, :, None] + lo[:, None, :]
+        tables.append(np.bincount(cells.ravel(), weights[: cells.size], minlength=cells.shape[0] << width))
     return np.concatenate(tables).reshape(len(subsets), 2**width)
 
 
@@ -395,8 +418,8 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
     ncells = 2**width
     subsets = list(combinations(range(n), width))
     if n <= EXACT_GUARD and len(subsets) * 2 ** (n + width) <= _PROJECTION_CELL_CAP:
-        per_atom = _block_atom_counts(mix.exact_joint(), m, k_blocks, rng)
-        return _marginal_counts(per_atom, n, width), int(per_atom.sum())
+        counts = _marginal_counts(_block_atom_counts(mix.exact_joint(), m, k_blocks, rng), n, width)
+        return counts, int(counts[0].sum())  # each subset's cells hold every sample
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
     offsets = rng.integers(0, k_blocks, size=realized) * ncells
@@ -424,21 +447,36 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
     """Miller-Madow entropy of each count row of ``x`` (last axis = cells);
     rows with no counts get ``empty`` (broadcast against the row shape).
 
-    Rows with the same number of seen cells are summed over those cells
-    alone, so every plug-in sum adds the same terms in the same order as a
-    loop over single rows would.
+    Rows with every cell seen (almost all of them) are summed whole; the
+    partly seen ones, grouped by their number of seen cells, are summed
+    over those cells alone.  Either way every plug-in sum adds the same
+    terms in the same order as a loop over single rows would.
     """
     totals = x.sum(axis=-1)
     seen = x > 0
     observed = seen.sum(axis=-1)
-    plugin = np.zeros(totals.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        freq = x / totals[..., None]
-        terms = freq * np.log(np.where(seen, freq, 1.0))
-        for c in np.unique(observed[observed > 0]):
+        terms = x / totals[..., None]
+        terms *= np.log(terms, out=np.zeros(terms.shape), where=seen)
+        plugin = -terms.sum(axis=-1)
+        for c in np.unique(observed[(observed > 0) & (observed < x.shape[-1])]):
             rows = observed == c
             plugin[rows] = -terms[rows][seen[rows]].reshape(-1, c).sum(axis=-1)
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
+
+
+def _table_entropies(tables: np.ndarray) -> np.ndarray:
+    """``core.entropy`` of each row of ``tables``: one row sum when every
+    entry is positive, which adds the same terms in the same order."""
+    if (tables > 0).all():
+        return -(tables * np.log(tables)).sum(axis=-1)
+    return np.array([entropy(table) for table in tables])
+
+
+def _sweep_blocks(n: int, d: int) -> int:
+    """Majority-vote blocks of a sweep over the (d+1)-subsets of n
+    variables: per-subset failure probability 1/(20 C(n, d+1))."""
+    return amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
 
 
 def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
@@ -452,8 +490,7 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     if any(k != n for k in dims):
         raise ParameterOutOfRange(f"{what} dimension does not match n")
     subsets = list(combinations(range(n), d + 1))
-    # per-subset failure probability 1/(20 C(n, d+1)), by majority over blocks
-    k_blocks = amplification_reps(1.0 / (20.0 * len(subsets)))
+    k_blocks = _sweep_blocks(n, d)
     m = budget(n, d, eps)
     m_block = m / k_blocks
     eps1 = max(eps**2 / n, _local_noise_floor(m_block))
@@ -558,9 +595,13 @@ def bn_identity_test(
         Stage("bn-id-eps1", eps1, eps**2 / n),
     ]
     q_tables = _subset_tables(q_joint, n, d + 1)
-    h_q = np.array([entropy(table) for table in q_tables])[:, None]
+    h_q = _table_entropies(q_tables)[:, None]
     lam = m_block * q_tables[:, None, :]
-    chi_blocks = (((x - lam) ** 2 - x) / lam).sum(axis=-1)
+    chi = x - lam
+    chi *= chi
+    chi -= x
+    chi /= lam
+    chi_blocks = chi.sum(axis=-1)
     # an empty block gets h_q and so never votes to reject
     gap_blocks = np.abs(_miller_madow(x, h_q) - h_q)
     tests = [
@@ -671,7 +712,7 @@ def random_bayesnet(n: int, d: int, rng, cpt_low: float = 0.1, cpt_high: float =
     position[order] = np.arange(n)
     parents = []
     for i in range(n):
-        earlier = [j for j in range(n) if position[j] < position[i]]
+        earlier = np.sort(order[: position[i]])  # the variables before i
         k = int(rng.integers(0, min(d, len(earlier)) + 1))
         ps = sorted(rng.choice(earlier, size=k, replace=False).tolist()) if k else []
         parents.append(tuple(ps))
@@ -698,9 +739,10 @@ def make_far_net_pair(n: int, d: int, min_tv: float, rng, max_tries: int = 200):
     rng = np.random.default_rng(rng)
     for _ in range(max_tries):
         base = random_bayesnet(n, d, rng)
+        base_joint = bn_exact_joint(base)
         far = perturb_one_cpt(base, rng)
         for _ in range(8):  # pile on flips until the promise certifies
-            tv = exact_joint_tv(base, far)
+            tv = 0.5 * float(np.abs(base_joint - bn_exact_joint(far)).sum())
             if tv >= min_tv:
                 return base, far, tv
             far = perturb_one_cpt(far, rng)

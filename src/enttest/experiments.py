@@ -5,11 +5,12 @@ All suites write a ``results.csv`` whose content is a pure function of
 (spec, master seed, threshold config): per-trial seeds derive from
 (master seed, cell index, trial index), never from worker or thread
 identity, so 1-worker and N-worker runs agree byte for byte.  A worker is
-one process, which runs its exact-law trials on its share of the cores
-(see :func:`_execute`).  Wall-clock measurements go to a separate
-``timings.csv``, outside the determinism contract.  No seed passes through
-Python's ``hash``, so the CSV does not depend on ``PYTHONHASHSEED``
-either.  Plots are SVG files regenerated from the CSV contents.
+one process, which runs its exact-law and small Bayes-net trials on its
+share of the cores (see :func:`_execute`).  Wall-clock measurements go to
+a separate ``timings.csv``, outside the determinism contract.  No seed
+passes through Python's ``hash``, so the CSV does not depend on
+``PYTHONHASHSEED`` either.  Plots are SVG files regenerated from the CSV
+contents.
 
 Each cell's instance pair is built at most once per process and shared
 read-only by that cell's trials (see :func:`make_instance_pair`); building
@@ -99,8 +100,11 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} needs non-empty n and eps grids")
         if self.kind == "scaling" and (len(set(self.n_values)) < 2 or len(self.eps_values) > 1):
             raise ConfigError("scaling fits its slope at one eps over two or more distinct n values")
-        if self.kind == "bayesnet" and (not self.n_values or not self.eps_values or not self.d_values):
-            raise ConfigError("bayesnet needs n, eps and d grids")
+        if self.kind == "bayesnet":
+            if not len(self.n_values) == len(self.eps_values) == len(self.d_values) == 1:
+                raise ConfigError("bayesnet runs one (n, eps, d) cell: give one value of each")
+            if self.n_values[0] > bn.EXACT_GUARD:
+                raise ConfigError(f"bayesnet needs n <= {bn.EXACT_GUARD}: far pairs are certified on exact joints")
         if any(n < 1 for n in self.n_values):
             raise ConfigError("domain sizes must be >= 1")
         if any(d < 1 or d >= min(self.n_values, default=math.inf) for d in self.d_values):
@@ -314,10 +318,24 @@ def _run_trial(payload) -> dict:
     }
 
 
-# Trial ops run on threads: numpy's draws and ufuncs release the GIL.  Two
-# Bayes-net trials in flight raise the n = 12 peak memory by a third, and
-# MI-reduction trials hold whole-sample pools, so both stay serial.
-_THREADED_OPS = {"grid"}
+# Trials run on threads, as numpy's draws and ufuncs release the GIL: every
+# exact-law ("grid") trial, and a Bayes-net trial whose per-atom block
+# counts, 2^n x k_blocks floats per stream, number at most _BN_THREAD_CELLS
+# (n <= 8 at every d, n = 9 at d = 1).  Serial -> threaded suite wall and
+# peak RSS at d = 2 on 2 cores: n = 8, 20 trials a cell, 0.60 -> 0.37 s,
+# 42 -> 46 MB.  From n = 9 on, the `_marginal_counts` GEMMs run on OpenBLAS's
+# own threads, which fight the trial threads: n = 10, 5 trials a cell,
+# 0.43 -> 0.44 s (0.28 s threaded with one BLAS thread, which a library
+# cannot set for its process alone); n = 12, 0.61 -> 0.63 s while peak RSS
+# rises 56 -> 76 MB.  MI-reduction trials hold whole-sample pools and stay
+# serial.
+_BN_THREAD_CELLS = 2**16
+
+
+def _threaded(task) -> bool:
+    if task["op"] == "bn":
+        return 2 ** task["n"] * bn._sweep_blocks(task["n"], task["d"]) <= _BN_THREAD_CELLS
+    return task["op"] == "grid"
 
 
 def _run_trials(tasks, threads: int):
@@ -332,7 +350,7 @@ def _execute(tasks, workers: int):
     workers and threads.  Trials run serially while ``_run_trial`` is
     wrapped (``functools.wraps`` sets ``__wrapped__``), as a tracer's span
     wraps it: a wrapper may not be thread-safe."""
-    threaded = all(t["op"] in _THREADED_OPS for t in tasks) and not hasattr(_run_trial, "__wrapped__")
+    threaded = all(map(_threaded, tasks)) and not hasattr(_run_trial, "__wrapped__")
     threads = max(1, _cpus() // workers) if threaded else 1  # a worker's share of the cores
     if workers <= 1:
         results = _run_trials(tasks, threads)
@@ -498,11 +516,12 @@ def bn_exact_checks(seed: int, eps: float, d: int):
         n_small = int(rng.integers(4, 9))
         net = bn.random_bayesnet(n_small, min(d, 2), rng)
         g = bn.random_bayesnet(n_small, min(d, 2), rng)
+        joint = bn.bn_exact_joint(net)
+        kl_unmixed = bn.bn_kl_to_projection(joint, g)
         for eps_c in (0.2, 0.4):
             w = bn.bn_mixture_weight(n_small, min(d, 2), eps_c)
-            joint = bn.bn_exact_joint(net)
             mixed = (1.0 - w) * joint + w / 2**n_small
-            drift = abs(bn.bn_kl_to_projection(mixed, g) - bn.bn_kl_to_projection(joint, g))
+            drift = abs(bn.bn_kl_to_projection(mixed, g) - kl_unmixed)
             worst_drift = max(worst_drift, drift / eps_c**2)
     checks.append(("exact:mixture-kl-drift", worst_drift <= 8.0, worst_drift))
     return checks

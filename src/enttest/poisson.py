@@ -71,18 +71,27 @@ def poissonized_counts(sp, sq, m: int) -> CountPair:
 
 
 def batch_t(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """T over the last axis of ``(..., n)`` count arrays, 0-terms skipped."""
-    j = x + y
-    d = x - y
-    return np.divide(d * d - j, j, out=np.zeros(j.shape), where=j > 0).sum(axis=-1)
+    """T over the last axis of ``(..., n)`` count arrays, 0-terms skipped.
+
+    Works in place on float64 ``x - y``: counts are non-negative, so a cell
+    with ``x + y = 0`` has ``x = y = 0`` and its term stays 0.
+    """
+    j = np.add(x, y, dtype=np.float64)
+    d = np.subtract(x, y, dtype=np.float64)
+    d *= d
+    d -= j
+    np.divide(d, j, out=d, where=j > 0)
+    return d.sum(axis=-1)
 
 
 def batch_z(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
     """Z over the last axis of ``(..., n)`` count arrays at nominal size m,
-    0-terms skipped."""
-    j = x + y
-    log_j = np.log(j, out=np.zeros(j.shape), where=j > 0)
-    return -((x - y) * log_j).sum(axis=-1) / m
+    0-terms skipped (their log is left at 0, in place)."""
+    j = np.add(x, y, dtype=np.float64)
+    np.log(j, out=j, where=j > 0)
+    d = np.subtract(x, y, dtype=np.float64)
+    d *= j
+    return -d.sum(axis=-1) / m
 
 
 # The 1-D statistics below sum over the nonzero cells only: on sparse counts

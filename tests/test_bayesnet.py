@@ -127,6 +127,17 @@ class TestExactJointAndMarginals:
             ref = np.array([joint_marginal(joint, sub, n) for sub in combinations(range(n), width)])
             assert bayesnet._subset_tables(joint, n, width).tobytes() == ref.tobytes()
 
+    def test_table_entropies_bit_identical_to_entropy(self):
+        # the identity test's exact local entropies, one row sum per table
+        net = random_bayesnet(12, 2, np.random.default_rng(4))
+        w = bn_mixture_weight(12, 2, 0.3)
+        tables = bayesnet._subset_tables((1 - w) * bn_exact_joint(net) + w / 2**12, 12, 3)
+        with_zero = tables.copy()
+        with_zero[5, 2] = 0.0  # a table with a zero takes the per-table loop
+        for tabs in (tables, with_zero):
+            ref = np.array([entropy(table) for table in tabs])
+            assert bayesnet._table_entropies(tabs).tobytes() == ref.tobytes()
+
     def test_joint_matches_sampling(self):
         rng = np.random.default_rng(3)
         net = random_bayesnet(5, 2, rng)
@@ -431,20 +442,26 @@ class TestBlockedSubsetCounts:
     def test_miller_madow_matches_per_row_loop(self, ncells):
         rng = np.random.default_rng(ncells)
         # sparse rows, so most have unseen cells and some are empty
-        x = rng.poisson(rng.uniform(0, 2, size=ncells), size=(3, 200, ncells)).astype(np.float64)
-        x[0, :5] = 0.0
+        sparse = rng.poisson(rng.uniform(0, 2, size=ncells), size=(3, 200, ncells)).astype(np.float64)
+        sparse[0, :5] = 0.0
+        # dense rows, almost all fully seen (summed whole), beside partial and empty ones
+        dense = rng.poisson(rng.uniform(20, 60, size=ncells), size=(3, 200, ncells)).astype(np.float64)
+        dense[0, :5] = 0.0
+        dense[1, :7, : ncells // 2] = 0.0
+        dense[2, 9, 1] = 0.0
         empty = np.arange(3.0)[:, None]
-        got = bayesnet._miller_madow(x, empty)
-        for s in range(3):
-            for b in range(200):
-                tot = x[s, b].sum()
-                if tot == 0:
-                    assert got[s, b] == empty[s, 0]
-                    continue
-                freq = x[s, b] / tot
-                nz = freq > 0
-                plugin = float(-(freq[nz] * np.log(freq[nz])).sum())
-                assert got[s, b] == plugin + (int(nz.sum()) - 1) / (2.0 * tot)
+        for x in (sparse, dense):
+            got = bayesnet._miller_madow(x, empty)
+            for s in range(3):
+                for b in range(200):
+                    tot = x[s, b].sum()
+                    if tot == 0:
+                        assert got[s, b] == empty[s, 0]
+                        continue
+                    freq = x[s, b] / tot
+                    nz = freq > 0
+                    plugin = float(-(freq[nz] * np.log(freq[nz])).sum())
+                    assert got[s, b] == plugin + (int(nz.sum()) - 1) / (2.0 * tot)
 
     @pytest.mark.parametrize("n,width", [
         (n, width) for n in (3, 4, 7, 8, 9, 12) for width in (1, 2, 3, 4) if width <= n

@@ -27,6 +27,7 @@ from enttest.experiments import (
     run_experiment,
 )
 from enttest.testers import DEFAULT_CONFIG, load_config
+from enttest.testers import TestVerdict as Verdict  # not a test class
 
 
 class TestExperimentSpec:
@@ -230,6 +231,9 @@ class TestReproducibility:
 
 class TestTrialThreads:
     def _spec(self, kind, out):
+        if kind == "bayesnet":
+            return ExperimentSpec(kind="bayesnet", n_values=[6], eps_values=[0.3], d_values=[2], trials=3,
+                                  seed=7, out_dir=str(out))
         if kind == "scaling":
             return ExperimentSpec(kind="scaling", n_values=[64, 2**13], eps_values=[0.3], trials=6,
                                   seed=7, out_dir=str(out))
@@ -247,7 +251,7 @@ class TestTrialThreads:
         monkeypatch.setitem(experiments._TRIAL_OPS, op, recorded)
         return threads
 
-    @pytest.mark.parametrize("kind", ["error_grid", "scaling"])
+    @pytest.mark.parametrize("kind", ["error_grid", "scaling", "bayesnet"])
     def test_threaded_run_equals_serial_run(self, kind, tmp_path, monkeypatch):
         # more threads than cores, switching often, share the pair cache
         outs = {}
@@ -282,12 +286,25 @@ class TestTrialThreads:
         run_experiment(self._spec("error_grid", tmp_path / "g"), workers=1)
         assert len(threads) == 60 and len(set(threads)) > 1
 
-    def test_bayesnet_trials_stay_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+    @pytest.mark.skipif(experiments._cpus() < 2, reason="needs two cores")
+    def test_small_bayesnet_trials_share_the_cores(self, tmp_path, monkeypatch):
         threads = self._recording(monkeypatch, "bn")
-        spec = ExperimentSpec(kind="bayesnet", n_values=[6], eps_values=[0.3], d_values=[2], trials=2,
-                              seed=7, out_dir=str(tmp_path / "bn"))
-        run_experiment(spec, workers=1)
+        run_experiment(self._spec("bayesnet", tmp_path / "bn"), workers=1)
+        assert len(threads) == 12 and len(set(threads)) > 1
+
+    def test_n12_bayesnet_trials_stay_serial(self, monkeypatch):
+        # two n = 12 trials in flight raise peak memory by a third, and their
+        # GEMMs fight OpenBLAS's own threads; a stub keeps the check cheap
+        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+        threads = []
+
+        def stub(payload):
+            threads.append(threading.get_ident())
+            return Verdict("accept", None, [])
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, "bn", stub)
+        tasks = [{"op": "bn", "n": 12, "d": 2, "cell": 0, "trial": t} for t in range(8)]
+        assert len(experiments._execute(tasks, workers=1)) == 8
         assert threads == [threading.get_ident()] * 8
 
     def test_trial_error_propagates(self, tmp_path, monkeypatch):
@@ -395,9 +412,14 @@ class TestCli:
             {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [2.5]},
             {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [0]},
             {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": [8]},
+            # the suite once ran only the first value of each grid, silently
+            {"kind": "bayesnet", "n_values": [6, 7], "eps_values": [0.3, 0.4], "d_values": [2, 1]},
+            {"kind": "bayesnet", "n_values": [6], "eps_values": [0.3], "d_values": [2, 1]},
+            # n 25 once drew 3M samples a trial before the far pair raised
+            {"kind": "bayesnet", "n_values": [25], "eps_values": [0.3], "d_values": [2]},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
-             "n-64.7", "d-2.5", "d-0", "d-n"],
+             "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"
