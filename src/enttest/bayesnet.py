@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import LOG_FLOOR, entropy
+from .core import LOG_FLOOR
 from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -220,14 +220,15 @@ def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
     """
     subsets = np.array(list(combinations(range(n), width)), dtype=np.int64)
     low = n // 2
-    hi_cells = _subset_cells(np.arange(2 ** (n - low), dtype=np.int64) << low, subsets, width)
-    lo_cells = _subset_cells(np.arange(2**low, dtype=np.int64), subsets, width) & ((1 << width) - 1)
+    hi_atoms = np.arange(2 ** (n - low), dtype=np.int64) << low
+    lo_atoms = np.arange(2**low, dtype=np.int64)
     step = max(1, _TABLE_CHUNK >> n)
-    weights = np.tile(joint, min(step, len(subsets)))
+    weights = np.broadcast_to(joint, (min(step, len(subsets)), joint.size)).ravel()
     tables = []
     for start in range(0, len(subsets), step):
-        # chunk-local offsets: row s of the chunk starts at cell s * 2^width
-        hi, lo = hi_cells[start : start + step], lo_cells[start : start + step] - (start << width)
+        chunk = subsets[start : start + step]
+        hi = _subset_cells(hi_atoms, chunk, width)  # carries the row offsets
+        lo = _subset_cells(lo_atoms, chunk, width) & ((1 << width) - 1)
         cells = hi[:, :, None] + lo[:, None, :]
         tables.append(np.bincount(cells.ravel(), weights[: cells.size], minlength=cells.shape[0] << width))
     return np.concatenate(tables).reshape(len(subsets), 2**width)
@@ -465,20 +466,6 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
 
 
-def _table_entropies(tables: np.ndarray) -> np.ndarray:
-    """``core.entropy`` of each row of ``tables``: one row sum when every
-    entry is positive, which adds the same terms in the same order."""
-    if (tables > 0).all():
-        return -(tables * np.log(tables)).sum(axis=-1)
-    return np.array([entropy(table) for table in tables])
-
-
-def _sweep_blocks(n: int, d: int) -> int:
-    """Majority-vote blocks of a sweep over the (d+1)-subsets of n
-    variables: per-subset failure probability 1/(20 C(n, d+1))."""
-    return amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
-
-
 def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     """Check a sweep's inputs (``dims`` must equal n), then size it:
     ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
@@ -490,7 +477,8 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     if any(k != n for k in dims):
         raise ParameterOutOfRange(f"{what} dimension does not match n")
     subsets = list(combinations(range(n), d + 1))
-    k_blocks = _sweep_blocks(n, d)
+    # per-subset failure probability 1/(20 C(n, d+1)), by majority over blocks
+    k_blocks = amplification_reps(1.0 / (20.0 * len(subsets)))
     m = budget(n, d, eps)
     m_block = m / k_blocks
     eps1 = max(eps**2 / n, _local_noise_floor(m_block))
@@ -595,7 +583,9 @@ def bn_identity_test(
         Stage("bn-id-eps1", eps1, eps**2 / n),
     ]
     q_tables = _subset_tables(q_joint, n, d + 1)
-    h_q = _table_entropies(q_tables)[:, None]
+    # core.entropy of each table as one row sum: the uniform mixture makes
+    # every entry positive, so the same terms add in the same order
+    h_q = -(q_tables * np.log(q_tables)).sum(axis=-1)[:, None]
     lam = m_block * q_tables[:, None, :]
     chi = x - lam
     chi *= chi
@@ -712,7 +702,7 @@ def random_bayesnet(n: int, d: int, rng, cpt_low: float = 0.1, cpt_high: float =
     position[order] = np.arange(n)
     parents = []
     for i in range(n):
-        earlier = np.sort(order[: position[i]])  # the variables before i
+        earlier = [j for j in range(n) if position[j] < position[i]]
         k = int(rng.integers(0, min(d, len(earlier)) + 1))
         ps = sorted(rng.choice(earlier, size=k, replace=False).tolist()) if k else []
         parents.append(tuple(ps))
@@ -728,10 +718,6 @@ def perturb_one_cpt(net: BayesNet, rng) -> BayesNet:
     row = int(rng.integers(0, cpts[node].size))
     cpts[node][row] = 0.98 if cpts[node][row] < 0.5 else 0.02
     return BayesNet(net.n, net.parents, cpts)
-
-
-def exact_joint_tv(a: BayesNet, b: BayesNet) -> float:
-    return 0.5 * float(np.abs(bn_exact_joint(a) - bn_exact_joint(b)).sum())
 
 
 def make_far_net_pair(n: int, d: int, min_tv: float, rng, max_tries: int = 200):

@@ -319,22 +319,24 @@ def _run_trial(payload) -> dict:
 
 
 # Trials run on threads, as numpy's draws and ufuncs release the GIL: every
-# exact-law ("grid") trial, and a Bayes-net trial whose per-atom block
-# counts, 2^n x k_blocks floats per stream, number at most _BN_THREAD_CELLS
-# (n <= 8 at every d, n = 9 at d = 1).  Serial -> threaded suite wall and
-# peak RSS at d = 2 on 2 cores: n = 8, 20 trials a cell, 0.60 -> 0.37 s,
-# 42 -> 46 MB.  From n = 9 on, the `_marginal_counts` GEMMs run on OpenBLAS's
-# own threads, which fight the trial threads: n = 10, 5 trials a cell,
-# 0.43 -> 0.44 s (0.28 s threaded with one BLAS thread, which a library
-# cannot set for its process alone); n = 12, 0.61 -> 0.63 s while peak RSS
-# rises 56 -> 76 MB.  MI-reduction trials hold whole-sample pools and stay
+# exact-law ("grid") trial, and a Bayes-net trial over at most 2^8 atoms.
+# Serial -> threaded suite wall (median of 3 to 6 runs) and peak RSS on
+# 2 cores: n = 8, 20 trials a cell: d = 1 0.32 -> 0.32 s, d = 2
+# 0.66 -> 0.48 s (42 -> 46 MB), d = 4 1.46 -> 1.44 s (47 -> 58 MB); n = 9,
+# 10 trials: d = 1 0.28 -> 0.24 s, d = 2 0.63 -> 0.64 s, d = 4
+# 1.73 -> 1.54 s but 58 -> 79 MB.  Larger trials stay serial: their
+# `_marginal_counts` GEMMs run on OpenBLAS's own threads, which fight the
+# trial threads (n = 10, d = 2, 5 trials: 0.43 -> 0.44 s; 0.28 s threaded
+# with one BLAS thread, which a library cannot set for its process alone),
+# and at n = 12 two trials in flight raise peak RSS 56 -> 76 MB for
+# 0.61 -> 0.63 s.  MI-reduction trials hold whole-sample pools and stay
 # serial.
-_BN_THREAD_CELLS = 2**16
+_BN_THREAD_ATOMS = 2**8
 
 
 def _threaded(task) -> bool:
     if task["op"] == "bn":
-        return 2 ** task["n"] * bn._sweep_blocks(task["n"], task["d"]) <= _BN_THREAD_CELLS
+        return 2 ** task["n"] <= _BN_THREAD_ATOMS
     return task["op"] == "grid"
 
 

@@ -292,9 +292,11 @@ class TestTrialThreads:
         run_experiment(self._spec("bayesnet", tmp_path / "bn"), workers=1)
         assert len(threads) == 12 and len(set(threads)) > 1
 
-    def test_n12_bayesnet_trials_stay_serial(self, monkeypatch):
-        # two n = 12 trials in flight raise peak memory by a third, and their
-        # GEMMs fight OpenBLAS's own threads; a stub keeps the check cheap
+    @pytest.mark.parametrize("n", [9, 12])
+    def test_large_bayesnet_trials_stay_serial(self, n, monkeypatch):
+        # past 2^8 atoms threads gained nothing or cost memory (two n = 12
+        # trials in flight raise peak memory by a third); a stub keeps the
+        # check cheap
         monkeypatch.setattr(experiments, "_cpus", lambda: 4)
         threads = []
 
@@ -303,7 +305,7 @@ class TestTrialThreads:
             return Verdict("accept", None, [])
 
         monkeypatch.setitem(experiments._TRIAL_OPS, "bn", stub)
-        tasks = [{"op": "bn", "n": 12, "d": 2, "cell": 0, "trial": t} for t in range(8)]
+        tasks = [{"op": "bn", "n": n, "d": 2, "cell": 0, "trial": t} for t in range(8)]
         assert len(experiments._execute(tasks, workers=1)) == 8
         assert threads == [threading.get_ident()] * 8
 
