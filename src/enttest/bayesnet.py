@@ -202,8 +202,11 @@ def _build_atom_cells(n: int, subset: tuple) -> np.ndarray:
 _memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 
 
-# atoms times subsets per bincount in _subset_tables: 512 KB of int64
-# cells, which stays in cache; past n = 16 a chunk is a single subset
+# One chunk of tabulation work: atoms times subsets per bincount in
+# _subset_tables (512 KB of int64 cells, which stays in cache; past n = 16
+# a chunk is a single subset), atoms times blocks per bincount in
+# _block_atom_counts, and high-half atoms squared times blocks per GEMM
+# chunk in _marginal_counts (16 blocks at n = 11 and 12)
 _TABLE_CHUNK = 2**16
 
 
@@ -348,46 +351,75 @@ def _marginal_plan(n: int, width: int):
 
 def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
     """Counts[subset, block, cell] of per-block atom counts ``per_atom`` of
-    shape ``(2^n, k)``, for every ``width``-subset in ``combinations`` order.
+    shape ``(2^n, k)`` (any integer or float dtype and strides, as
+    ``_block_atom_counts`` returns them), for every ``width``-subset in
+    ``combinations`` order.
 
-    The atom index is high half times low half, so C-ordered float64 counts
-    (as ``_block_atom_counts`` returns them; others are copied once) reshape
-    to ``(2^(n - n//2), 2^(n//2), k)`` without a copy; each split contracts
-    them with its two half maps, the one with fewer columns first.  The
-    counts are integers far below 2^53, so every order of summation gives
-    the same floats.
+    The atom index is high half times low half, so a C-ordered float64
+    copy of a chunk of blocks reshapes to ``(2^(n - n//2), 2^(n//2),
+    blocks)``, and each split contracts it with its two half maps, the one
+    with fewer columns first.  The counts are integers far below 2^53, so
+    every order of summation gives the same floats.
+
+    A chunk holds ``_TABLE_CHUNK / 4^(n - n//2)`` blocks (16 at n = 11
+    and 12), which keeps every GEMM on the calling thread; on 2 cores
+    twice that woke OpenBLAS's worker thread (n = 9 to 14, d = 2), which
+    fights trials running on threads of their own.  Only width <= 3 with
+    at least 16 blocks a chunk (n <= 12) is chunked: larger nets and wider
+    subsets run their trials serially, where one pass on OpenBLAS's
+    threads is faster (n = 13: 7 ms against 27 ms in 4-block chunks).
     """
     k = per_atom.shape[1]
-    x = np.ascontiguousarray(per_atom, dtype=np.float64).reshape(2 ** (n - n // 2), 2 ** (n // 2), k)
+    step = _TABLE_CHUNK >> 2 * (n - n // 2)
+    if width > 3 or step < 16:
+        step = k
     out = np.empty((math.comb(n, width), k, 2**width))
-    for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
-        if lo_map.shape[1] <= hi_map.shape[1]:
-            z = hi_map.T @ (lo_map.T @ x).reshape(x.shape[0], -1)
-        else:
-            z = lo_map.T @ (hi_map.T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[1], k)
-        # z[(s_hi, c_hi), (s_lo, c_lo), b] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
-        n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
-        z = z.reshape(n_hi, 2 ** (width - j), n_lo, 2**j, k).transpose(0, 2, 4, 1, 3)
-        out[sweep] = z.reshape(n_hi * n_lo, k, 2**width)
+    shape = (2 ** (n - n // 2), 2 ** (n // 2))
+    for b in range(0, k, step):
+        x = np.ascontiguousarray(per_atom[:, b : b + step], dtype=np.float64)
+        kc = x.shape[1]
+        x = x.reshape(*shape, kc)
+        for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
+            if lo_map.shape[1] <= hi_map.shape[1]:
+                z = hi_map.T @ (lo_map.T @ x).reshape(x.shape[0], -1)
+            else:
+                z = lo_map.T @ (hi_map.T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[1], kc)
+            # z[(s_hi, c_hi), (s_lo, c_lo), b] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
+            n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
+            z = z.reshape(n_hi, 2 ** (width - j), n_lo, 2**j, kc).transpose(0, 2, 4, 1, 3)
+            out[sweep, b : b + kc] = z.reshape(n_hi * n_lo, kc, 2**width)
     return out
 
 
 def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, rng) -> np.ndarray:
     """Independent ``Poi(m/k * joint[a])`` counts of atom a in each of
-    ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: a
-    C-ordered float64 array of shape ``(joint.size, k_blocks)``, the layout
-    ``_marginal_counts`` reads without a copy."""
+    ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: an
+    integer array of shape ``(joint.size, k_blocks)``, which
+    ``_marginal_counts`` reads in block chunks.
+
+    Sparse branch: the block labels of all samples come from one
+    ``rng.integers`` call and are narrowed to int32; the samples are atom-
+    major, so each chunk of ``_TABLE_CHUNK`` atom-block cells is one
+    bincount over a contiguous run of labels into an int32 array (a count
+    is at most the sample total, below ``k_blocks * 2^n``, which the dense
+    path keeps far below 2^31).
+    Per-cell branch: the transposed view of the ``(k_blocks, 2^n)`` draw.
+    """
     atoms = joint.size
-    if m < k_blocks * atoms:
-        totals = rng.poisson(m * joint)
-        # atom-major cell a * k + b: each atom's labels land side by side
-        cells = np.repeat(np.arange(0, atoms * k_blocks, k_blocks), totals)
-        cells += rng.integers(0, k_blocks, size=cells.size)
-        counts = np.bincount(cells, minlength=atoms * k_blocks)
-        del cells  # free the labels before the float copy
-        return counts.astype(np.float64).reshape(atoms, k_blocks)
-    per_block = rng.poisson(m / k_blocks * joint, size=(k_blocks, atoms))
-    return np.ascontiguousarray(per_block.T, dtype=np.float64)
+    if m >= k_blocks * atoms:
+        return rng.poisson(m / k_blocks * joint, size=(k_blocks, atoms)).T
+    totals = rng.poisson(m * joint)
+    labels = rng.integers(0, k_blocks, size=int(totals.sum())).astype(np.int32)
+    counts = np.empty((atoms, k_blocks), dtype=np.int32)
+    step = max(1, _TABLE_CHUNK // k_blocks)
+    first = 0  # the chunk's first label
+    for a in range(0, atoms, step):
+        chunk = totals[a : a + step]
+        cells = np.repeat(np.arange(0, chunk.size * k_blocks, k_blocks, dtype=np.int32), chunk)
+        cells += labels[first : first + cells.size]
+        first += cells.size
+        counts[a : a + chunk.size] = np.bincount(cells, minlength=chunk.size * k_blocks).reshape(-1, k_blocks)
+    return counts
 
 
 def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
@@ -460,7 +492,8 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
         terms = x / totals[..., None]
         terms *= np.log(terms, out=np.zeros(terms.shape), where=seen)
         plugin = -terms.sum(axis=-1)
-        for c in np.unique(observed[(observed > 0) & (observed < x.shape[-1])]):
+        # the partly seen counts, in increasing order
+        for c in np.flatnonzero(np.bincount(observed.ravel(), minlength=x.shape[-1] + 1)[1:-1]) + 1:
             rows = observed == c
             plugin[rows] = -terms[rows][seen[rows]].reshape(-1, c).sum(axis=-1)
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
@@ -488,14 +521,16 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
 def _sweep_verdict(prefix: str, tests, subsets, trace) -> TestVerdict:
     """Reject at the first subset in sweep order where one of ``tests``
     (``(kind, votes, per-block statistic, threshold)``, in priority order)
-    votes to reject, recording the statistic's median over the blocks;
-    otherwise accept after the whole sweep."""
+    votes to reject, recording the statistic's median over the blocks (an
+    odd count, so the middle one, as ``np.median`` gives it without its
+    ``numpy.ma`` import); otherwise accept after the whole sweep."""
     fired = np.flatnonzero(np.logical_or.reduce([votes for _, votes, _, _ in tests]))
     if fired.size:
         s = int(fired[0])
         kind, _, stat, tau = next(test for test in tests if test[1][s])
         stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
-        trace.append(Stage(stage, float(np.median(stat[s])), tau))
+        mid = stat.shape[1] // 2
+        trace.append(Stage(stage, float(np.partition(stat[s], mid)[mid]), tau))
         return TestVerdict("reject", stage, trace)
     trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
     return TestVerdict("accept", None, trace)

@@ -319,24 +319,26 @@ def _run_trial(payload) -> dict:
 
 
 # Trials run on threads, as numpy's draws and ufuncs release the GIL: every
-# exact-law ("grid") trial, and a Bayes-net trial over at most 2^8 atoms.
-# Serial -> threaded suite wall (median of 3 to 6 runs) and peak RSS on
-# 2 cores: n = 8, 20 trials a cell: d = 1 0.32 -> 0.32 s, d = 2
-# 0.66 -> 0.48 s (42 -> 46 MB), d = 4 1.46 -> 1.44 s (47 -> 58 MB); n = 9,
-# 10 trials: d = 1 0.28 -> 0.24 s, d = 2 0.63 -> 0.64 s, d = 4
-# 1.73 -> 1.54 s but 58 -> 79 MB.  Larger trials stay serial: their
-# `_marginal_counts` GEMMs run on OpenBLAS's own threads, which fight the
-# trial threads (n = 10, d = 2, 5 trials: 0.43 -> 0.44 s; 0.28 s threaded
-# with one BLAS thread, which a library cannot set for its process alone),
-# and at n = 12 two trials in flight raise peak RSS 56 -> 76 MB for
-# 0.61 -> 0.63 s.  MI-reduction trials hold whole-sample pools and stay
-# serial.
-_BN_THREAD_ATOMS = 2**8
+# exact-law ("grid") trial, and a Bayes-net trial over at most 2^12 atoms
+# at in-degree d <= 2 or over at most 2^8 atoms at any d.  There
+# `bayesnet._marginal_counts` contracts in block chunks whose GEMMs stay
+# off OpenBLAS's own threads.  Serial -> threaded suite wall (median of 3
+# fresh runs) and peak RSS on 2 cores, 10 trials a cell (5 at n = 12):
+# n = 9: d = 1 0.20 -> 0.19 s, d = 2 0.54 -> 0.36 s (43 -> 48 MB);
+# n = 10: d = 1 0.35 -> 0.27 s, d = 2 0.89 -> 0.55 s (44 -> 51 MB);
+# n = 12: d = 1 0.26 -> 0.22 s, d = 2 0.55 -> 0.36 s (51 -> 63 MB).  At
+# d >= 3 past n = 8, threads gained little for much memory: n = 9, d = 3
+# 0.88 -> 0.89 s (51 -> 60 MB), d = 4 1.55 -> 1.49 s (60 -> 79 MB); n = 10,
+# d = 3 1.73 -> 1.70 s (57 -> 77 MB), d = 4 3.04 -> 2.48 s (83 -> 138 MB);
+# n = 12, d = 4 streams its samples (200 MB a trial).  Larger nets stay
+# serial and marginalize on OpenBLAS's threads.  MI-reduction trials hold
+# whole-sample pools and stay serial.
+_BN_THREAD_ATOMS = 2**12
 
 
 def _threaded(task) -> bool:
     if task["op"] == "bn":
-        return 2 ** task["n"] <= _BN_THREAD_ATOMS
+        return 2 ** task["n"] <= (_BN_THREAD_ATOMS if task["d"] <= 2 else 2**8)
     return task["op"] == "grid"
 
 
@@ -347,12 +349,17 @@ def _run_trials(tasks, threads: int):
         return list(pool.map(_run_trial, tasks))
 
 
+def _wrapped() -> bool:
+    """True while ``_run_trial`` is wrapped (``functools.wraps`` sets
+    ``__wrapped__``), as a tracer's span wraps it: a wrapper may not be
+    thread-safe, so trials and the work beside them stay on one thread."""
+    return hasattr(_run_trial, "__wrapped__")
+
+
 def _execute(tasks, workers: int):
     """Run trial payloads; output order is deterministic regardless of
-    workers and threads.  Trials run serially while ``_run_trial`` is
-    wrapped (``functools.wraps`` sets ``__wrapped__``), as a tracer's span
-    wraps it: a wrapper may not be thread-safe."""
-    threaded = all(map(_threaded, tasks)) and not hasattr(_run_trial, "__wrapped__")
+    workers and threads.  Trials run serially while ``_wrapped()``."""
+    threaded = all(map(_threaded, tasks)) and not _wrapped()
     threads = max(1, _cpus() // workers) if threaded else 1  # a worker's share of the cores
     if workers <= 1:
         results = _run_trials(tasks, threads)
@@ -466,13 +473,18 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
          "family": fam, "n": n, "d": d, "eps": eps}
         for fam in ("bn-null", "bn-far", "bn-id-null", "bn-id-far")
     ]
-    rows, violations = [], []
-    for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "bn", cells)):
-        rows.append(_cell_row("bayesnet", cell, stats, spec.seed))
-        _gate(violations, f"bayesnet {cell['family']}", cell["family"].endswith("null"), stats, bar=0.8)
+    # deterministic structure checks ride along with the statistical cells;
+    # they draw from a seed of their own, so they run beside the trials
+    with ThreadPoolExecutor(max_workers=1) as side:
+        pending = None if _wrapped() else side.submit(bn_exact_checks, spec.seed, eps, d)
+        stats = _run_cells(spec, cfg, workers, "bn", cells)
+    checks = pending.result() if pending else bn_exact_checks(spec.seed, eps, d)
 
-    # deterministic structure checks ride along with the statistical cells
-    for name, ok, value in bn_exact_checks(spec.seed, eps, d):
+    rows, violations = [], []
+    for cell, cell_stats in zip(cells, stats):
+        rows.append(_cell_row("bayesnet", cell, cell_stats, spec.seed))
+        _gate(violations, f"bayesnet {cell['family']}", cell["family"].endswith("null"), cell_stats, bar=0.8)
+    for name, ok, value in checks:
         rows.append(Row("bayesnet", "oracle", n, eps, d, name, 1,
                         1.0 if ok else 0.0, 0.0 if ok else 1.0, value, spec.seed))
         if not ok:
@@ -483,14 +495,16 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
 def bn_exact_checks(seed: int, eps: float, d: int):
     """Exact (non-statistical) Bayes-net suite checks.
 
-    Mixture atom floor at n <= 12; local-KL telescoping at n = 8 to 1e-9;
-    mixture KL-to-projection drift at most 8 eps^2 on 20 random nets.
+    Mixture atom floor at n = 6 and 12; local-KL telescoping at n = 8 to
+    1e-9; mixture KL-to-projection drift at most 8 eps^2 on 20 random nets.
+    The first two take each net at n >= d + 2, so that it has (d+1)-subsets
+    and in-degree d is within reach.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB41E5]))
     checks = []
 
     worst_margin = math.inf
-    for n_small in (6, 12):
+    for n_small in (max(6, d + 2), max(12, d + 2)):
         net = bn.random_bayesnet(n_small, d, rng)
         w = bn.bn_mixture_weight(n_small, d, eps)
         joint = (1.0 - w) * bn.bn_exact_joint(net) + w / 2**n_small
@@ -502,13 +516,14 @@ def bn_exact_checks(seed: int, eps: float, d: int):
     checks.append(("exact:atom-floor", worst_margin >= 0, worst_margin))
 
     worst_gap = 0.0
+    n_small = max(8, d + 2)
     for _ in range(5):
-        a = bn.random_bayesnet(8, d, rng)
-        b = bn.random_bayesnet(8, d, rng)
-        w = bn.bn_mixture_weight(8, d, eps)
-        pj = (1.0 - w) * bn.bn_exact_joint(a) + w / 256
-        qj = (1.0 - w) * bn.bn_exact_joint(b) + w / 256
-        g = bn.random_bayesnet(8, d, rng)
+        a = bn.random_bayesnet(n_small, d, rng)
+        b = bn.random_bayesnet(n_small, d, rng)
+        w = bn.bn_mixture_weight(n_small, d, eps)
+        pj = (1.0 - w) * bn.bn_exact_joint(a) + w / 2**n_small
+        qj = (1.0 - w) * bn.bn_exact_joint(b) + w / 2**n_small
+        g = bn.random_bayesnet(n_small, d, rng)
         lhs, rhs = bn.local_kl_telescoping(pj, qj, g)
         worst_gap = max(worst_gap, abs(lhs - rhs))
     checks.append(("exact:telescoping", worst_gap <= 1e-9, worst_gap))

@@ -2,6 +2,7 @@
 subset-sweep closeness/identity testers."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -475,6 +476,22 @@ class TestBlockedSubsetCounts:
             ref = [np.bincount(cells, weights=col, minlength=2**width) for col in per_atom.T]
             assert np.array_equal(counts[s], ref)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("layout", ["int32", "transposed-int64"])
+    def test_chunked_counts_match_per_subset_bincount(self, n, layout):
+        # n = 11 and 12 contract 16 blocks at a time: 37 blocks leave a short
+        # last chunk; the per-cell branch hands over a transposed int64 view
+        width, k = 3, 37
+        assert bayesnet._TABLE_CHUNK >> 2 * (n - n // 2) == 16
+        draw = np.random.default_rng(8).poisson(2000 / k / 2**n, size=(k, 2**n))
+        per_atom = draw.T if layout == "transposed-int64" else np.ascontiguousarray(draw.T, dtype=np.int32)
+        counts = bayesnet._marginal_counts(per_atom, n, width)
+        atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+        for s, sub in enumerate(combinations(range(n), width)):
+            cells = self._cells(atom_bits, sub)
+            ref = [np.bincount(cells, weights=col, minlength=2**width) for col in draw]
+            assert counts[s].tobytes() == np.array(ref).tobytes()
+
     @staticmethod
     def _sparse_reference(joint, m, k, rng):
         # each atom's Poi(m p_a) samples, then one uniform block label each
@@ -494,6 +511,28 @@ class TestBlockedSubsetCounts:
             assert got.shape == (2**n, k)
             assert np.array_equal(got, sparse) == (m < k * 2**n)
             assert np.array_equal(got, per_cell) == (m >= k * 2**n)
+
+    def test_sparse_block_counts_tabulated_in_atom_chunks(self):
+        # k = 153 blocks at n = 10: three chunks of at most 428 atoms
+        n, k, m = 10, 153, 100_000
+        assert m < k * 2**n and 2**n > 2 * (bayesnet._TABLE_CHUNK // k)
+        joint = self._mixture(n, 67).exact_joint()
+        got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(14))
+        assert got.dtype == np.int32
+        assert np.array_equal(got, self._sparse_reference(joint, m, k, np.random.default_rng(14)))
+
+    def test_sparse_block_counts_memory_bound(self):
+        # the bayesnet benchmark's n = 12 size; the labels are drawn as int64
+        # (3.9 MB) and the counts kept as int32 (2.5 MB)
+        n, k, m = 12, 153, 483_929
+        joint = self._mixture(n, 68).exact_joint()
+        tracemalloc.start()
+        try:
+            bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
     def test_sparse_block_counts_follow_per_cell_poisson_law(self):
         # Poisson splitting: uniform labels on Poi(m p_a) samples give

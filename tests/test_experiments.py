@@ -234,6 +234,9 @@ class TestTrialThreads:
         if kind == "bayesnet":
             return ExperimentSpec(kind="bayesnet", n_values=[6], eps_values=[0.3], d_values=[2], trials=3,
                                   seed=7, out_dir=str(out))
+        if kind == "bayesnet-n12":
+            return ExperimentSpec(kind="bayesnet", n_values=[12], eps_values=[0.3], d_values=[2], trials=2,
+                                  seed=7, out_dir=str(out))
         if kind == "scaling":
             return ExperimentSpec(kind="scaling", n_values=[64, 2**13], eps_values=[0.3], trials=6,
                                   seed=7, out_dir=str(out))
@@ -251,7 +254,7 @@ class TestTrialThreads:
         monkeypatch.setitem(experiments._TRIAL_OPS, op, recorded)
         return threads
 
-    @pytest.mark.parametrize("kind", ["error_grid", "scaling", "bayesnet"])
+    @pytest.mark.parametrize("kind", ["error_grid", "scaling", "bayesnet", "bayesnet-n12"])
     def test_threaded_run_equals_serial_run(self, kind, tmp_path, monkeypatch):
         # more threads than cores, switching often, share the pair cache
         outs = {}
@@ -287,15 +290,17 @@ class TestTrialThreads:
         assert len(threads) == 60 and len(set(threads)) > 1
 
     @pytest.mark.skipif(experiments._cpus() < 2, reason="needs two cores")
-    def test_small_bayesnet_trials_share_the_cores(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind, trials", [("bayesnet", 12), ("bayesnet-n12", 8)])
+    def test_small_bayesnet_trials_share_the_cores(self, kind, trials, tmp_path, monkeypatch):
         threads = self._recording(monkeypatch, "bn")
-        run_experiment(self._spec("bayesnet", tmp_path / "bn"), workers=1)
-        assert len(threads) == 12 and len(set(threads)) > 1
+        run_experiment(self._spec(kind, tmp_path / "bn"), workers=1)
+        assert len(threads) == trials and len(set(threads)) > 1
 
-    @pytest.mark.parametrize("n", [9, 12])
-    def test_large_bayesnet_trials_stay_serial(self, n, monkeypatch):
-        # past 2^8 atoms threads gained nothing or cost memory (two n = 12
-        # trials in flight raise peak memory by a third); a stub keeps the
+    @pytest.mark.parametrize("n, d", [(13, 2), (16, 1), (9, 3), (12, 3), (10, 4)])
+    def test_large_bayesnet_trials_stay_serial(self, n, d, monkeypatch):
+        # past 2^12 atoms `_marginal_counts` contracts every block at once,
+        # on OpenBLAS's own threads; past 2^8 atoms at d >= 3 two trials in
+        # flight raise peak memory by a fifth to a half; a stub keeps the
         # check cheap
         monkeypatch.setattr(experiments, "_cpus", lambda: 4)
         threads = []
@@ -305,7 +310,7 @@ class TestTrialThreads:
             return Verdict("accept", None, [])
 
         monkeypatch.setitem(experiments._TRIAL_OPS, "bn", stub)
-        tasks = [{"op": "bn", "n": n, "d": 2, "cell": 0, "trial": t} for t in range(8)]
+        tasks = [{"op": "bn", "n": n, "d": d, "cell": 0, "trial": t} for t in range(8)]
         assert len(experiments._execute(tasks, workers=1)) == 8
         assert threads == [threading.get_ident()] * 8
 
@@ -432,6 +437,35 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out / "results.csv").exists()
+
+    def test_bayesnet_degree_six_runs(self, tmp_path, capsys):
+        # d = 6 once ended in a traceback from the exact checks' n = 6 net,
+        # which has no 7-subsets
+        out = tmp_path / "out"
+        path = tmp_path / "spec.json"
+        json.dump({"kind": "bayesnet", "n_values": [9], "eps_values": [0.3], "d_values": [6],
+                   "trials": 1, "seed": 3, "out_dir": str(out)}, open(path, "w"))
+        assert cli_main(["bayesnet", "--spec", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[5] for row in rows] == [
+            "bn-null", "bn-far", "bn-id-null", "bn-id-far",
+            "exact:atom-floor", "exact:telescoping", "exact:mixture-kl-drift",
+        ]
+
+    def test_bayesnet_suite_never_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs 12-15 ms a process; np.median and np.unique import it
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        code = (
+            "import sys\n"
+            "from enttest.experiments import ExperimentSpec, run_experiment\n"
+            "run_experiment(ExperimentSpec(kind='bayesnet', n_values=[8], eps_values=[0.3], d_values=[2],"
+            f" trials=1, seed=5, out_dir={str(tmp_path / 'ma')!r}), workers=1)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         # a valid scaling spec, so the kind mismatch alone fails it
