@@ -368,6 +368,10 @@ def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
     at least 16 blocks a chunk (n <= 12) is chunked: larger nets and wider
     subsets run their trials serially, where one pass on OpenBLAS's
     threads is faster (n = 13: 7 ms against 27 ms in 4-block chunks).
+    At n = 8 (127 blocks) the chunk is one pass: 64-block chunks took
+    0.25-0.32 ms a call against 0.57 ms on one thread, but the n = 8
+    suite, whose trials run on two threads, was no faster with them
+    (0.414 against 0.402 s, median of 24 fresh processes).
     """
     k = per_atom.shape[1]
     step = _TABLE_CHUNK >> 2 * (n - n // 2)
@@ -755,6 +759,21 @@ def perturb_one_cpt(net: BayesNet, rng) -> BayesNet:
     return BayesNet(net.n, net.parents, cpts)
 
 
+_MAX_FLIPS = 8  # CPT entries make_far_net_pair flips at most
+
+
+def far_pair_reach(n: int) -> float:
+    """The largest joint TV :func:`make_far_net_pair` can certify on n nodes.
+
+    Its two nets differ in at most ``_MAX_FLIPS`` flipped CPT entries, and
+    a flip moves an entry by at most 0.88 (entries lie in [0.1, 0.9] and
+    flip to 0.02 or 0.98).  Sampling both nets node by node, with each
+    flipped node's two coins maximally coupled, the samples agree with
+    probability at least 0.12 per flipped node, so TV <= 1 - 0.12^min(8, n).
+    """
+    return 1.0 - 0.12 ** min(_MAX_FLIPS, n)
+
+
 def make_far_net_pair(n: int, d: int, min_tv: float, rng, max_tries: int = 200):
     """A random net and a perturbation with certified joint TV >= min_tv."""
     rng = np.random.default_rng(rng)
@@ -762,7 +781,7 @@ def make_far_net_pair(n: int, d: int, min_tv: float, rng, max_tries: int = 200):
         base = random_bayesnet(n, d, rng)
         base_joint = bn_exact_joint(base)
         far = perturb_one_cpt(base, rng)
-        for _ in range(8):  # pile on flips until the promise certifies
+        for _ in range(_MAX_FLIPS):  # pile on flips until the promise certifies
             tv = 0.5 * float(np.abs(base_joint - bn_exact_joint(far)).sum())
             if tv >= min_tv:
                 return base, far, tv

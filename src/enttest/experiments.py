@@ -109,6 +109,12 @@ class ExperimentSpec:
             raise ConfigError("domain sizes must be >= 1")
         if any(d < 1 or d >= min(self.n_values, default=math.inf) for d in self.d_values):
             raise ConfigError(f"in-degree bounds d must satisfy 1 <= d <= n - 1, got d in {self.d_values}")
+        for family in SUITE_FAMILIES.get(self.kind, ()):
+            for n in self.n_values if family in _FAR_REACH else ():
+                reach, eps = _FAR_REACH[family](n), max(self.eps_values)
+                if eps > reach:
+                    raise ConfigError(f"{family} cannot certify eps = {eps:g} at n = {n}: "
+                                      f"it reaches at most {reach:.10g} there")
         return self
 
     @staticmethod
@@ -202,6 +208,22 @@ def _trial_seed(master: int, cell: int, trial: int) -> np.random.SeedSequence:
 
 NULL_FAMILIES = ("null:uniform", "null:zipf", "null:dense")
 FAR_FAMILIES = ("far:entropy-gap", "far:mi")
+SUITE_FAMILIES = {
+    "error_grid": NULL_FAMILIES + FAR_FAMILIES,
+    "scaling": ("null:uniform", "far:entropy-gap"),
+    "bayesnet": ("bn-null", "bn-far", "bn-id-null", "bn-id-far"),
+}
+# The largest eps each far family's builder certifies at domain size n,
+# which ``ExperimentSpec.validate`` checks before any trial runs: the
+# entropy gap reaches log n; the MI pair H(a mod 2) over n // 2 values of a
+# (log 2 when n // 2 is even, 0 at n = 2) and nothing at odd n; the net
+# pairs ``bayesnet.far_pair_reach``.
+_FAR_REACH = {
+    "far:entropy-gap": math.log,
+    "far:mi": lambda n: inst.max_mutual_information(n // 2, 2) if n % 2 == 0 else 0.0,
+    "bn-far": bn.far_pair_reach,
+    "bn-id-far": bn.far_pair_reach,
+}
 
 
 def _cpus() -> int:  # the cores this process may run on
@@ -423,7 +445,7 @@ def run_error_grid(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
         {"tester": "cascade", "family": fam, "n": n, "eps": eps}
         for n in spec.n_values
         for eps in spec.eps_values
-        for fam in NULL_FAMILIES + FAR_FAMILIES
+        for fam in SUITE_FAMILIES["error_grid"]
     ]
     rows, violations = [], []
     for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "grid", cells)):
@@ -438,7 +460,7 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     cells = [
         {"tester": "combined", "family": fam, "n": n, "eps": eps}
         for n in spec.n_values
-        for fam in ("null:uniform", "far:entropy-gap")
+        for fam in SUITE_FAMILIES["scaling"]
     ]
     stats = _run_cells(spec, cfg, workers, "grid", cells)
     rows, violations = [], []
@@ -471,7 +493,7 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
     cells = [
         {"tester": "bn-identity" if fam.startswith("bn-id") else "bn-closeness",
          "family": fam, "n": n, "d": d, "eps": eps}
-        for fam in ("bn-null", "bn-far", "bn-id-null", "bn-id-far")
+        for fam in SUITE_FAMILIES["bayesnet"]
     ]
     # deterministic structure checks ride along with the statistical cells;
     # they draw from a seed of their own, so they run beside the trials

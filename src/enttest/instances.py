@@ -72,6 +72,15 @@ def _max_correlated_grid(k_a: int, k_c: int) -> np.ndarray:
     return grid
 
 
+def max_mutual_information(k_a: int, k_c: int) -> float:
+    """The largest I(A : C) :func:`make_correlated_pair` reaches at these
+    factor sizes: that of the maximally correlated coupling, where
+    C = A mod k_c is a function of the uniform A, so I(A : C) = H(C)
+    (0 at k_a = 1)."""
+    q, r = divmod(k_a, k_c)
+    return entropy(np.repeat([(q + 1) / k_a, q / k_a], [r, k_c - r]))
+
+
 def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9) -> JointPair:
     """Joint with I(A : C) within ``tol`` of the target.
 
@@ -95,7 +104,7 @@ def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9
             k_c=k_c,
         ).mutual_information()
 
-    cap = mi_at(1.0)
+    cap = max_mutual_information(k_a, k_c)
     if target_mi > cap + tol:
         raise Unachievable(
             f"target MI {target_mi} exceeds this family's maximum {cap:.6f}"

@@ -1,10 +1,14 @@
 """Distribution, functional, and sampler tests."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import stats as spstats
 
+from enttest import core
 from enttest.core import (
     BudgetExhausted,
     DiscreteDistribution,
@@ -447,3 +451,140 @@ class TestSamplerProtocol:
         # an exact-law floor has the rejection sampler's exact-law path
         samples, consumed = conditional_rejection_sample(floored, np.arange(12) >= 6, 50, 10**6)
         assert samples.size == 50 and consumed >= 50 and samples.min() >= 6
+
+
+def _partition(probs):
+    """(values, cells per value) by np.unique: the reference grouping."""
+    values, inverse = np.unique(probs, return_inverse=True)
+    return values, [np.flatnonzero(inverse == j) for j in range(values.size)]
+
+
+def _assert_levels_are_partition(levels, probs):
+    values, cells = _partition(probs)
+    assert np.array_equal(levels.values, values)
+    assert len(levels.bounds) == values.size + 1
+    for j, want in enumerate(cells):
+        assert np.array_equal(levels.cells(j), want)
+
+
+def _mixed_law():
+    # one large level, five singletons of distinct mass and a zero level
+    v = np.r_[np.full(3000, 1.0), [40.0, 55.0, 70.0, 85.0, 100.0], np.zeros(500)]
+    return DiscreteDistribution(v / v.sum())
+
+
+class TestPoissonLevels:
+    def test_levels_are_the_unique_partition(self):
+        rng = np.random.default_rng(3)
+        laws = [DiscreteDistribution.uniform(7), _mixed_law(), DiscreteDistribution.point_mass(9, 4)]
+        for _ in range(20):
+            w = rng.integers(0, 4, size=int(rng.integers(2, 300))).astype(float)
+            w[0] += 1.0
+            laws.append(DiscreteDistribution(w / w.sum()))
+        for d in laws:
+            _assert_levels_are_partition(d.levels(), d.probs)
+        assert DiscreteDistribution.zipf(100).levels() is None
+
+    def test_floored_levels_are_the_unique_partition(self):
+        # 0.3 and the float above it merge under some floors (eps 0.36 and
+        # 0.41), and the merged level's cells must come out ascending
+        tiny = np.array([np.nextafter(0.3, 1.0), 0.1, 0.3, 0.1, 0.1, 0.1])
+        merged = 0
+        for base in (_mixed_law(), DiscreteDistribution(tiny), DiscreteDistribution.uniform(64)):
+            for eps in (0.05, 0.1, 0.2, 0.36, 0.41, 0.5):
+                floored = mass_floor_mix(base, eps)
+                _assert_levels_are_partition(floored.levels(), floored.probs)
+                merged += len(floored.levels().values) < len(base.levels().values)
+        assert merged > 0
+        assert mass_floor_mix(DiscreteDistribution.zipf(100), 0.2).levels() is None
+
+    @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])
+    def test_table_is_the_truncated_pmf(self, rate):
+        lo, alias, cut = core._poisson_table(rate)
+        size = alias.size
+        assert alias.dtype == np.int32
+        # the law an alias draw realizes, entry by entry
+        law = cut.copy()
+        np.add.at(law, alias, 1.0 - cut)
+        law /= size
+        ks = np.arange(lo, lo + size)
+        pmf = spstats.poisson.pmf(ks, rate)
+        assert np.max(np.abs(law - pmf / pmf.sum())) < 1e-12
+        tail = spstats.poisson.cdf(lo - 1, rate) + spstats.poisson.sf(lo + size - 1, rate)
+        assert tail < 2.0**-60
+
+    @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])
+    def test_level_counts_chi_square(self, rate):
+        # 2e5 cells of one level: a chi-square of their counts against the
+        # exact pmf, bins of at least 20 expected counts
+        n = 200_000
+        core._poisson_table.cache_clear()
+        counts = Sampler(DiscreteDistribution.uniform(n), 41).poisson_counts(rate * n)
+        assert core._poisson_table.cache_info().currsize == 1  # the table path ran
+        ks = np.arange(counts.max() + 2)
+        expected = n * spstats.poisson.pmf(ks, rate)
+        expected[-1] = n * spstats.poisson.sf(ks[-2], rate)
+        observed = np.bincount(counts, minlength=ks.size).astype(float)
+        edges = [0]
+        acc = 0.0
+        for k, e in enumerate(expected):
+            acc += e
+            if acc >= 20 and expected[k + 1:].sum() >= 20:
+                edges.append(k + 1)
+                acc = 0.0
+        edges.append(ks.size)
+        obs = np.add.reduceat(observed, edges[:-1])
+        exp = np.add.reduceat(expected, edges[:-1])
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        assert spstats.chi2.sf(chi2, len(obs) - 1) > 1e-4
+
+    def test_mixed_law_level_moments(self):
+        d = _mixed_law()
+        m, reps = 40_000.0, 400
+        s = Sampler(d, 17)
+        counts = np.array([s.poisson_counts(m) for _ in range(reps)])
+        big = counts[:, :3000].ravel()
+        lam = m * d.probs[0]
+        assert abs(big.mean() - lam) <= 5 * math.sqrt(lam / big.size)
+        assert abs(big.var() - lam) <= 5 * math.sqrt((lam + 2 * lam**2) / big.size)
+        for i in range(3000, 3005):
+            lam = m * d.probs[i]
+            assert abs(counts[:, i].mean() - lam) <= 5 * math.sqrt(lam / reps)
+            assert abs(counts[:, i].var() - lam) <= 5 * math.sqrt((lam + 2 * lam**2) / reps)
+        assert not counts[:, 3005:].any()
+
+    def test_counts_independent_of_table_cache(self):
+        d = _mixed_law()
+        floored = mass_floor_mix(DiscreteDistribution.uniform(5000), 0.2)
+        core._poisson_table.cache_clear()
+        cold = [Sampler(d, 5).poisson_counts(9e4), Sampler(floored, 6).poisson_counts(3e5)]
+        assert core._poisson_table.cache_info().currsize == 2
+        warm = [Sampler(d, 5).poisson_counts(9e4), Sampler(floored, 6).poisson_counts(3e5)]
+        for a, b in zip(cold, warm):
+            assert np.array_equal(a, b)
+
+    def test_threaded_counts_equal_serial(self):
+        # fresh laws and a cold cache each time, so threads sharing a law
+        # race to group its levels and to build its tables
+        def jobs():
+            laws = [_mixed_law(), DiscreteDistribution.uniform(4096),
+                    mass_floor_mix(_mixed_law(), 0.3), DiscreteDistribution.zipf(300)]
+            return [(laws[seed % 4], seed, 1e3 * (1 + seed % 7)) for seed in range(40)]
+
+        def run(job):
+            d, seed, m = job
+            s = Sampler(d, seed)
+            return [s.poisson_counts(m) for _ in range(3)]
+
+        core._poisson_table.cache_clear()
+        serial = [run(job) for job in jobs()]
+        core._poisson_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(run, jobs(), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))

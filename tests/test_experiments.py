@@ -59,7 +59,8 @@ class TestExperimentSpec:
 
     def test_eps_range_depends_on_kind(self):
         # bad values of every grid are in TestCli.test_bad_grid_value_exits_one
-        assert ExperimentSpec(kind="bayesnet", n_values=[8], eps_values=[1], d_values=[2]).validate().eps_values == [1.0]
+        # (eps 1 is out of the far Bayes-net pairs' reach: bn-eps-1 there)
+        assert ExperimentSpec(kind="bayesnet", n_values=[8], eps_values=[0.9], d_values=[2]).validate().eps_values == [0.9]
         assert ExperimentSpec(kind="error_grid", n_values=[8], eps_values=[0.5]).validate().eps_values == [0.5]
 
     def test_scaling_needs_two_distinct_n(self):
@@ -199,7 +200,7 @@ class TestReproducibility:
              "db7e4b96c854ef8ebb478ecdf60002e08d88a1353c75b3bcdb1a41c2430574fa"),
             # large-n count pairs, on trial threads when the process has two cores
             ("kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
-             "ee9738e1bd008d805d42009a2ab47a17a4efcb8bb11815e0179fc9230761fef6"),
+             "2a4fbee633609afa25987ecae493787c0b20b68e02d3b8597291242cbd5c941f"),
             ("kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
              "8bb7efe42ec03544b8dcaaea52a714bd616377faf85700a3fc33fd0b75326cd8"),
         ],
@@ -424,9 +425,17 @@ class TestCli:
             {"kind": "bayesnet", "n_values": [6], "eps_values": [0.3], "d_values": [2, 1]},
             # n 25 once drew 3M samples a trial before the far pair raised
             {"kind": "bayesnet", "n_values": [25], "eps_values": [0.3], "d_values": [2]},
+            # far families out of reach once raised from inside the trials:
+            # far:mi has no mutual information at n = 2 and needs an even n,
+            # far:entropy-gap has no gap at n = 1, and no far net pair is at TV 1
+            {"kind": "error_grid", "n_values": [2], "eps_values": [0.3]},
+            {"kind": "error_grid", "n_values": [63], "eps_values": [0.3]},
+            {"kind": "scaling", "n_values": [1, 64], "eps_values": [0.3]},
+            {"kind": "bayesnet", "n_values": [7], "eps_values": [1.0], "d_values": [5]},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
-             "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25"],
+             "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25",
+             "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"
