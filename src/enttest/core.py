@@ -132,7 +132,9 @@ def _group_levels(probs: np.ndarray) -> Levels | None:
 class DiscreteDistribution:
     """An exact probability distribution over ``{0, ..., n-1}``.
 
-    Immutable after construction and safe to share across workers.
+    Immutable after construction and safe to share across workers: a
+    pickled or copied law keeps the bits of ``probs`` and computes its
+    level grouping again on first use.
     """
 
     __slots__ = ("probs", "_levels")
@@ -143,6 +145,11 @@ class DiscreteDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild the law from its probabilities as they
+        # are: the constructor's renormalization could move their low bits
+        return _unchecked, (self.probs, False)
 
     @property
     def n(self) -> int:
@@ -339,11 +346,30 @@ def _alias_tables(probs: np.ndarray):
     return alias, np.minimum(cut, 1.0)
 
 
+# Elements per block of the large-n count path (``_alias_draw``, and T and Z
+# in ``poisson._terms``), so that 128 KB float64 temporaries stay in cache.
+# On 2 shared cores, numpy 2.4: 2^16 Poisson-table alias variates cost 17.6 ns
+# each in one pass, 11.8 blocked; T in the serial `scaling` spec 9.4 and 8.2 ns a cell.
+_BLOCK = 2**14
+
+
 def _alias_draw(rng, alias: np.ndarray, cut: np.ndarray, k: int) -> np.ndarray:
     """k i.i.d. indices into the table: a uniform column, kept with
-    probability ``cut`` and replaced by its alias otherwise."""
+    probability ``cut`` and replaced by its alias otherwise.
+
+    Past ``_BLOCK`` draws the coins fill one reused buffer a block at a
+    time; ``Generator.random`` fills in order, so the draw equals the
+    one-pass form bit for bit.
+    """
     idx = rng.integers(0, alias.size, size=k)
-    np.copyto(idx, alias[idx], where=rng.random(k) >= cut[idx])
+    if k <= _BLOCK:
+        np.copyto(idx, alias[idx], where=rng.random(k) >= cut[idx])
+        return idx
+    coins = np.empty(_BLOCK)
+    for lo in range(0, k, _BLOCK):
+        cols = idx[lo:lo + _BLOCK]
+        u = rng.random(out=coins[:cols.size])
+        np.copyto(cols, alias[cols], where=u >= cut[cols])
     return idx
 
 

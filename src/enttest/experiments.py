@@ -199,6 +199,8 @@ def _write_results(rows, out_dir, timings):
 
 
 def _trial_seed(master: int, cell: int, trial: int) -> np.random.SeedSequence:
+    """A trial's root seed; each trial spawns only the children it uses (a
+    spawned child depends only on its index)."""
     return np.random.SeedSequence([int(master), int(cell), int(trial)])
 
 
@@ -273,7 +275,7 @@ def _instance_pair(family: str, n: int, eps: float, master: int, cell: int):
 
 def _grid_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
-    child = seq.spawn(4)
+    child = seq.spawn(3)
     cfg = payload["cfg"]
     p, q = make_instance_pair(
         payload["family"], payload["n"], payload["eps"], payload["master"], payload["cell"]
@@ -289,7 +291,7 @@ def _grid_trial(payload):
 
 def _bn_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
-    child = seq.spawn(6)
+    child = seq.spawn(4)
     cfg = payload["cfg"]
     n, d, eps = payload["n"], payload["d"], payload["eps"]
     gen = np.random.default_rng(child[0])
@@ -312,7 +314,7 @@ def _bn_trial(payload):
 
 def _reduction_trial(payload):
     seq = _trial_seed(payload["master"], payload["cell"], payload["trial"])
-    child = seq.spawn(4)
+    child = seq.spawn(2)
     cfg = payload["cfg"]
     n, eps = payload["n"], payload["eps"]
     # the product family has no mutual information; the correlated one log 2

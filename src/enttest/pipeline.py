@@ -19,6 +19,7 @@ natural logs clamped below at e.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -99,6 +100,7 @@ def _validate_eps(eps: float):
         raise ParameterOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> EetPlan:
     """Compute all stage budgets for domain size n at accuracy eps.
 
@@ -106,6 +108,10 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     sample multipliers; the low-mass conditional TV stage has no record
     because its raw-draw cost is data dependent (bounded by its Markov
     cutoff at run time).
+
+    Plans are cached by the value of the arguments: a config compares and
+    hashes by value, so every trial of a cell, in any thread or pool
+    worker, gets one plan object.  Invalid arguments raise on every call.
     """
     _validate_eps(eps)
     if not 0 < delta <= 1:
@@ -225,11 +231,13 @@ def run_eet(sp, sq, plan: EetPlan, rng=None) -> TestVerdict:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def solve_tv_threshold(n: int, eps: float, tol: float = 1e-12) -> float:
     """Root of x log(n/x) = eps on (0, 1/2], by monotone bisection.
 
     Any pair with |H(p) - H(q)| >= eps has TV distance at least this root,
-    so testing TV at the root is sound for the entropy promise.
+    so testing TV at the root is sound for the entropy promise.  Cached by
+    value, as :func:`make_eet_plan`.
     """
     _validate_eps(eps)
     f = lambda x: x * math.log(n / x)

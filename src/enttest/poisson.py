@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainMismatch
+from .core import _BLOCK, DomainMismatch
 
 MAX_SERIES_TERMS = 1_000_000
 
@@ -99,36 +99,61 @@ def batch_z(x: np.ndarray, y: np.ndarray, m: float) -> np.ndarray:
 # all n cells instead would change the low bits of the cascade's statistics.
 
 
-def _diff_total(counts: CountPair, s_set):
-    """Float X - Y and X + Y on ``s_set`` (a bool mask or an index array;
-    every cell when None), kept where X + Y > 0 (no copy when all are)."""
-    x, y = counts.x_counts, counts.y_counts
-    if s_set is not None:
-        idx = np.asarray(s_set)
-        idx = idx if idx.dtype == bool else idx.astype(np.int64)
-        x, y = x[idx], y[idx]
-    d = np.subtract(x, y, dtype=np.float64)
-    j = np.add(x, y, dtype=np.float64)
+def _diff_total(x, y, d=None, j=None):
+    """Float X - Y and X + Y (written to ``d`` and ``j`` when given), kept
+    where X + Y > 0 (no copy when all are)."""
+    d = np.subtract(x, y, out=d, dtype=np.float64)
+    j = np.add(x, y, out=j, dtype=np.float64)
     if j.all():
         return d, j
     nz = j > 0
     return d[nz], j[nz]
 
 
-def statistic_t(counts: CountPair, s_set=None) -> float:
-    """T = sum_i ((X_i - Y_i)^2 - (X_i + Y_i)) / (X_i + Y_i), 0-terms skipped."""
-    d, j = _diff_total(counts, s_set)
+def _terms(counts: CountPair, s_set, kernel) -> np.ndarray:
+    """The terms ``kernel(d, j, out)`` writes to ``out`` from
+    ``_diff_total``'s d and j on ``s_set`` (a bool mask or an index array;
+    every cell when None), in cell order.  Past ``core._BLOCK`` cells they
+    are computed block by block, in cache; each is the float one pass gives.
+    """
+    x, y = counts.x_counts, counts.y_counts
+    if s_set is not None:
+        idx = np.asarray(s_set)
+        idx = idx if idx.dtype == bool else idx.astype(np.int64)
+        x, y = x[idx], y[idx]
+    if x.size <= _BLOCK:
+        d, j = _diff_total(x, y)
+        return kernel(d, j, d)
+    out = np.empty(x.size)
+    d, j = np.empty(_BLOCK), np.empty(_BLOCK)
+    kept = 0
+    for lo in range(0, x.size, _BLOCK):
+        xs, ys = x[lo:lo + _BLOCK], y[lo:lo + _BLOCK]
+        db, jb = _diff_total(xs, ys, d[:xs.size], j[:xs.size])
+        kept += kernel(db, jb, out[kept:kept + db.size]).size
+    return out[:kept]
+
+
+def _t_terms(d, j, out):
     d *= d
     d -= j
-    d /= j
-    return float(d.sum())
+    return np.divide(d, j, out=out)
+
+
+def _z_terms(d, j, out):
+    return np.multiply(d, np.log(j, out=j), out=out)
+
+
+def statistic_t(counts: CountPair, s_set=None) -> float:
+    """T = sum_i ((X_i - Y_i)^2 - (X_i + Y_i)) / (X_i + Y_i), 0-terms skipped;
+    past 2^14 cells the terms are computed in cache-sized blocks, then summed once."""
+    return float(_terms(counts, s_set, _t_terms).sum())
 
 
 def statistic_z(counts: CountPair, s_set=None) -> float:
-    """Z = sum_i ((X_i - Y_i)/m) log(1/(X_i + Y_i)), 0-terms skipped."""
-    d, j = _diff_total(counts, s_set)
-    d *= np.log(j, out=j)
-    return float(-d.sum() / counts.m_nominal)
+    """Z = sum_i ((X_i - Y_i)/m) log(1/(X_i + Y_i)), 0-terms skipped;
+    blocked as :func:`statistic_t`."""
+    return float(-_terms(counts, s_set, _z_terms).sum() / counts.m_nominal)
 
 
 def statistic_l2(counts: CountPair) -> float:

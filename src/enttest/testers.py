@@ -114,6 +114,13 @@ class ThresholdConfig:
             if self.sample_multipliers[key] <= 0:
                 raise ConfigError(f"sample multiplier {key} must be positive")
 
+    def __hash__(self):
+        # by value, like the dataclass __eq__, so plan caches
+        # (pipeline.make_eet_plan) hit on an equal config unpickled in a
+        # pool worker
+        scalars = tuple(getattr(self, key) for key in _SCALAR_KEYS)
+        return hash(scalars + tuple(sorted(self.sample_multipliers.items())))
+
     def multiplier(self, name: str) -> float:
         return self.sample_multipliers[name]
 

@@ -1,6 +1,8 @@
 """Distribution, functional, and sampler tests."""
 
+import copy
 import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -69,6 +71,24 @@ class TestDiscreteDistribution:
         assert child.probs == pytest.approx([3 / 7, 4 / 7])
         with pytest.raises(DistributionError):
             Sampler(DiscreteDistribution([1.0, 0.0]), 0).conditional_sampler(np.array([False, True]))
+
+    @pytest.mark.parametrize("roundtrip", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy])
+    def test_pickle_and_copy_keep_the_bits(self, roundtrip):
+        # a law whose float sum is not 1 (a floor mixture, as a file loads
+        # it): the constructor would renormalize and move its low bits
+        v = np.array([0.7, 0.2, 0.1])
+        assert v.sum() != 1.0
+        d = core._unchecked(v, renormalize=False)
+        for law in (d, DiscreteDistribution.uniform(3), mass_floor_mix(DiscreteDistribution.zipf(9), 0.2)):
+            back = roundtrip(law)
+            assert type(back) is DiscreteDistribution
+            assert back.probs.tobytes() == law.probs.tobytes()
+            assert not back.probs.flags.writeable
+            with pytest.raises(AttributeError):
+                back.probs = np.ones(law.n)
+            mine, theirs = back.levels(), law.levels()
+            assert mine.values == theirs.values and mine.bounds == theirs.bounds
+            assert np.array_equal(mine.order, theirs.order)
 
     def test_file_roundtrip(self, tmp_path):
         d = DiscreteDistribution.zipf(17)
@@ -246,6 +266,31 @@ class TestSampler:
         s = Sampler(DiscreteDistribution.uniform(4), 3)
         hits = s.binomial_hits(10**5, np.array([0, 1]))
         assert abs(hits / 1e5 - 0.5) < 0.01
+
+
+def _one_pass_alias_draw(rng, alias, cut, k):
+    idx = rng.integers(0, alias.size, size=k)
+    np.copyto(idx, alias[idx], where=rng.random(k) >= cut[idx])
+    return idx
+
+
+class TestBlockedAliasDraw:
+    B = core._BLOCK
+
+    @pytest.mark.parametrize("k", [0, 1, B - 1, B, B + 1, 3 * B + 5])
+    def test_equals_one_pass_on_a_poisson_table(self, k):
+        _, alias, cut = core._poisson_table(37.5)
+        ref = np.random.default_rng(11)
+        got = np.random.default_rng(11)
+        assert np.array_equal(core._alias_draw(got, alias, cut, k), _one_pass_alias_draw(ref, alias, cut, k))
+        # the generators are left in the same state
+        assert got.random() == ref.random()
+
+    def test_sampler_draw_equals_one_pass(self):
+        d = DiscreteDistribution.random_dense(2**15, np.random.default_rng(4))
+        alias, cut = core._alias_tables(d.probs)
+        for k in (2**15, 3 * self.B + 5):
+            assert np.array_equal(Sampler(d, 8).draw(k), _one_pass_alias_draw(np.random.default_rng(8), alias, cut, k))
 
 
 class TestMixSampler:

@@ -1,8 +1,12 @@
 """End-to-end entropy equivalence testers: the staged cascade, the TV
 baseline, and the combined tester."""
 
+import copy
 import hashlib
 import math
+import pickle
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +83,38 @@ class TestEetPlan:
         a = make_eet_plan(1000, 0.25)
         b = make_eet_plan(1000, 0.25)
         assert a.stages == b.stages and a.total_nominal == b.total_nominal
+
+
+class TestPlanCache:
+    def test_equal_config_gets_the_same_plan(self):
+        cfg = DEFAULT_CONFIG.with_multiplier("tv", 16.0)
+        plan = make_eet_plan(2**12, 0.3, 0.1, cfg)
+        for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert twin is not cfg and twin == cfg and hash(twin) == hash(cfg)
+            assert make_eet_plan(2**12, 0.3, 0.1, twin) is plan
+        # the multipliers hash by value, not by insertion order
+        reordered = replace(cfg, sample_multipliers=dict(reversed(list(cfg.sample_multipliers.items()))))
+        assert hash(reordered) == hash(cfg)
+        assert make_eet_plan(2**12, 0.3, 0.1, reordered) is plan
+
+    def test_changed_multiplier_gets_a_new_plan(self):
+        plan = make_eet_plan(2**12, 0.3)
+        other = make_eet_plan(2**12, 0.3, 0.1, DEFAULT_CONFIG.with_multiplier("bias_s", 8.0))
+        assert other is not plan
+        assert other.budget("bias-T") > plan.budget("bias-T")
+        assert other.cfg.multiplier("bias_s") == 8.0
+
+    def test_invalid_arguments_raise_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ParameterOutOfRange):
+                make_eet_plan(100, 0.7)
+            with pytest.raises(ParameterOutOfRange):
+                solve_tv_threshold(100, 0.0)
+
+    def test_cached_threshold_is_the_bisection_root(self):
+        x = solve_tv_threshold(2**14, 0.3)
+        assert solve_tv_threshold(2**14, 0.3) == x
+        assert solve_tv_threshold.__wrapped__(2**14, 0.3) == x
 
 
 class TestRunEet:

@@ -308,6 +308,23 @@ class TestInPlaceKernels:
                 assert statistic_t(c, s_set) == _compacted_t(xs, ys)
                 assert statistic_z(c, s_set) == _compacted_z(xs, ys, 97)
 
+    def test_blocks_equal_one_pass(self):
+        # 3B + 5 cells: three full blocks and a short one, with zero cells
+        # in some blocks only (at block edges) or in all of them
+        from enttest.core import _BLOCK as B
+
+        n = 3 * B + 5
+        rng = np.random.default_rng(17)
+        dense = rng.poisson(150.0, (2, n)) + 1
+        dense[:, [B - 1, B, 2 * B + 7, n - 1]] = 0
+        for x, y in (dense, rng.poisson(0.3, (2, n))):
+            c = pair(x, y, 97)
+            mask = rng.random(n) < 0.7
+            for s_set in (None, mask, np.flatnonzero(mask)):
+                xs, ys = (x, y) if s_set is None else (x[s_set], y[s_set])
+                assert statistic_t(c, s_set) == _compacted_t(xs, ys)
+                assert statistic_z(c, s_set) == _compacted_z(xs, ys, 97)
+
     def test_counts_are_not_written(self):
         x, y = np.array([3, 0, 5]), np.array([1, 0, 5])
         c = pair(x, y, 10)
