@@ -14,8 +14,8 @@ from .core import (
     DistributionError,
     DomainMismatch,
     FairMixSampler,
-    InvalidEpsilon,
     MassFloorSampler,
+    ParameterOutOfRange,
     Sampler,
     StreamSampler,
     conditional_rejection_sample,
@@ -48,7 +48,6 @@ from .testers import (
     DEFAULT_CONFIG,
     ConfigError,
     MassCompareResult,
-    ParameterOutOfRange,
     Stage,
     TestVerdict,
     ThresholdConfig,

@@ -12,11 +12,14 @@ subset's per-block counts, each local statistic is computed for all
 subsets at once (T and Z by the shared batched kernels
 ``poisson.batch_t``/``batch_z``), each subset's blocks are majority-voted
 by ``testers._majority``, and the verdict names the first rejecting subset
-in ``combinations`` order.  On small nets the counts are marginalized from
-the per-atom block counts split in half: the low n//2 variables and the
-high ones each get a small cached one-hot map onto their own j-subsets,
-and every (d+1)-subset with j low variables comes from two contractions,
-one per half.
+in ``combinations`` order.  One batched primitive, ``_marginal_counts``,
+marginalizes onto every (d+1)-subset at once: on small nets the sampled
+per-atom block counts, and the exact mixture joints of the identity test's
+q side and the suite's atom-floor check.  It splits the atoms in half: the
+low n//2 variables and the high ones each get a small cached one-hot map
+onto their own j-subsets, and every (d+1)-subset with j low variables
+comes from two contractions, one per half.  ``joint_marginal`` is the
+exact one-subset oracle of the projection and telescoping checks.
 
 CPT layout: for node i with sorted parent tuple (p_0 < p_1 < ...), entry
 ``cpt[i][mask]`` is P(X_i = 1 | parents), where bit j of ``mask`` carries
@@ -31,11 +34,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import LOG_FLOOR
+from .core import LOG_FLOOR, ParameterOutOfRange, check_range
 from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
-    ParameterOutOfRange,
     Stage,
     TestVerdict,
     ThresholdConfig,
@@ -202,39 +204,32 @@ def _build_atom_cells(n: int, subset: tuple) -> np.ndarray:
 _memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 
 
-# One chunk of tabulation work: atoms times subsets per bincount in
-# _subset_tables (512 KB of int64 cells, which stays in cache; past n = 16
-# a chunk is a single subset), atoms times blocks per bincount in
+# One chunk of tabulation work: atoms times blocks per bincount in
 # _block_atom_counts, and high-half atoms squared times blocks per GEMM
 # chunk in _marginal_counts (16 blocks at n = 11 and 12)
 _TABLE_CHUNK = 2**16
 
 
-def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
-    """``joint_marginal`` of a 2^n joint onto every ``width``-subset, in
-    ``combinations`` order: a ``(C(n, width), 2^width)`` array.
+def _small_sweep(n: int, d: int) -> bool:
+    """The one size rule of the in-degree-d sweep over n variables: width
+    d + 1 <= 3 and n <= 12.  ``_marginal_counts`` then contracts in block
+    chunks and ``experiments._threaded`` runs the trials on trial threads.
 
-    One weighted bincount per chunk of subsets over (subset, cell) offsets,
-    as ``joint_marginal`` does for one subset; a bincount adds in index
-    order, so every table is bit-identical to ``joint_marginal``'s.  The
-    atom index is high half times low half, so a subset's cells are the
-    outer sum of its cells on the high ``n - n//2`` variables and on the
-    low ones.
+    There a chunk of ``_TABLE_CHUNK / 4^(n - n//2)`` blocks holds at least
+    16 blocks and keeps every GEMM on the calling thread (on 2 cores twice
+    that woke OpenBLAS's worker thread at n = 9 to 14, d = 2), so two
+    trials in flight do not fight OpenBLAS's threads.  Serial -> threaded
+    suite wall on 2 shared cores (median of 3 fresh runs, 10 trials a
+    cell, 5 at n = 12) and peak RSS: n = 9, d = 2 0.54 -> 0.36 s (43 ->
+    48 MB); n = 10, d = 2 0.89 -> 0.55 s (44 -> 51 MB); n = 12, d = 1
+    0.26 -> 0.22 s, d = 2 0.55 -> 0.36 s (51 -> 63 MB).  Larger sweeps run
+    serially: past n = 12 one pass on OpenBLAS's threads is faster (n = 13:
+    7 ms a call against 27 ms in 4-block chunks), and at d >= 3 threads
+    gained little for much memory (n = 8, d = 3 0.74 -> 0.77 s, 45 -> 51 MB;
+    d = 4 1.46 -> 1.44 s, 47 -> 58 MB; n = 10, d = 4 3.04 -> 2.48 s, 83 ->
+    138 MB).
     """
-    subsets = np.array(list(combinations(range(n), width)), dtype=np.int64)
-    low = n // 2
-    hi_atoms = np.arange(2 ** (n - low), dtype=np.int64) << low
-    lo_atoms = np.arange(2**low, dtype=np.int64)
-    step = max(1, _TABLE_CHUNK >> n)
-    weights = np.broadcast_to(joint, (min(step, len(subsets)), joint.size)).ravel()
-    tables = []
-    for start in range(0, len(subsets), step):
-        chunk = subsets[start : start + step]
-        hi = _subset_cells(hi_atoms, chunk, width)  # carries the row offsets
-        lo = _subset_cells(lo_atoms, chunk, width) & ((1 << width) - 1)
-        cells = hi[:, :, None] + lo[:, None, :]
-        tables.append(np.bincount(cells.ravel(), weights[: cells.size], minlength=cells.shape[0] << width))
-    return np.concatenate(tables).reshape(len(subsets), 2**width)
+    return d + 1 <= 3 and n <= 12
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +240,7 @@ def _subset_tables(joint: np.ndarray, n: int, width: int) -> np.ndarray:
 def bn_mixture_weight(n: int, d: int, eps: float) -> float:
     """Uniform-mixture weight eps^2 / (d n log(n/eps)); the mixture gives
     every (d+1)-marginal atom mass at least weight / 2^(d+1)."""
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_range("eps", eps)
     if d < 1:
         raise ParameterOutOfRange("in-degree bound must be >= 1")
     return eps**2 / (d * n * math.log(max(n / eps, LOG_FLOOR)))
@@ -353,30 +347,26 @@ def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
     """Counts[subset, block, cell] of per-block atom counts ``per_atom`` of
     shape ``(2^n, k)`` (any integer or float dtype and strides, as
     ``_block_atom_counts`` returns them), for every ``width``-subset in
-    ``combinations`` order.
+    ``combinations`` order.  A probability joint as one column,
+    ``joint[:, None]``, gives its exact tables on every subset.
 
     The atom index is high half times low half, so a C-ordered float64
     copy of a chunk of blocks reshapes to ``(2^(n - n//2), 2^(n//2),
     blocks)``, and each split contracts it with its two half maps, the one
-    with fewer columns first.  The counts are integers far below 2^53, so
-    every order of summation gives the same floats.
+    with fewer columns first.  Counts are integers far below 2^53, so every
+    order of summation gives the same floats; a probability joint is summed
+    in GEMM order, within about 1e-14 relative of ``joint_marginal``'s.
 
-    A chunk holds ``_TABLE_CHUNK / 4^(n - n//2)`` blocks (16 at n = 11
-    and 12), which keeps every GEMM on the calling thread; on 2 cores
-    twice that woke OpenBLAS's worker thread (n = 9 to 14, d = 2), which
-    fights trials running on threads of their own.  Only width <= 3 with
-    at least 16 blocks a chunk (n <= 12) is chunked: larger nets and wider
-    subsets run their trials serially, where one pass on OpenBLAS's
-    threads is faster (n = 13: 7 ms against 27 ms in 4-block chunks).
-    At n = 8 (127 blocks) the chunk is one pass: 64-block chunks took
-    0.25-0.32 ms a call against 0.57 ms on one thread, but the n = 8
-    suite, whose trials run on two threads, was no faster with them
-    (0.414 against 0.402 s, median of 24 fresh processes).
+    Under ``_small_sweep`` a chunk holds ``_TABLE_CHUNK / 4^(n - n//2)``
+    blocks (16 at n = 11 and 12), which keeps every GEMM on the calling
+    thread; other sizes take one pass on OpenBLAS's threads.  At n = 8
+    (127 blocks) the chunk is one pass: 64-block chunks took 0.25-0.32 ms
+    a call against 0.57 ms on one thread, but the n = 8 suite, whose
+    trials run on two threads, was no faster with them (0.414 against
+    0.402 s, median of 24 fresh processes).
     """
     k = per_atom.shape[1]
-    step = _TABLE_CHUNK >> 2 * (n - n // 2)
-    if width > 3 or step < 16:
-        step = k
+    step = _TABLE_CHUNK >> 2 * (n - n // 2) if _small_sweep(n, width - 1) else k
     out = np.empty((math.comb(n, width), k, 2**width))
     shape = (2 ** (n - n // 2), 2 ** (n // 2))
     for b in range(0, k, step):
@@ -507,8 +497,7 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     """Check a sweep's inputs (``dims`` must equal n), then size it:
     ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
     of ``m = budget(n, d, eps)`` samples in k_blocks blocks."""
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_range("eps", eps)
     if not 1 <= d <= n - 1:
         raise ParameterOutOfRange(f"need 1 <= d <= n-1, got d={d}")
     if any(k != n for k in dims):
@@ -621,11 +610,11 @@ def bn_identity_test(
         Stage("bn-id-shared-m", float(m), float(k_blocks), samples),
         Stage("bn-id-eps1", eps1, eps**2 / n),
     ]
-    q_tables = _subset_tables(q_joint, n, d + 1)
+    q_tables = _marginal_counts(q_joint[:, None], n, d + 1)  # (subset, 1, cell)
     # core.entropy of each table as one row sum: the uniform mixture makes
     # every entry positive, so the same terms add in the same order
-    h_q = -(q_tables * np.log(q_tables)).sum(axis=-1)[:, None]
-    lam = m_block * q_tables[:, None, :]
+    h_q = -(q_tables * np.log(q_tables)).sum(axis=-1)
+    lam = m_block * q_tables
     chi = x - lam
     chi *= chi
     chi -= x

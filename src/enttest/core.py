@@ -44,8 +44,14 @@ class DomainMismatch(ValueError):
     """Two distributions with different domain sizes were combined."""
 
 
-class InvalidEpsilon(ValueError):
-    """Accuracy parameter outside its documented range."""
+class ParameterOutOfRange(ValueError):
+    """Accuracy, confidence or size parameter outside its documented range."""
+
+
+def check_range(name: str, value: float, top: float = 1.0):
+    """Raise ``ParameterOutOfRange`` unless ``0 < value <= top`` (NaN fails)."""
+    if not 0 < value <= top:
+        raise ParameterOutOfRange(f"{name} must lie in (0, {top:g}], got {value}")
 
 
 class BudgetExhausted(RuntimeError):
@@ -288,8 +294,7 @@ def triangle_discrepancy(p: DiscreteDistribution, q: DiscreteDistribution) -> fl
 
 def mass_floor_eta(n: int, eps: float) -> float:
     """Mixing weight eps / log(n/eps) used by the mass floor."""
-    if not 0 < eps <= 0.5:
-        raise InvalidEpsilon(f"eps must lie in (0, 1/2], got {eps}")
+    check_range("eps", eps, 0.5)
     return eps / math.log(max(n / eps, LOG_FLOOR))
 
 

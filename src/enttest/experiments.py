@@ -300,7 +300,10 @@ def _bn_trial(payload):
         base = bn.random_bayesnet(n, d, gen)
         other = base
     else:
-        base, other, _tv = bn.make_far_net_pair(n, d, eps, gen)
+        try:
+            base, other, _tv = bn.make_far_net_pair(n, d, eps, gen)
+        except RuntimeError as exc:  # far_pair_reach bounds TV from above; no pair may reach it
+            raise ConfigError(f"{family} at n = {n}, d = {d}: {exc}") from None
     if family.startswith("bn-id"):
         side = other if family == "bn-id-far" else base
         return bn.bn_identity_test(
@@ -343,26 +346,12 @@ def _run_trial(payload) -> dict:
 
 
 # Trials run on threads, as numpy's draws and ufuncs release the GIL: every
-# exact-law ("grid") trial, and a Bayes-net trial over at most 2^12 atoms
-# at in-degree d <= 2 or over at most 2^8 atoms at any d.  There
-# `bayesnet._marginal_counts` contracts in block chunks whose GEMMs stay
-# off OpenBLAS's own threads.  Serial -> threaded suite wall (median of 3
-# fresh runs) and peak RSS on 2 cores, 10 trials a cell (5 at n = 12):
-# n = 9: d = 1 0.20 -> 0.19 s, d = 2 0.54 -> 0.36 s (43 -> 48 MB);
-# n = 10: d = 1 0.35 -> 0.27 s, d = 2 0.89 -> 0.55 s (44 -> 51 MB);
-# n = 12: d = 1 0.26 -> 0.22 s, d = 2 0.55 -> 0.36 s (51 -> 63 MB).  At
-# d >= 3 past n = 8, threads gained little for much memory: n = 9, d = 3
-# 0.88 -> 0.89 s (51 -> 60 MB), d = 4 1.55 -> 1.49 s (60 -> 79 MB); n = 10,
-# d = 3 1.73 -> 1.70 s (57 -> 77 MB), d = 4 3.04 -> 2.48 s (83 -> 138 MB);
-# n = 12, d = 4 streams its samples (200 MB a trial).  Larger nets stay
-# serial and marginalize on OpenBLAS's threads.  MI-reduction trials hold
-# whole-sample pools and stay serial.
-_BN_THREAD_ATOMS = 2**12
-
-
+# exact-law ("grid") trial, and a Bayes-net trial whose sweep
+# ``bayesnet._small_sweep`` calls small (its measurements are there).
+# MI-reduction trials hold whole-sample pools and stay serial.
 def _threaded(task) -> bool:
     if task["op"] == "bn":
-        return 2 ** task["n"] <= (_BN_THREAD_ATOMS if task["d"] <= 2 else 2**8)
+        return bn._small_sweep(task["n"], task["d"])
     return task["op"] == "grid"
 
 
@@ -498,9 +487,12 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
         for fam in SUITE_FAMILIES["bayesnet"]
     ]
     # deterministic structure checks ride along with the statistical cells;
-    # they draw from a seed of their own, so they run beside the trials
+    # they draw from a seed of their own, so they run beside the trials,
+    # except beside a process pool: a fork copies whatever lock the side
+    # thread holds (the import lock of its first np.random use), and the
+    # workers hang on it
     with ThreadPoolExecutor(max_workers=1) as side:
-        pending = None if _wrapped() else side.submit(bn_exact_checks, spec.seed, eps, d)
+        pending = None if _wrapped() or workers > 1 else side.submit(bn_exact_checks, spec.seed, eps, d)
         stats = _run_cells(spec, cfg, workers, "bn", cells)
     checks = pending.result() if pending else bn_exact_checks(spec.seed, eps, d)
 
@@ -535,7 +527,7 @@ def bn_exact_checks(seed: int, eps: float, d: int):
         floor = eps**2 / (
             2 ** (d + 1) * d * n_small * math.log(max(n_small / eps, math.e))
         )
-        min_atom = float(bn._subset_tables(joint, n_small, d + 1).min())
+        min_atom = float(bn._marginal_counts(joint[:, None], n_small, d + 1).min())
         worst_margin = min(worst_margin, min_atom - floor)
     checks.append(("exact:atom-floor", worst_margin >= 0, worst_margin))
 

@@ -26,11 +26,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, fair_mix, mix_sample
+from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, ParameterOutOfRange, check_range, fair_mix, mix_sample
 from .poisson import poissonized_counts, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
-    ParameterOutOfRange,
     Stage,
     TestVerdict,
     ThresholdConfig,
@@ -95,11 +94,6 @@ def _log_m(m_z: int) -> float:
     return math.log(max(m_z, 3))
 
 
-def _validate_eps(eps: float):
-    if not 0 < eps <= 0.5:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1/2], got {eps}")
-
-
 @functools.lru_cache(maxsize=256, typed=True)
 def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> EetPlan:
     """Compute all stage budgets for domain size n at accuracy eps.
@@ -113,9 +107,8 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     hashes by value, so every trial of a cell, in any thread or pool
     worker, gets one plan object.  Invalid arguments raise on every call.
     """
-    _validate_eps(eps)
-    if not 0 < delta <= 1:
-        raise ParameterOutOfRange(f"delta must lie in (0, 1], got {delta}")
+    check_range("eps", eps, 0.5)
+    check_range("delta", delta)
     if n < 1:
         raise ParameterOutOfRange("domain size must be >= 1")
     e_i = eps / EPS_SPLIT
@@ -239,7 +232,7 @@ def solve_tv_threshold(n: int, eps: float, tol: float = 1e-12) -> float:
     so testing TV at the root is sound for the entropy promise.  Cached by
     value, as :func:`make_eet_plan`.
     """
-    _validate_eps(eps)
+    check_range("eps", eps, 0.5)
     f = lambda x: x * math.log(n / x)
     lo, hi = 1e-15, 0.5
     if f(hi) < eps:
@@ -265,7 +258,7 @@ def tv_baseline_budget(n: int, eps: float, delta: float, cfg: ThresholdConfig) -
 
 def run_eet_tv_baseline(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
     """Entropy equivalence via a plain TV closeness test at the reduced scale."""
-    _validate_eps(eps)
+    check_range("eps", eps, 0.5)
     eps_tv = solve_tv_threshold(n, eps)
     verdict = tv_closeness_test(sp, sq, n, eps_tv, delta, cfg)
     trace = [Stage("tv-baseline-scale", eps_tv, eps)] + verdict.trace

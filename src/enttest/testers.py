@@ -21,15 +21,13 @@ import numpy as np
 from .core import (
     LOG_FLOOR,
     BudgetExhausted,
+    ParameterOutOfRange,
     Sampler,
     _as_mask,
+    check_range,
     conditional_rejection_sample,
 )
 from .poisson import poissonized_counts, statistic_l2, statistic_t
-
-
-class ParameterOutOfRange(ValueError):
-    """Tester parameter outside its documented range."""
 
 
 class ConfigError(ValueError):
@@ -222,8 +220,7 @@ def _majority(votes, axis=-1):
 
 def amplification_reps(delta: float) -> int:
     """Independent repetitions for majority amplification below delta = 1/10."""
-    if not 0 < delta <= 1:
-        raise ParameterOutOfRange(f"delta must lie in (0, 1], got {delta}")
+    check_range("delta", delta)
     if delta >= 0.1:
         return 1
     k = math.ceil(18.0 * math.log(1.0 / delta))
@@ -261,8 +258,7 @@ def identify_heavy_set(mix_sampler, n: int, eps: float, cfg: ThresholdConfig = D
     mask satisfies the S2-subset-of-S-subset-of-S1 sandwich with high
     probability (boundary constants ``c_heavy_low``/``c_heavy_high``).
     """
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_range("eps", eps)
     if n < 1:
         raise ParameterOutOfRange("domain size must be >= 1")
     budget = heavy_set_budget(n, eps, cfg)
@@ -335,8 +331,7 @@ def _run_t_test(sp, sq, budget, threshold, stage, delta, statistic):
 
 def hellinger_closeness_test(sp, sq, n: int, eps_h: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
     """Distinguish p = q from squared Hellinger distance >= eps_h."""
-    if not 0 < eps_h <= 1:
-        raise ParameterOutOfRange(f"eps_h must lie in (0, 1], got {eps_h}")
+    check_range("eps_h", eps_h)
     if n == 1:
         return TestVerdict("accept", None, [Stage("hellinger", 0.0, 0.0)])
     budget = hellinger_budget(n, eps_h, cfg)
@@ -346,8 +341,7 @@ def hellinger_closeness_test(sp, sq, n: int, eps_h: float, delta: float = 0.1, c
 
 def tv_closeness_test(sp, sq, n: int, eps_tv: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
     """Distinguish p = q from total variation distance >= eps_tv."""
-    if not 0 < eps_tv <= 1:
-        raise ParameterOutOfRange(f"eps_tv must lie in (0, 1], got {eps_tv}")
+    check_range("eps_tv", eps_tv)
     if n == 1:
         return TestVerdict("accept", None, [Stage("tv", 0.0, 0.0)])
     budget = tv_budget(n, eps_tv, cfg)
@@ -361,8 +355,7 @@ def l2_budget(eps_l2: float, cfg: ThresholdConfig) -> int:
 
 def l2_closeness_test(sp, sq, n: int, eps_l2: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
     """Distinguish p = q from ||p - q||_2^2 >= eps_l2^2 (collision statistic)."""
-    if eps_l2 <= 0:
-        raise ParameterOutOfRange(f"eps_l2 must be positive, got {eps_l2}")
+    check_range("eps_l2", eps_l2, math.inf)
     if eps_l2**2 >= 2.0:
         # no pair of distributions reaches squared l2 distance 2
         return TestVerdict("accept", None, [Stage("l2", 0.0, eps_l2**2)])
@@ -447,8 +440,7 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     rejection sampling.  A blown raw-sample budget in (iv), or a sample
     pool running dry in any stage, rejects as ``lowmass-budget``.
     """
-    if not 0 < eps <= 1:
-        raise ParameterOutOfRange(f"eps must lie in (0, 1], got {eps}")
+    check_range("eps", eps)
     rng = np.random.default_rng(rng)
     mask = _as_mask(sbar, sp.n)
     log_r = _log_ratio(n, eps)

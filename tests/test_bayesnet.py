@@ -2,7 +2,9 @@
 subset-sweep closeness/identity testers."""
 
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import combinations
 
@@ -116,25 +118,28 @@ class TestExactJointAndMarginals:
         with pytest.raises(ValueError):
             joint_marginal(bn_exact_joint(fair_coins(4)), (0, 9), 4)
 
-    @pytest.mark.parametrize("n", [6, 8, 12])
-    def test_subset_tables_bit_identical_to_joint_marginal(self, n, monkeypatch):
+    @pytest.mark.parametrize("n", [6, 8, 12, 16])
+    def test_marginal_counts_match_joint_marginal(self, n):
+        # a probability joint as one column: the GEMMs sum it in their own
+        # order, so the tables agree with the index-order oracle to rounding
         net = random_bayesnet(n, 2, np.random.default_rng(n))
         w = bn_mixture_weight(n, 2, 0.3)
         joint = (1 - w) * bn_exact_joint(net) + w / 2**n
-        for width, chunk in ((2, 2**16), (3, 2**16), (3, 3 * 2**n)):
-            # a chunk of three subsets leaves a short last chunk
-            monkeypatch.setattr(bayesnet, "_TABLE_CHUNK", chunk)
+        for width in range(2, 6):
+            tables = bayesnet._marginal_counts(joint[:, None], n, width)
+            assert tables.shape == (math.comb(n, width), 1, 2**width)
             ref = np.array([joint_marginal(joint, sub, n) for sub in combinations(range(n), width)])
-            assert bayesnet._subset_tables(joint, n, width).tobytes() == ref.tobytes()
+            assert np.allclose(tables[:, 0], ref, rtol=1e-13, atol=0)
 
     def test_row_sum_entropies_bit_identical_to_entropy(self):
         # the identity test's exact local entropies: one row sum over the
         # mixed tables, every entry of which is positive
         net = random_bayesnet(12, 2, np.random.default_rng(4))
         w = bn_mixture_weight(12, 2, 0.3)
-        tables = bayesnet._subset_tables((1 - w) * bn_exact_joint(net) + w / 2**12, 12, 3)
+        joint = (1 - w) * bn_exact_joint(net) + w / 2**12
+        tables = bayesnet._marginal_counts(joint[:, None], 12, 3)
         assert (tables > 0).all()
-        ref = np.array([entropy(table) for table in tables])
+        ref = np.array([[entropy(table[0])] for table in tables])
         assert (-(tables * np.log(tables)).sum(axis=-1)).tobytes() == ref.tobytes()
 
     def test_joint_matches_sampling(self):
@@ -317,7 +322,9 @@ class TestIdentityTester:
 
 
 # Verdicts of the per-subset sweep, recorded before the sweep was batched:
-# (accepted, fired stage, samples_used, trace) on each counting path.
+# (accepted, fired stage, samples_used, trace) on each counting path.  The
+# identity-far chi statistics moved by one ulp when the exact q tables came
+# from the GEMM marginalization instead of index-order bincounts.
 _SHARED = [("bn-shared-m", 170427.0, 127.0), ("bn-eps1", 0.5560620396340937, 0.01125)]
 _ID_SHARED = [("bn-id-shared-m", 85360.0, 127.0), ("bn-id-eps1", 0.7102812960045428, 0.01125)]
 GOLDEN = {
@@ -329,7 +336,7 @@ GOLDEN = {
         _SHARED + [("bn-hellinger:0,1,2", 40.40575846238259, 12.0)]),
     ("identity-null", "dense"): (True, None, 85501, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "dense"): (
-        False, "bn-id-chi:0,1,6", 85360, _ID_SHARED + [("bn-id-chi:0,1,6", 4001.839866749948, 12.0)]),
+        False, "bn-id-chi:0,1,6", 85360, _ID_SHARED + [("bn-id-chi:0,1,6", 4001.8398667499487, 12.0)]),
     ("identity-far-entropy", "dense"): (
         False, "bn-id-entropy:3,5,6", 85599,
         _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7120868626860921, 0.7102812960045428)]),
@@ -344,7 +351,7 @@ GOLDEN = {
         _SHARED + [("bn-hellinger:0,1,2", 37.360191339056065, 12.0)]),
     ("identity-null", "streaming"): (True, None, 85158, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "streaming"): (
-        False, "bn-id-chi:0,1,6", 85092, _ID_SHARED + [("bn-id-chi:0,1,6", 3924.7281686101946, 12.0)]),
+        False, "bn-id-chi:0,1,6", 85092, _ID_SHARED + [("bn-id-chi:0,1,6", 3924.7281686101956, 12.0)]),
     ("identity-far-entropy", "streaming"): (
         False, "bn-id-entropy:3,5,6", 85186,
         _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7139697963848808, 0.7102812960045428)]),
@@ -592,6 +599,23 @@ class TestBlockedSubsetCounts:
             # one-hot: every atom lands in one cell of every subset
             assert np.array_equal(lo_map.sum(axis=1), np.full(2**3, math.comb(3, j)))
             assert np.array_equal(hi_map.sum(axis=1), np.full(2**4, math.comb(4, 3 - j)))
+
+    def test_threads_at_two_plan_keys_get_serial_tables(self):
+        # the suite's exact checks marginalize beside the trials, so two
+        # threads take turns at _marginal_plan's one cached entry
+        jobs = [
+            (np.random.default_rng(16).poisson(3.0, size=(2**12, 16)), 12, 3),
+            (self._mixture(6, 69).exact_joint()[:, None], 6, 3),
+        ]
+        serial = [bayesnet._marginal_counts(*job).tobytes() for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(lambda job: [bayesnet._marginal_counts(*job).tobytes() for _ in range(40)], jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[table] * 40 for table in serial]
 
 
 class TestNetFiles:

@@ -17,8 +17,8 @@ from enttest.core import (
     DistributionError,
     DomainMismatch,
     FairMixSampler,
-    InvalidEpsilon,
     MassFloorSampler,
+    ParameterOutOfRange,
     Sampler,
     StreamSampler,
     conditional_rejection_sample,
@@ -222,9 +222,9 @@ class TestMassFloor:
                     assert drift <= 2 * eps
 
     def test_invalid_eps(self):
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(ParameterOutOfRange):
             mass_floor_mix(DiscreteDistribution.uniform(4), 0.6)
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(ParameterOutOfRange):
             mass_floor_mix(DiscreteDistribution.uniform(4), 0.0)
 
 

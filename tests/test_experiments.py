@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import enttest
+from enttest import bayesnet as bn
 from enttest import experiments
 from enttest import instances as inst
 from enttest.cli import main as cli_main
@@ -297,12 +298,18 @@ class TestTrialThreads:
         run_experiment(self._spec(kind, tmp_path / "bn"), workers=1)
         assert len(threads) == trials and len(set(threads)) > 1
 
-    @pytest.mark.parametrize("n, d", [(13, 2), (16, 1), (9, 3), (12, 3), (10, 4)])
+    @pytest.mark.parametrize("n, d, small", [(12, 2, True), (8, 2, True), (13, 2, False), (12, 3, False),
+                                             (8, 3, False)])
+    def test_one_size_rule_for_chunks_and_threads(self, n, d, small):
+        assert bn._small_sweep(n, d) == small
+        assert experiments._threaded({"op": "bn", "n": n, "d": d}) == small
+
+    @pytest.mark.parametrize("n, d", [(13, 2), (16, 1), (9, 3), (12, 3), (10, 4), (8, 3), (8, 4)])
     def test_large_bayesnet_trials_stay_serial(self, n, d, monkeypatch):
         # past 2^12 atoms `_marginal_counts` contracts every block at once,
-        # on OpenBLAS's own threads; past 2^8 atoms at d >= 3 two trials in
-        # flight raise peak memory by a fifth to a half; a stub keeps the
-        # check cheap
+        # on OpenBLAS's own threads; at d >= 3 two trials in flight gain
+        # little and raise peak memory by a tenth to a half; a stub keeps
+        # the check cheap
         monkeypatch.setattr(experiments, "_cpus", lambda: 4)
         threads = []
 
@@ -344,6 +351,21 @@ class TestTrialThreads:
         )
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
+
+    def test_bayesnet_pool_in_a_fresh_process(self, tmp_path):
+        # numpy imports numpy.random on first use; a pool forked while the
+        # exact checks' side thread held that import's lock once hung
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        code = (
+            "from enttest.experiments import ExperimentSpec, run_experiment\n"
+            "for workers in (2, 1):\n"
+            "    spec = ExperimentSpec(kind='bayesnet', n_values=[4], eps_values=[0.3], d_values=[1],"
+            f" trials=2, seed=3, out_dir={str(tmp_path)!r} + f'/w{{workers}}')\n"
+            "    run_experiment(spec, workers=workers)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
         assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
 
 
@@ -432,10 +454,16 @@ class TestCli:
             {"kind": "error_grid", "n_values": [63], "eps_values": [0.3]},
             {"kind": "scaling", "n_values": [1, 64], "eps_values": [0.3]},
             {"kind": "bayesnet", "n_values": [7], "eps_values": [1.0], "d_values": [5]},
+            # within far_pair_reach, but no random net pair certifies these
+            # eps, so make_far_net_pair once raised from inside the trials
+            {"kind": "bayesnet", "n_values": [3], "eps_values": [0.95], "d_values": [2]},
+            {"kind": "bayesnet", "n_values": [2], "eps_values": [0.98], "d_values": [1]},
+            {"kind": "bayesnet", "n_values": [4], "eps_values": [0.97], "d_values": [3]},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
              "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25",
-             "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1"],
+             "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1",
+             "bn-far-n3", "bn-far-n2", "bn-far-n4"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"
