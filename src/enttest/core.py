@@ -332,13 +332,21 @@ def mass_floor_mix(d: DiscreteDistribution, eps: float) -> DiscreteDistribution:
 
 
 def _alias_tables(probs: np.ndarray):
-    """Vose alias tables (1991): O(n) setup, O(1) per draw."""
-    n = probs.size
-    scaled = probs * n
-    alias = np.arange(n, dtype=np.int64)
+    """Vose alias tables (1991): O(n) setup, O(1) per draw.
+
+    Returns ``(alias, threshold)`` over 2^b >= max(n, 2) columns: the law is
+    padded with zero-probability columns, which are always replaced by
+    their alias.  Column i is kept with probability ``cut[i]``, stored as
+    the uint64 ``threshold[i] = ceil(cut[i] 2^53)``: a 53-bit coin c keeps
+    it iff ``c < threshold[i]``, which is ``c 2^-53 < cut[i]`` exactly.
+    """
+    size = max(2, 1 << (probs.size - 1).bit_length())
+    scaled = np.zeros(size)
+    scaled[:probs.size] = probs * size
+    alias = np.arange(size, dtype=np.int64)
     cut = scaled.copy()
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
+    small = [i for i in range(size) if scaled[i] < 1.0]
+    large = [i for i in range(size) if scaled[i] >= 1.0]
     while small and large:
         s = small.pop()
         l = large.pop()
@@ -348,56 +356,74 @@ def _alias_tables(probs: np.ndarray):
     # numerical leftovers are self-aliased with acceptance 1
     for i in small + large:
         cut[i] = 1.0
-    return alias, np.minimum(cut, 1.0)
+    threshold = np.ceil(np.minimum(cut, 1.0) * 2.0**53).astype(np.uint64)
+    return alias, threshold
 
 
 # Elements per block of the large-n count path (``_alias_draw``, and T and Z
-# in ``poisson._terms``), so that 128 KB float64 temporaries stay in cache.
-# On 2 shared cores, numpy 2.4: 2^16 Poisson-table alias variates cost 17.6 ns
-# each in one pass, 11.8 blocked; T in the serial `scaling` spec 9.4 and 8.2 ns a cell.
+# in ``poisson._terms``), so that 128 KB temporaries stay in cache.  On 2
+# shared cores, numpy 2.4.6: a draw of 2^14 Poisson-table alias variates
+# costs 9.0-10.6 ns a variate (rates 30 to 3000), against 14.0-21.2 when it
+# took one ``Generator.integers`` and one ``Generator.random`` a variate;
+# T in the serial `scaling` spec costs 9.4 ns a cell in one pass and 8.2
+# blocked.
 _BLOCK = 2**14
+_COIN_MASK = np.uint64(2**53 - 1)
 
 
-def _alias_draw(rng, alias: np.ndarray, cut: np.ndarray, k: int) -> np.ndarray:
-    """k i.i.d. indices into the table: a uniform column, kept with
-    probability ``cut`` and replaced by its alias otherwise.
+def _alias_draw(rng, alias: np.ndarray, threshold: np.ndarray, k: int) -> np.ndarray:
+    """k i.i.d. indices into the tables of :func:`_alias_tables`.
 
-    Past ``_BLOCK`` draws the coins fill one reused buffer a block at a
-    time; ``Generator.random`` fills in order, so the draw equals the
-    one-pass form bit for bit.
+    A variate takes one 64-bit word r of the bit generator when the table
+    has 2^b <= 2^11 columns: the column is the top b bits of r, exactly
+    uniform, and the coin the low 53 bits.  A larger table takes two words
+    in turn, the column from the first and the coin from the second's low
+    53 bits.  The words come ``_BLOCK`` variates at a time from
+    ``random_raw``, which fills in order, so the draw is the same in
+    blocks or in one pass.
     """
-    idx = rng.integers(0, alias.size, size=k)
-    if k <= _BLOCK:
-        np.copyto(idx, alias[idx], where=rng.random(k) >= cut[idx])
-        return idx
-    coins = np.empty(_BLOCK)
+    b = alias.size.bit_length() - 1
+    words = 1 if b <= 11 else 2
+    shift = np.uint64(64 - b)
+    bits = rng.bit_generator
+    out = np.empty(k, dtype=np.int64)
     for lo in range(0, k, _BLOCK):
-        cols = idx[lo:lo + _BLOCK]
-        u = rng.random(out=coins[:cols.size])
-        np.copyto(cols, alias[cols], where=u >= cut[cols])
-    return idx
+        cols = out[lo:lo + _BLOCK]
+        raw = bits.random_raw(words * cols.size)
+        np.right_shift(raw[::words], shift, out=cols.view(np.uint64))
+        coins = raw[words - 1::words]
+        coins &= _COIN_MASK
+        np.copyto(cols, alias[cols], where=coins >= threshold[cols])
+    return out
 
 
 # Poisson counts of equal-probability cells (``Sampler.poisson_counts``),
-# measured on 2 shared cores with numpy 2.4: ``Generator.poisson`` costs
+# measured on 2 shared cores with numpy 2.4.6: ``Generator.poisson`` costs
 # 36-79 ns a variate at rates 1 to 10^4 (15 ns near rate 0), an alias draw
-# 12-23 ns, and the Vose build of a table about 0.8 us an entry.  The table
+# 9-11 ns, and the Vose build of a table about 0.8 us an entry.  The table
 # path makes about ten numpy calls a level against the per-cell path's two,
 # and each call that releases the interpreter lock costs more when two
-# trial threads share it: on one thread a level of 128 cells already drew
-# as fast from its table, on two threads the table won only from 2,048
-# cells (a two-level law, per-cell against table: 98 against 142 us a call
-# at 1,024 cells a level, 169 against 170 at 2,048, 655 against 262 at
-# 8,192).  _TABLE_MAX_RATE caps a table at 1,341 entries, whose ~1 ms
-# build the ~30 ns a variate saving repays within 2^15 variates.
+# trial threads share it.  A two-level law at rates 67 and 133, per-cell
+# against table, medians of 11 runs: on one thread 41 against 38 us a call
+# at 128 cells a level, 234 against 129 at 2,048 and 680 against 205 at
+# 4,096; on two threads, each drawing its own law, 237 against 408 at
+# 1,024, 427 against 528 at 2,048 and 790 against 559 at 4,096 (with the
+# former two-call alias draw, 390 against 498 at 2,048).
+# The pinned grid spec in process at one worker, on two trial threads, ran
+# in 3.80 s at 2,048 and 3.69 s at 4,096 (medians of 6 alternating runs);
+# 2,048 stays, since a `scaling` pool worker draws on one thread, where a
+# 2,048-cell level draws 1.8 times as fast from its table.
+# _TABLE_MAX_RATE caps a table at 1,341 entries, whose ~1 ms build the
+# ~30 ns a variate saving repays within 2^15 variates.
 _TABLE_MIN_LEVEL = 2048
 _TABLE_MAX_RATE = 4096.0
 
 
 @functools.lru_cache(maxsize=64)
 def _poisson_table(rate: float):
-    """``(lo, alias, cut)``: int32 alias tables of the Poi(rate) pmf on
-    ``lo, lo + 1, ..., lo + alias.size - 1``, for rate > 0.
+    """``(lo, alias, threshold)``: the alias tables (:func:`_alias_tables`,
+    int32 aliases) of the Poi(rate) pmf on ``lo, lo + 1, ..., hi``, for
+    rate > 0; a draw from them plus ``lo`` is a truncated Poi(rate) variate.
 
     The window is rate +- x with x = 10 sqrt(rate) + 30, clipped at 0.
     Bernstein's bound P(|X - rate| >= x) <= 2 exp(-x^2 / (2 (rate + x/3)))
@@ -413,8 +439,36 @@ def _poisson_table(rate: float):
     logp = np.zeros(hi - lo + 1)
     np.cumsum(math.log(rate) - np.log(np.arange(lo + 1, hi + 1, dtype=np.float64)), out=logp[1:])
     pmf = np.exp(logp - logp.max())
-    alias, cut = _alias_tables(pmf / pmf.sum())
-    return lo, alias.astype(np.int32), cut
+    alias, threshold = _alias_tables(pmf / pmf.sum())
+    return lo, alias.astype(np.int32), threshold
+
+
+@functools.lru_cache(maxsize=64)
+def _sure_floor(k: int, theta: float, n: int) -> float:
+    """The smallest p, to bisection precision, whose element falls short
+    of theta among k draws with probability at most 2^-60 / n, by the
+    Chernoff bound P(X <= a k) <= exp(-k KL(a || p)) for a < p, where
+    a = (ceil(theta) - 1) / k and 0 < theta <= k.
+
+    Scalar and deterministic, so a mask does not depend on whether the
+    floor was cached.
+    """
+    a = (math.ceil(theta) - 1) / k
+    target = (60 * math.log(2) + math.log(n)) / k
+
+    def kl(p):
+        out = (1 - a) * math.log((1 - a) / (1 - p))
+        return out + a * math.log(a / p) if a > 0 else out
+
+    lo, hi = a, 1.0  # KL(a || a) = 0, KL(a || 1) = inf
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if kl(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def _draw_count(k) -> int:
@@ -447,6 +501,11 @@ class SampleStream:
         """Per-element counts of exactly k draws."""
         return np.bincount(self.draw(int(k)), minlength=self.n)
 
+    def count_at_least(self, k: int, theta: float) -> np.ndarray:
+        """Bool mask of the elements drawn at least ``theta`` times among
+        exactly k draws."""
+        return self.multinomial_counts(k) >= theta
+
     def binomial_hits(self, k: int, index_set) -> int:
         """Number of hits in ``index_set`` among exactly k draws."""
         return int(_as_mask(index_set, self.n)[self.draw(int(k))].sum())
@@ -462,8 +521,9 @@ class Sampler(SampleStream):
     Besides the literal sample stream (:meth:`draw`), the sampler exposes
     count-level draws (:meth:`poisson_counts`, :meth:`multinomial_counts`,
     :meth:`binomial_hits`, :meth:`negative_binomial_consumed`) whose joint
-    laws match the corresponding stream procedures exactly; the testers use
-    these for speed on large budgets.
+    laws match the corresponding stream procedures exactly, and
+    :meth:`count_at_least`, within 2^-60 total variation of its stream
+    procedure; the testers use these for speed on large budgets.
     """
 
     def __init__(self, distribution: DiscreteDistribution, rng_seed):
@@ -520,8 +580,8 @@ class Sampler(SampleStream):
         for j, rate in enumerate(rates):
             cells = levels.cells(j)
             if tabled[j]:
-                lo, alias, cut = _poisson_table(rate)
-                draw = _alias_draw(self._rng, alias, cut, cells.size)
+                lo, alias, threshold = _poisson_table(rate)
+                draw = _alias_draw(self._rng, alias, threshold, cells.size)
                 if lo:
                     draw += lo
                 if cells.size == self.n:  # the only level: cells 0, ..., n - 1
@@ -539,6 +599,34 @@ class Sampler(SampleStream):
         if k == 0:
             return np.zeros(self.n, dtype=np.int64)
         return self._rng.multinomial(k, self.probs)
+
+    def count_at_least(self, k: int, theta: float) -> np.ndarray:
+        """The mask of elements drawn at least theta times among k draws,
+        within 2^-60 total variation of the literal one.
+
+        An element of probability at least ``_sure_floor(k, theta, n)``
+        falls short of theta with probability at most 2^-60 / n, so it
+        counts as reached without a draw.  The other elements with positive
+        probability, the unsure set U, draw their counts' exact joint law:
+        ``N ~ Bin(k, p(U))`` draws land in U, split by
+        ``Multinomial(N, p_U / p(U))``.  With no sure element this is one
+        ``multinomial_counts(k)``; a law whose every element is sure, or a
+        theta outside (0, k], draws nothing.
+        """
+        k = _draw_count(k)
+        if theta <= 0 or theta > k:
+            return np.full(self.n, theta <= 0)
+        probs = self.probs
+        sure = probs >= _sure_floor(k, float(theta), self.n)
+        if not sure.any():
+            return self.multinomial_counts(k) >= theta
+        unsure = np.flatnonzero(~sure & (probs > 0))
+        if unsure.size:
+            p_u = probs[unsure]
+            mass = float(p_u.sum())
+            hits = int(self._rng.binomial(k, min(mass, 1.0)))
+            sure[unsure] = self._rng.multinomial(hits, p_u / mass) >= theta
+        return sure
 
     def binomial_hits(self, k: int, index_set) -> int:
         k = _draw_count(k)

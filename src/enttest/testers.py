@@ -254,7 +254,9 @@ def identify_heavy_set(mix_sampler, n: int, eps: float, cfg: ThresholdConfig = D
 
     ``mix_sampler`` must stream the uniform mixture (p + q)/2.  One shared
     pool of draws backs the per-element decisions, exactly as the
-    selection lemma prescribes.  Returns ``(mask, samples_used)`` where the
+    selection lemma prescribes; an exact-law mixture decides the elements
+    whose count is all but sure to pass without drawing them
+    (``Sampler.count_at_least``).  Returns ``(mask, samples_used)`` where the
     mask satisfies the S2-subset-of-S-subset-of-S1 sandwich with high
     probability (boundary constants ``c_heavy_low``/``c_heavy_high``).
     """
@@ -262,11 +264,10 @@ def identify_heavy_set(mix_sampler, n: int, eps: float, cfg: ThresholdConfig = D
     if n < 1:
         raise ParameterOutOfRange("domain size must be >= 1")
     budget = heavy_set_budget(n, eps, cfg)
-    counts = mix_sampler.multinomial_counts(budget)
     tau = heavy_threshold_unit(n, eps)
     # mixture mean at boundary C*tau is budget*C*tau/2; cut at the midpoint
     theta = budget * tau * (cfg.c_heavy_low + cfg.c_heavy_high) / 4.0
-    return counts >= theta, budget
+    return mix_sampler.count_at_least(budget, theta), budget
 
 
 # ---------------------------------------------------------------------------

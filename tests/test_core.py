@@ -268,10 +268,36 @@ class TestSampler:
         assert abs(hits / 1e5 - 0.5) < 0.01
 
 
-def _one_pass_alias_draw(rng, alias, cut, k):
-    idx = rng.integers(0, alias.size, size=k)
-    np.copyto(idx, alias[idx], where=rng.random(k) >= cut[idx])
-    return idx
+def _one_pass_alias_draw(rng, alias, threshold, k):
+    # the whole draw from one random_raw call: per variate, the column from
+    # the top b bits of a word, the coin from the low 53 bits of the same
+    # word (b <= 11) or of the next one
+    b = alias.size.bit_length() - 1
+    words = 1 if b <= 11 else 2
+    raw = rng.bit_generator.random_raw(words * k).reshape(k, words)
+    cols = (raw[:, 0] >> np.uint64(64 - b)).astype(np.int64)
+    coins = raw[:, -1] & np.uint64(2**53 - 1)
+    return np.where(coins < threshold[cols], cols, alias[cols])
+
+
+def _implied_law(alias, threshold):
+    """The law an alias draw realizes, column by column."""
+    cut = threshold / 2.0**53
+    law = cut.copy()
+    np.add.at(law, alias, 1.0 - cut)
+    return law / alias.size
+
+
+class _Words:
+    """A stand-in generator whose bit generator hands out given words."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._words = np.asarray(words, dtype=np.uint64)
+
+    def random_raw(self, size):
+        out, self._words = self._words[:size], self._words[size:]
+        return out
 
 
 class TestBlockedAliasDraw:
@@ -279,18 +305,124 @@ class TestBlockedAliasDraw:
 
     @pytest.mark.parametrize("k", [0, 1, B - 1, B, B + 1, 3 * B + 5])
     def test_equals_one_pass_on_a_poisson_table(self, k):
-        _, alias, cut = core._poisson_table(37.5)
+        _, alias, threshold = core._poisson_table(37.5)
         ref = np.random.default_rng(11)
         got = np.random.default_rng(11)
-        assert np.array_equal(core._alias_draw(got, alias, cut, k), _one_pass_alias_draw(ref, alias, cut, k))
-        # the generators are left in the same state
-        assert got.random() == ref.random()
+        assert np.array_equal(core._alias_draw(got, alias, threshold, k),
+                              _one_pass_alias_draw(ref, alias, threshold, k))
+        assert got.bit_generator.state == ref.bit_generator.state
 
     def test_sampler_draw_equals_one_pass(self):
+        # 2^15 cells: the two-word path
         d = DiscreteDistribution.random_dense(2**15, np.random.default_rng(4))
-        alias, cut = core._alias_tables(d.probs)
+        alias, threshold = core._alias_tables(d.probs)
         for k in (2**15, 3 * self.B + 5):
-            assert np.array_equal(Sampler(d, 8).draw(k), _one_pass_alias_draw(np.random.default_rng(8), alias, cut, k))
+            got = Sampler(d, 8)
+            ref = np.random.default_rng(8)
+            assert np.array_equal(got.draw(k), _one_pass_alias_draw(ref, alias, threshold, k))
+            assert got._rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("cut", [0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0])
+    def test_coin_rule_is_the_float_rule(self, cut):
+        # column 0 of the law (cut/2, 1 - cut/2) has cut `cut` exactly and
+        # alias 1; a coin c keeps it iff c 2^-53 < cut, as Generator.random's
+        # u < cut does on its 53-bit grid
+        alias, threshold = core._alias_tables(np.array([cut / 2, 1.0 - cut / 2]))
+        assert threshold[0] == math.ceil(cut * 2.0**53)
+        edge = int(threshold[0])
+        coins = sorted({c for c in (0, 1, edge - 1, edge, edge + 1, 2**52, 2**53 - 1) if 0 <= c < 2**53})
+        # column 0 is the top bit clear; the bits between it and the coin are noise
+        words = [c | (0x2A5 << 53) for c in coins]
+        got = core._alias_draw(_Words(words), alias, threshold, len(words))
+        want = [0 if c * 2.0**-53 < cut else int(alias[0]) for c in coins]
+        assert got.tolist() == want
+
+    def test_sampler_draw_chi_square_two_words(self):
+        # 4,099 cells pad to 2^13 columns, past the one-word limit of 2^11
+        n, k = 4099, 10**6
+        d = DiscreteDistribution.random_dense(n, np.random.default_rng(21))
+        alias, _ = core._alias_tables(d.probs)
+        assert alias.size == 2**13
+        draws = Sampler(d, 22).draw(k)
+        assert 0 <= draws.min() and draws.max() < n
+        observed = np.bincount(draws, minlength=n)
+        assert spstats.chisquare(observed, k * d.probs).pvalue > 1e-4
+
+    @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])
+    def test_no_draw_outside_the_window(self, rate):
+        lo, alias, threshold = core._poisson_table(rate)
+        entries = math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0) - lo + 1
+        assert alias.size // 2 < entries <= alias.size
+        draws = core._alias_draw(np.random.default_rng(5), alias, threshold, 2**17)
+        assert 0 <= draws.min() and draws.max() < entries
+        # and a law with zero cells, inside and past its end, never draws them
+        v = np.r_[np.ones(5), 0.0, np.ones(5), np.zeros(4)]
+        draws = Sampler(DiscreteDistribution(v / v.sum()), 6).draw(10**5)
+        assert set(np.unique(draws)) == set(np.flatnonzero(v))
+
+
+def _sure_and_unsure_law():
+    # at k = 2,000 and theta = 20.5 over 40 cells the sure floor is near
+    # 0.048: five sure cells of 0.1, five unsure cells of 0.04 that nearly
+    # always pass, and thirty of 0.01 that pass about half the time
+    return DiscreteDistribution(np.r_[np.full(5, 0.1), np.full(5, 0.04), np.full(30, 0.01)])
+
+
+class TestCountAtLeast:
+    K, THETA = 2000, 20.5
+
+    def test_sampler_and_stream_masks_agree_in_law(self):
+        d = _sure_and_unsure_law()
+        sure = d.probs >= core._sure_floor(self.K, self.THETA, d.n)
+        assert sure.sum() == 5 and sure[:5].all()
+        seeds = 200
+        exact = np.zeros(d.n)
+        literal = np.zeros(d.n)
+        for seed in range(seeds):
+            exact += Sampler(d, seed).count_at_least(self.K, self.THETA)
+            # the base class's mask: every count of one Multinomial(k, p)
+            literal += core.SampleStream.count_at_least(Sampler(d, seeds + seed), self.K, self.THETA)
+        assert exact[:5].min() == seeds
+        want = spstats.binom.sf(math.ceil(self.THETA) - 1, self.K, d.probs)
+        for freq in (exact / seeds, literal / seeds):
+            assert np.all(np.abs(freq - want) <= 5 * np.sqrt(want * (1 - want) / seeds) + 1e-9)
+        # the two masks' per-cell frequencies, cell by cell, within sampling noise
+        z = (exact - literal) / np.sqrt(2 * seeds * np.maximum(want * (1 - want), 1e-9))
+        assert np.mean(z[10:] ** 2) <= 2.0
+
+    def test_all_sure_law_draws_nothing(self):
+        s = Sampler(DiscreteDistribution.uniform(16), 3)
+        state = s._rng.bit_generator.state
+        assert s.count_at_least(10**5, 100.0).all()
+        assert s._rng.bit_generator.state == state
+
+    def test_sure_floor_is_the_boundary(self):
+        # an element at the floor draws nothing; one just below it draws
+        floor = core._sure_floor(10**5, 100.0, 2)
+        for p, draws in ((floor, False), (floor * (1 - 1e-9), True)):
+            s = Sampler(DiscreteDistribution([p, 1.0 - p]), 3)
+            state = s._rng.bit_generator.state
+            s.count_at_least(10**5, 100.0)
+            assert (s._rng.bit_generator.state != state) == draws
+
+    def test_theta_outside_the_count_range_draws_nothing(self):
+        d = _sure_and_unsure_law()
+        for k, theta, want in ((self.K, 0.0, True), (self.K, -3.0, True), (self.K, self.K + 0.5, False),
+                               (0, 0.5, False), (0, 0.0, True)):
+            s = Sampler(d, 4)
+            state = s._rng.bit_generator.state
+            mask = s.count_at_least(k, theta)
+            assert mask.dtype == bool and mask.shape == (d.n,) and np.all(mask == want)
+            assert s._rng.bit_generator.state == state
+            # the literal mask agrees
+            assert np.all(core.SampleStream.count_at_least(Sampler(d, 5), k, theta) == want)
+        with pytest.raises(ValueError):
+            Sampler(d, 6).count_at_least(-1, 1.0)
+
+    def test_zero_cells_never_pass(self):
+        v = np.r_[np.full(4, 0.2), np.zeros(3), np.full(20, 0.01)]
+        mask = Sampler(DiscreteDistribution(v), 7).count_at_least(self.K, self.THETA)
+        assert mask[:4].all() and not mask[4:7].any()
 
 
 class TestMixSampler:
@@ -478,6 +610,8 @@ class TestSamplerProtocol:
         for k in (0, 1, 257):
             c = s.multinomial_counts(k)
             assert c.shape == (n,) and c.sum() == k
+            mask = s.count_at_least(k, 20.0)
+            assert mask.shape == (n,) and mask.dtype == bool
         assert 0 <= s.binomial_hits(500, np.arange(n) < 3) <= 500
 
     @pytest.mark.parametrize("kind", sorted(SAMPLER_KINDS))
@@ -545,17 +679,19 @@ class TestPoissonLevels:
 
     @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])
     def test_table_is_the_truncated_pmf(self, rate):
-        lo, alias, cut = core._poisson_table(rate)
+        lo, alias, threshold = core._poisson_table(rate)
+        assert alias.dtype == np.int32 and threshold.dtype == np.uint64
+        # the table has 2^b columns; the pmf's entries come first and the
+        # padded columns carry no mass at all
         size = alias.size
-        assert alias.dtype == np.int32
-        # the law an alias draw realizes, entry by entry
-        law = cut.copy()
-        np.add.at(law, alias, 1.0 - cut)
-        law /= size
-        ks = np.arange(lo, lo + size)
+        entries = math.ceil(rate + 10.0 * math.sqrt(rate) + 30.0) - lo + 1
+        assert size & (size - 1) == 0 and size // 2 < entries <= size
+        law = _implied_law(alias, threshold)
+        ks = np.arange(lo, lo + entries)
         pmf = spstats.poisson.pmf(ks, rate)
-        assert np.max(np.abs(law - pmf / pmf.sum())) < 1e-12
-        tail = spstats.poisson.cdf(lo - 1, rate) + spstats.poisson.sf(lo + size - 1, rate)
+        assert np.max(np.abs(law[:entries] - pmf / pmf.sum())) < 1e-12
+        assert np.all(law[entries:] == 0.0)
+        tail = spstats.poisson.cdf(lo - 1, rate) + spstats.poisson.sf(lo + entries - 1, rate)
         assert tail < 2.0**-60
 
     @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])

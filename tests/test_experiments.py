@@ -196,16 +196,21 @@ class TestReproducibility:
             ("kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
              "11bbf522aa744853abe486dc63efe8734f2eacae4d14e6a304c67dedcaee7a04"),
             ("kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
-             "de304c0adcf35f4e932a4d2cabe5b9553f521b79924400e2818d5fd37085eb6f"),
+             "fb100a8ef952ff68aebc17b0ee108933bb03d920342f5e8ff5c8feadb8badc4e"),
+            # tabled Poisson levels, and heavy-set draws of both sure and
+            # unsure elements (null:zipf and null:dense)
+            ("kind='error_grid', n_values=[4096], eps_values=[0.4], trials=1",
+             "62639dd135b3c4878e2e089cc0f052179b119a854d5a3faec5c46339637b11af"),
             ("kind='scaling', n_values=[64, 256], eps_values=[0.3], trials=2",
              "db7e4b96c854ef8ebb478ecdf60002e08d88a1353c75b3bcdb1a41c2430574fa"),
             # large-n count pairs, on trial threads when the process has two cores
             ("kind='scaling', n_values=[2**13, 2**14], eps_values=[0.3], trials=2",
-             "2a4fbee633609afa25987ecae493787c0b20b68e02d3b8597291242cbd5c941f"),
+             "8491711286bcf70bc1d7ec6d477c8b51bdccf5ea7c03d94e32042bb10e0707e9"),
             ("kind='calibrate', n_values=[64], eps_values=[0.1], trials=40",
              "8bb7efe42ec03544b8dcaaea52a714bd616377faf85700a3fc33fd0b75326cd8"),
         ],
-        ids=["bayesnet", "bayesnet-n12", "error_grid", "scaling", "scaling-large-n", "calibrate"],
+        ids=["bayesnet", "bayesnet-n12", "error_grid", "error_grid-n4096", "scaling", "scaling-large-n",
+             "calibrate"],
     )
     def test_suite_independent_of_hash_seed(self, spec, sha256, tmp_path):
         src = os.path.dirname(os.path.dirname(enttest.__file__))

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as spstats
 
+from enttest import core
 from enttest.core import DiscreteDistribution, Sampler, fair_mix, mix_sample
+from enttest.pipeline import make_eet_plan
 from enttest.testers import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -163,6 +166,27 @@ class TestIdentifyHeavySet:
             s2 = 2 * p.probs >= DEFAULT_CONFIG.c_heavy_high * tau
             good += bool(np.all(mask[s2]) and not np.any(mask[~s1]))
         assert good >= 95
+
+    @pytest.mark.parametrize("eps", [0.2, 0.4])
+    @pytest.mark.parametrize("n", [2**10, 2**12, 2**14])
+    def test_sure_floor_bound_at_grid_cells(self, n, eps):
+        # the (k, theta) the grid suite's cascade asks for: an element at
+        # the sure floor falls short of theta with probability <= 2^-60 / n
+        calls = []
+
+        class Recording(Sampler):
+            def count_at_least(self, k, theta):
+                calls.append((k, theta))
+                return super().count_at_least(k, theta)
+
+        mix = Recording(DiscreteDistribution.uniform(n), 1)
+        mask, _ = identify_heavy_set(mix, n, make_eet_plan(n, eps).eps_internal)
+        [(k, theta)] = calls
+        p_star = core._sure_floor(k, theta, n)
+        assert theta / k < p_star < 1.0
+        assert spstats.binom.cdf(math.ceil(theta) - 1, k, p_star) <= 2.0**-60 / n
+        # a uniform law's elements are all sure at these cells
+        assert 1.0 / n >= p_star and mask.all()
 
     def test_parameter_validation(self):
         p = DiscreteDistribution.uniform(4)
