@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import LOG_FLOOR, ParameterOutOfRange, check_range
+from .core import LOG_FLOOR, ParameterOutOfRange, check_range, kl_divergence_vectors
 from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -634,7 +634,7 @@ def bn_identity_test(
 # ---------------------------------------------------------------------------
 
 
-def _as_joint(p, n_hint=None) -> tuple[np.ndarray, int]:
+def _as_joint(p) -> tuple[np.ndarray, int]:
     if isinstance(p, BayesNet):
         return bn_exact_joint(p), p.n
     joint = np.asarray(p, dtype=np.float64)
@@ -646,34 +646,29 @@ def _as_joint(p, n_hint=None) -> tuple[np.ndarray, int]:
     return joint, n
 
 
+def _families(structure, n: int) -> list:
+    """Each node's ``(parents, family)``, sorted, from a BayesNet or a
+    parent-set list of n nodes; a node's family is it and its parents."""
+    parents = structure.parents if isinstance(structure, BayesNet) else [tuple(sorted(ps)) for ps in structure]
+    if len(parents) != n:
+        raise ValueError("structure size does not match the distribution")
+    return [(pa, tuple(sorted(set(pa) | {i}))) for i, pa in enumerate(parents)]
+
+
 def projection_joint(p, structure) -> np.ndarray:
     """Project a distribution onto a DAG: the product of p's conditionals
     along the DAG's parent sets.  ``structure`` is a parent-set list or a
     BayesNet whose structure is borrowed."""
     joint, n = _as_joint(p)
-    if isinstance(structure, BayesNet):
-        parent_sets = structure.parents
-    else:
-        parent_sets = tuple(tuple(sorted(ps)) for ps in structure)
-    if len(parent_sets) != n:
-        raise ValueError("structure size does not match the distribution")
     out = np.ones(2**n)
-    for i in range(n):
-        fam = tuple(sorted(set(parent_sets[i]) | {i}))
+    for pa, fam in _families(structure, n):
         num = joint_marginal(joint, fam, n)[_atom_cells(n, fam)]
-        den = joint_marginal(joint, parent_sets[i], n)[_atom_cells(n, parent_sets[i])]
+        den = joint_marginal(joint, pa, n)[_atom_cells(n, pa)]
         # parent configs never seen under p: any valid conditional works,
         # and p-null atoms never enter the KL sum
         cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
         out *= cond
     return out
-
-
-def kl_divergence_vectors(p: np.ndarray, q: np.ndarray) -> float:
-    sup = p > 0
-    if np.any(q[sup] <= 0):
-        return math.inf
-    return float((p[sup] * np.log(p[sup] / q[sup])).sum())
 
 
 def bn_kl_to_projection(p, structure) -> float:
@@ -697,22 +692,12 @@ def local_kl_telescoping(p_joint: np.ndarray, q_joint: np.ndarray, structure) ->
     q_joint, nq = _as_joint(q_joint)
     if n != nq:
         raise ValueError("joint sizes differ")
-    if isinstance(structure, BayesNet):
-        parent_sets = structure.parents
-    else:
-        parent_sets = tuple(tuple(sorted(ps)) for ps in structure)
     lhs = 0.0
-    for i in range(n):
-        fam = tuple(sorted(set(parent_sets[i]) | {i}))
-        lhs += kl_divergence_vectors(
-            joint_marginal(p_joint, fam, n), joint_marginal(q_joint, fam, n)
-        )
-        lhs -= kl_divergence_vectors(
-            joint_marginal(p_joint, parent_sets[i], n),
-            joint_marginal(q_joint, parent_sets[i], n),
-        )
-    rhs = kl_divergence_vectors(p_joint, projection_joint(p_joint, parent_sets)) * -1.0
-    rhs += kl_divergence_vectors(p_joint, projection_joint(q_joint, parent_sets))
+    for pa, fam in _families(structure, n):
+        lhs += kl_divergence_vectors(joint_marginal(p_joint, fam, n), joint_marginal(q_joint, fam, n))
+        lhs -= kl_divergence_vectors(joint_marginal(p_joint, pa, n), joint_marginal(q_joint, pa, n))
+    rhs = kl_divergence_vectors(p_joint, projection_joint(p_joint, structure)) * -1.0
+    rhs += kl_divergence_vectors(p_joint, projection_joint(q_joint, structure))
     return lhs, rhs
 
 
@@ -749,6 +734,7 @@ def perturb_one_cpt(net: BayesNet, rng) -> BayesNet:
 
 
 _MAX_FLIPS = 8  # CPT entries make_far_net_pair flips at most
+_MAX_TRIES = 200  # random nets it tries
 
 
 def far_pair_reach(n: int) -> float:
@@ -763,10 +749,11 @@ def far_pair_reach(n: int) -> float:
     return 1.0 - 0.12 ** min(_MAX_FLIPS, n)
 
 
-def make_far_net_pair(n: int, d: int, min_tv: float, rng, max_tries: int = 200):
-    """A random net and a perturbation with certified joint TV >= min_tv."""
+def make_far_net_pair(n: int, d: int, min_tv: float, rng):
+    """A random net and a perturbation with certified joint TV >= min_tv,
+    from at most ``_MAX_TRIES`` random nets."""
     rng = np.random.default_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         base = random_bayesnet(n, d, rng)
         base_joint = bn_exact_joint(base)
         far = perturb_one_cpt(base, rng)

@@ -97,6 +97,7 @@ def _unchecked(v: np.ndarray, renormalize: bool = True) -> "DiscreteDistribution
     d = object.__new__(DiscreteDistribution)
     object.__setattr__(d, "probs", v)
     object.__setattr__(d, "_levels", _UNGROUPED)
+    object.__setattr__(d, "_floored", (None, None))
     return d
 
 
@@ -140,14 +141,15 @@ class DiscreteDistribution:
 
     Immutable after construction and safe to share across workers: a
     pickled or copied law keeps the bits of ``probs`` and computes its
-    level grouping again on first use.
+    level grouping and floored law again on first use.
     """
 
-    __slots__ = ("probs", "_levels")
+    __slots__ = ("probs", "_levels", "_floored")
 
     def __init__(self, probs):
         object.__setattr__(self, "probs", _as_prob_vector(probs))
         object.__setattr__(self, "_levels", _UNGROUPED)
+        object.__setattr__(self, "_floored", (None, None))  # (eps, mass_floor_mix(self, eps))
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteDistribution is immutable")
@@ -178,9 +180,8 @@ class DiscreteDistribution:
         """The cells grouped by equal probability (:class:`Levels`), or None
         when the law has more than ``_MAX_LEVELS`` distinct values.
 
-        Computed on first use and held by the distribution.  A law made by
-        :func:`mass_floor_mix` derives its grouping from its base's, and
-        has none when the base has none.
+        Computed on first use and held by the distribution, by one stable
+        sort of ``probs``.
         """
         if self._levels is _UNGROUPED:
             # two threads may both compute it; they store equal groupings
@@ -261,15 +262,17 @@ def divergences(p: DiscreteDistribution, q: DiscreteDistribution) -> Divergences
     tv = 0.5 * float(np.abs(diff).sum())
     hell = 0.5 * float(((np.sqrt(pv) - np.sqrt(qv)) ** 2).sum())
     l2 = float((diff * diff).sum())
-    if np.any((qv == 0) & (pv > 0)):
-        kl = math.inf
-        chi = math.inf
-    else:
-        sup = pv > 0
-        kl = float((pv[sup] * np.log(pv[sup] / qv[sup])).sum())
-        qsup = qv > 0
-        chi = float((diff[qsup] ** 2 / qv[qsup]).sum())
-    return Divergences(tv=tv, hellinger_sq=hell, kl=kl, chi_sq=chi, l2_sq=l2)
+    qsup = qv > 0
+    chi = math.inf if np.any(pv[~qsup] > 0) else float((diff[qsup] ** 2 / qv[qsup]).sum())
+    return Divergences(tv=tv, hellinger_sq=hell, kl=kl_divergence_vectors(pv, qv), chi_sq=chi, l2_sq=l2)
+
+
+def kl_divergence_vectors(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) of probability vectors; ``inf`` when q is 0 where p is not."""
+    sup = p > 0
+    if np.any(q[sup] <= 0):
+        return math.inf
+    return float((p[sup] * np.log(p[sup] / q[sup])).sum())
 
 
 def lambda_term(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
@@ -302,27 +305,16 @@ def mass_floor_mix(d: DiscreteDistribution, eps: float) -> DiscreteDistribution:
     """Mix with the uniform distribution so every atom gets mass
     at least ``eps / (n log(n/eps))``; shifts the entropy by at most eps.
 
-    The floored law's level grouping (:meth:`DiscreteDistribution.levels`)
-    comes from the base's without sorting again: the floor maps equal
-    probabilities to equal ones and keeps their order, so each base level
-    stays a level, and neighbouring levels whose floored values round to
-    the same float merge.  A base with no grouping gives a floored law
-    with none.
+    ``d`` keeps its last result, so a cascade that floors a law on every
+    pass builds the floored law, and groups its levels, once per eps.
     """
     eta = mass_floor_eta(d.n, eps)
+    last_eps, last = d._floored
+    if last_eps == eps:
+        return last
     floored = _unchecked((1.0 - eta) * d.probs + eta / d.n)
-    base = d.levels()
-    if base is not None:
-        values = floored.probs[base.order[base.bounds[:-1]]].tolist()
-        starts = [j for j, v in enumerate(values) if j == 0 or v != values[j - 1]]
-        bounds = [base.bounds[j] for j in starts] + [d.n]
-        order = base.order
-        if len(starts) < len(values):  # merged levels: keep cells ascending
-            order = order.copy()
-            for lo, hi in zip(bounds, bounds[1:]):
-                order[lo:hi].sort()
-        base = Levels([values[j] for j in starts], bounds, order)
-    object.__setattr__(floored, "_levels", base)
+    # two threads may both build it; they store equal laws
+    object.__setattr__(d, "_floored", (eps, floored))
     return floored
 
 

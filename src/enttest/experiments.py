@@ -47,9 +47,11 @@ from .poisson import (
 )
 from .testers import (
     DEFAULT_CONFIG,
+    MULTIPLIER_KEYS,
     ConfigError,
     ThresholdConfig,
     _t_noise_floor,
+    amplification_reps,
     hellinger_budget,
     l2_budget,
     load_config,
@@ -61,6 +63,7 @@ from .pipeline import (
     make_eet_plan,
     run_eet,
     run_eet_combined,
+    solve_tv_threshold,
 )
 from . import bayesnet as bn
 from . import instances as inst
@@ -107,6 +110,8 @@ class ExperimentSpec:
                 raise ConfigError(f"bayesnet needs n <= {bn.EXACT_GUARD}: far pairs are certified on exact joints")
         if any(n < 1 for n in self.n_values):
             raise ConfigError("domain sizes must be >= 1")
+        if self.kind == "calibrate" and any(n % 2 for n in self.n_values):
+            raise ConfigError("calibrate's far families pair up cells: domain sizes must be even")
         if any(d < 1 or d >= min(self.n_values, default=math.inf) for d in self.d_values):
             raise ConfigError(f"in-degree bounds d must satisfy 1 <= d <= n - 1, got d in {self.d_values}")
         for family in SUITE_FAMILIES.get(self.kind, ()):
@@ -152,7 +157,7 @@ def default_spec(kind: str) -> ExperimentSpec:
             kind=kind, n_values=[8], eps_values=[0.3], d_values=[2], trials=50
         )
     if kind == "calibrate":
-        return ExperimentSpec(kind=kind, n_values=[1000, 10000], eps_values=[0.1], trials=400)
+        return ExperimentSpec(kind=kind, n_values=list(_CAL_N), eps_values=[0.1], trials=400)
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 
@@ -744,7 +749,11 @@ def _tester_statistics(tester: str, n: int, eps_cal: float, cfg: ThresholdConfig
     return null_stats, far_stats, unit
 
 
-def calibrate(spec: ExperimentSpec, mult_cap: float = 64.0):
+_MULT_CAP = 64.0  # calibrate's largest sample multiplier
+_CAL_N = (1000, 10000)  # calibrate's domain sizes when the spec gives none
+
+
+def calibrate(spec: ExperimentSpec, mult_cap: float = _MULT_CAP):
     """Freeze the statistic threshold constants by the documented protocol.
 
     For each primitive tester, with its sample multiplier starting at 1:
@@ -757,7 +766,7 @@ def calibrate(spec: ExperimentSpec, mult_cap: float = 64.0):
         raise CalibrationFailed(f"multiplier cap {mult_cap} leaves no budget to search")
     trials = spec.trials
     eps_cal = float(spec.eps_values[0]) if spec.eps_values else 0.1
-    n_values = [int(v) for v in (spec.n_values or [1000, 10000])]
+    n_values = [int(v) for v in (spec.n_values or _CAL_N)]
     field_for = {"hellinger": "c_hellinger_reject", "tv": "c_T_threshold", "l2": "c_l2_threshold"}
     tester_tag = {"hellinger": 1, "tv": 2, "l2": 3}
     # preferred landing points inside the feasible window: large enough that
@@ -836,7 +845,7 @@ def run_calibration_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: i
     header = [
         f"calibrated by enttest on {_calibration_date()}",
         f"seed = {spec.seed}, trials = {spec.trials}",
-        f"grid: n in {[int(v) for v in (spec.n_values or [1000, 10000])]}, "
+        f"grid: n in {[int(v) for v in (spec.n_values or _CAL_N)]}, "
         f"eps = {spec.eps_values[0] if spec.eps_values else 0.1}",
     ] + provenance
     save_config(new_cfg, os.path.join(spec.out_dir, "calibrated_config.txt"), header)
@@ -941,6 +950,34 @@ def resolve_workers(workers=None) -> int:
     return count
 
 
+_MAX_DRAW = 9.2e18  # numpy's Poisson rates stop near 9.22e18, binomial sizes at 2^63
+
+
+def _check_draws(spec: ExperimentSpec, cfg: ThresholdConfig):
+    """``ConfigError`` for a cell one of whose draws numpy cannot make: a
+    stage's per-stream budget, or a Bayes-net block's, reaches ``_MAX_DRAW``."""
+    if spec.kind == "oracle_suite":  # its cells are fixed
+        return
+    top = replace(DEFAULT_CONFIG, sample_multipliers=dict.fromkeys(MULTIPLIER_KEYS, _MULT_CAP))
+    for n in spec.n_values or (_CAL_N if spec.kind == "calibrate" else ()):
+        for eps in spec.eps_values:
+            for d in spec.d_values or [0]:
+                try:
+                    if spec.kind == "bayesnet":
+                        blocks = amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
+                        draw = max(bn.bn_budget(n, d, eps), bn.bn_identity_budget(n, d, eps)) / blocks
+                    elif spec.kind == "calibrate":  # each multiplier may double up to the cap
+                        draw = max(hellinger_budget(n, eps, top), tv_budget(n, eps, top), l2_budget(eps, top))
+                    else:
+                        stages = make_eet_plan(n, eps, 0.1, cfg).stages
+                        draw = max([s.budget for s in stages] + [tv_budget(n, solve_tv_threshold(n, eps), cfg)])
+                except (ZeroDivisionError, OverflowError):  # eps**2 underflows, or a budget is inf
+                    draw = math.inf
+                if not draw < _MAX_DRAW:
+                    raise ConfigError(f"eps = {eps:g} at n = {n} needs draws of {draw:.3g} samples: "
+                                      f"numpy draws at most {_MAX_DRAW:.3g} at once")
+
+
 def run_experiment(spec: ExperimentSpec, workers=None, check: bool = False) -> int:
     """Execute a suite; write results.csv (and derived artifacts).
 
@@ -950,6 +987,7 @@ def run_experiment(spec: ExperimentSpec, workers=None, check: bool = False) -> i
     spec.validate()
     workers = resolve_workers(workers)
     cfg = load_config(spec.cfg_path) if spec.cfg_path else DEFAULT_CONFIG
+    _check_draws(spec, cfg)
     t0 = time.perf_counter()
     rows, violations = SUITES[spec.kind](spec, cfg, workers)
     wall = (time.perf_counter() - t0) * 1e3

@@ -14,6 +14,9 @@ import numpy as np
 
 from .core import DiscreteDistribution, Sampler, StreamSampler, entropy
 
+_MI_TOL = 1e-9  # how far make_correlated_pair may miss its target
+_GAP_TOL = 1e-12  # make_entropy_gap_pair's slack at the ends of the gap's range
+
 
 class Unachievable(ValueError):
     """Requested certificate value exceeds what the family can reach."""
@@ -81,8 +84,8 @@ def max_mutual_information(k_a: int, k_c: int) -> float:
     return entropy(np.repeat([(q + 1) / k_a, q / k_a], [r, k_c - r]))
 
 
-def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9) -> JointPair:
-    """Joint with I(A : C) within ``tol`` of the target.
+def make_correlated_pair(k_a: int, k_c: int, target_mi: float) -> JointPair:
+    """Joint with I(A : C) within ``_MI_TOL`` of the target.
 
     Mixes the maximally correlated coupling (c = a mod k_c, a uniform) with
     the product of its marginals; the mixing weight is found by monotone
@@ -105,13 +108,13 @@ def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9
         ).mutual_information()
 
     cap = max_mutual_information(k_a, k_c)
-    if target_mi > cap + tol:
+    if target_mi > cap + _MI_TOL:
         raise Unachievable(
             f"target MI {target_mi} exceeds this family's maximum {cap:.6f}"
         )
     if target_mi == 0:
         pair = JointPair(DiscreteDistribution(product.ravel()), k_a, k_c)
-    elif abs(target_mi - cap) <= tol:
+    elif abs(target_mi - cap) <= _MI_TOL:
         pair = JointPair(DiscreteDistribution(coupled.ravel()), k_a, k_c)
     else:
         lo, hi = 0.0, 1.0
@@ -128,7 +131,7 @@ def make_correlated_pair(k_a: int, k_c: int, target_mi: float, tol: float = 1e-9
             DiscreteDistribution(((1.0 - w) * product + w * coupled).ravel()), k_a, k_c
         )
     achieved = pair.mutual_information()
-    if abs(achieved - target_mi) > tol:
+    if abs(achieved - target_mi) > _MI_TOL:
         raise CertificateError(
             f"MI certificate missed: wanted {target_mi}, got {achieved}"
         )
@@ -175,23 +178,23 @@ def mi_reduction_stream_samplers(pair: JointPair, t: int, rng_seed):
 # ---------------------------------------------------------------------------
 
 
-def make_entropy_gap_pair(n: int, gap: float, tol: float = 1e-12):
+def make_entropy_gap_pair(n: int, gap: float):
     """(p, q) with q uniform over [n] and H(q) - H(p) equal to ``gap``.
 
     p is a two-level distribution supported on the first
     k = ceil(n exp(-gap)) elements: equal mass on the first k-1 and a
     reduced mass on the k-th, solved by bisection so the gap is exact.
     """
-    if gap < 0 or gap > math.log(n) + tol:
+    if gap < 0 or gap > math.log(n) + _GAP_TOL:
         raise Unachievable(f"gap must lie in [0, log n] = [0, {math.log(n):.6f}]")
     q = DiscreteDistribution.uniform(n)
     target_h = math.log(n) - gap
-    if gap <= tol:
+    if gap <= _GAP_TOL:
         return q, q
     k = math.ceil(n * math.exp(-gap))
     if k <= 1:
         p = DiscreteDistribution.point_mass(n, 0)
-    elif abs(target_h - math.log(k)) <= tol:
+    elif abs(target_h - math.log(k)) <= _GAP_TOL:
         v = np.zeros(n)
         v[:k] = 1.0 / k
         p = DiscreteDistribution(v)
@@ -214,6 +217,6 @@ def make_entropy_gap_pair(n: int, gap: float, tol: float = 1e-12):
         vec[k - 1] = v
         p = DiscreteDistribution(vec)
     achieved = entropy(q) - entropy(p)
-    if abs(achieved - gap) > max(tol, 1e-11):
+    if abs(achieved - gap) > 1e-11:
         raise CertificateError(f"entropy-gap certificate missed: wanted {gap}, got {achieved}")
     return p, q

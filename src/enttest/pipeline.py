@@ -225,8 +225,9 @@ def run_eet(sp, sq, plan: EetPlan, rng=None) -> TestVerdict:
 
 
 @functools.lru_cache(maxsize=256, typed=True)
-def solve_tv_threshold(n: int, eps: float, tol: float = 1e-12) -> float:
-    """Root of x log(n/x) = eps on (0, 1/2], by monotone bisection.
+def solve_tv_threshold(n: int, eps: float) -> float:
+    """Root of x log(n/x) = eps on (0, 1/2], by monotone bisection to
+    within 1e-12.
 
     Any pair with |H(p) - H(q)| >= eps has TV distance at least this root,
     so testing TV at the root is sound for the entropy promise.  Cached by
@@ -243,7 +244,7 @@ def solve_tv_threshold(n: int, eps: float, tol: float = 1e-12) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
 

@@ -36,8 +36,8 @@ class CountPair:
     x_counts: np.ndarray
     y_counts: np.ndarray
     m_nominal: int
-    x_total: int = field(default=0)
-    y_total: int = field(default=0)
+    x_total: int = field(init=False)
+    y_total: int = field(init=False)
 
     def __post_init__(self):
         if self.x_counts.shape != self.y_counts.shape:

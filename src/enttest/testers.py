@@ -13,7 +13,9 @@ multiplier whenever no threshold satisfies both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -34,19 +36,6 @@ class ConfigError(ValueError):
     """Malformed threshold-config file or unknown key."""
 
 
-MULTIPLIER_KEYS = (
-    "hellinger",
-    "tv",
-    "l2",
-    "heavy",
-    "lowmass_mass",
-    "mass_diff",
-    "bias_s",
-    "stage5",
-    "z_m4_poly",
-    "z_m4_log",
-)
-
 # calibrated 2026-08-08 (seed 20260808, protocol in experiments.calibrate)
 _DEFAULT_MULTIPLIERS = {
     "hellinger": 2.0,
@@ -60,19 +49,7 @@ _DEFAULT_MULTIPLIERS = {
     "z_m4_poly": 2.0,
     "z_m4_log": 32.0,
 }
-
-_SCALAR_KEYS = (
-    "c_hellinger_reject",
-    "c_heavy_low",
-    "c_heavy_high",
-    "c_lowmass_mass",
-    "c_mass_diff",
-    "c_T_threshold",
-    "c_l2_threshold",
-    "c_massS_diff",
-    "c_Z_threshold",
-    "c_dec",
-)
+MULTIPLIER_KEYS = tuple(_DEFAULT_MULTIPLIERS)
 
 
 @dataclass(frozen=True)
@@ -82,7 +59,7 @@ class ThresholdConfig:
     ``c_heavy_low``/``c_heavy_high`` play the roles of the two heavy-set
     constants (the high one at least twice the low one); the remaining
     ``c_*`` fields are statistic thresholds; ``sample_multipliers`` scale
-    each sub-test's asymptotic budget formula.
+    each sub-test's asymptotic budget formula (held as a read-only copy).
     """
 
     c_hellinger_reject: float = 4.0
@@ -95,9 +72,10 @@ class ThresholdConfig:
     c_massS_diff: float = 1.0
     c_Z_threshold: float = 1.0
     c_dec: float = 4.0
-    sample_multipliers: dict = field(default_factory=lambda: dict(_DEFAULT_MULTIPLIERS))
+    sample_multipliers: Mapping = field(default_factory=lambda: _DEFAULT_MULTIPLIERS)
 
     def __post_init__(self):
+        object.__setattr__(self, "sample_multipliers", MappingProxyType(dict(self.sample_multipliers)))
         for name in _SCALAR_KEYS:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be strictly positive")
@@ -119,15 +97,18 @@ class ThresholdConfig:
         scalars = tuple(getattr(self, key) for key in _SCALAR_KEYS)
         return hash(scalars + tuple(sorted(self.sample_multipliers.items())))
 
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild the config from its fields
+        return ThresholdConfig, tuple(getattr(self, key) for key in _SCALAR_KEYS) + (dict(self.sample_multipliers),)
+
     def multiplier(self, name: str) -> float:
         return self.sample_multipliers[name]
 
     def with_multiplier(self, name: str, value: float) -> "ThresholdConfig":
-        mults = dict(self.sample_multipliers)
-        mults[name] = value
-        return replace(self, sample_multipliers=mults)
+        return replace(self, sample_multipliers={**self.sample_multipliers, name: value})
 
 
+_SCALAR_KEYS = tuple(f.name for f in fields(ThresholdConfig) if f.name != "sample_multipliers")
 DEFAULT_CONFIG = ThresholdConfig()
 
 
@@ -163,9 +144,7 @@ def load_config(path) -> ThresholdConfig:
                 mults[key[5:]] = num
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    merged = dict(_DEFAULT_MULTIPLIERS)
-    merged.update(mults)
-    return ThresholdConfig(**scalars, sample_multipliers=merged)
+    return ThresholdConfig(**scalars, sample_multipliers={**_DEFAULT_MULTIPLIERS, **mults})
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +221,8 @@ def heavy_threshold_unit(n: int, eps: float) -> float:
 
 
 def heavy_set_budget(n: int, eps: float, cfg: ThresholdConfig) -> int:
-    mult = cfg.multiplier("heavy")
-    if mult <= 0:
-        raise ParameterOutOfRange("heavy-set sample multiplier must be positive")
     log_n = math.log(max(n, LOG_FLOOR))
-    return math.ceil(mult * 2.0 * n**0.75 * _log_ratio(n, eps) * log_n / eps)
+    return math.ceil(cfg.multiplier("heavy") * 2.0 * n**0.75 * _log_ratio(n, eps) * log_n / eps)
 
 
 def identify_heavy_set(mix_sampler, n: int, eps: float, cfg: ThresholdConfig = DEFAULT_CONFIG):

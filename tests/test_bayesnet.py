@@ -676,6 +676,12 @@ class TestFarPairGenerator:
         assert tv >= 0.3
         assert 0.5 * np.abs(bn_exact_joint(a) - bn_exact_joint(b)).sum() == pytest.approx(tv)
 
+    def test_unset_parameters_are_gone(self):
+        with pytest.raises(TypeError):
+            make_far_net_pair(8, 2, 0.3, np.random.default_rng(51), max_tries=1)
+        with pytest.raises(TypeError):
+            bayesnet._as_joint(np.full(8, 0.125), n_hint=3)
+
     def test_perturbation_changes_exactly_one_cpt(self):
         rng = np.random.default_rng(52)
         net = random_bayesnet(6, 2, rng)

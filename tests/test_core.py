@@ -113,6 +113,23 @@ class TestEntropy:
 
 
 class TestDivergences:
+    def test_kl_is_the_vector_kl(self):
+        rng = np.random.default_rng(5)
+        infinite = 0
+        for n in (2, 17, 300):
+            for _ in range(10):
+                laws = []
+                for _ in range(2):
+                    w = rng.exponential(size=n) * (rng.random(n) < 0.7)
+                    w[0] += 1.0
+                    laws.append(DiscreteDistribution(w / w.sum()))
+                p, q = laws
+                for a, b in ((p, q), (q, p), (p, p)):
+                    kl = divergences(a, b).kl
+                    assert np.float64(kl).tobytes() == np.float64(core.kl_divergence_vectors(a.probs, b.probs)).tobytes()
+                    infinite += kl == math.inf
+        assert infinite > 0
+
     def test_identical(self):
         p = DiscreteDistribution.zipf(9)
         d = divergences(p, p)
@@ -226,6 +243,49 @@ class TestMassFloor:
             mass_floor_mix(DiscreteDistribution.uniform(4), 0.6)
         with pytest.raises(ParameterOutOfRange):
             mass_floor_mix(DiscreteDistribution.uniform(4), 0.0)
+
+    def test_law_keeps_its_last_floored_law(self):
+        d = DiscreteDistribution.zipf(50)
+        first = mass_floor_mix(d, 0.2)
+        assert mass_floor_mix(d, 0.2) is first
+        other = mass_floor_mix(d, 0.3)
+        eta = mass_floor_eta(50, 0.3)
+        assert other.probs.tobytes() == DiscreteDistribution((1.0 - eta) * d.probs + eta / 50).probs.tobytes()
+        assert mass_floor_mix(d, 0.3) is other
+        again = mass_floor_mix(d, 0.2)  # one entry: 0.3 replaced 0.2
+        assert again is not first and again.probs.tobytes() == first.probs.tobytes()
+        with pytest.raises(ParameterOutOfRange):  # eps is checked on every call
+            mass_floor_mix(d, 0.6)
+        assert mass_floor_mix(d, 0.2) is again
+
+    def test_threads_sharing_a_law_get_their_own_eps(self):
+        # trial threads floor one shared law; the entry is read once, so no
+        # thread pairs its eps with the law of another thread's eps
+        laws = [DiscreteDistribution.zipf(64), _mixed_law()]
+        epss = (0.1, 0.2, 0.3)
+        want = {(i, e): mass_floor_mix(copy.copy(d), e).probs.tobytes() for i, d in enumerate(laws) for e in epss}
+
+        def job(k):
+            i, e = k % 2, epss[k % 3]
+            return (i, e), mass_floor_mix(laws[i], e).probs.tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(job, range(3000), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 3000 and all(want[key] == bits for key, bits in got)
+
+    @pytest.mark.parametrize("roundtrip", [lambda d: pickle.loads(pickle.dumps(d)), copy.deepcopy, copy.copy])
+    def test_pickled_or_copied_law_keeps_no_floored_law(self, roundtrip):
+        d = DiscreteDistribution.zipf(6)
+        floored = mass_floor_mix(d, 0.2)
+        back = roundtrip(d)
+        assert back._floored == (None, None)
+        mine = mass_floor_mix(back, 0.2)
+        assert mine is not floored and mine.probs.tobytes() == floored.probs.tobytes()
 
 
 class TestSampler:
@@ -676,6 +736,29 @@ class TestPoissonLevels:
                 merged += len(floored.levels().values) < len(base.levels().values)
         assert merged > 0
         assert mass_floor_mix(DiscreteDistribution.zipf(100), 0.2).levels() is None
+
+    def test_floored_levels_match_the_base_derivation(self):
+        # the floor x -> (1 - eta) x + eta / n is monotone after rounding,
+        # so sorting the floored law gives the grouping derived from its
+        # base's: each base level stays a level, neighbours whose floored
+        # values round equal merge, and a merged level's cells ascend
+        tiny = np.array([np.nextafter(0.3, 1.0), 0.1, 0.3, 0.1, 0.1, 0.1])
+        rng = np.random.default_rng(8)
+        bases = [_mixed_law(), DiscreteDistribution(tiny), DiscreteDistribution.uniform(64)]
+        for _ in range(10):
+            w = rng.integers(0, 6, size=int(rng.integers(2, 500))).astype(float)
+            w[0] += 1.0
+            bases.append(DiscreteDistribution(w / w.sum()))
+        for base in bases:
+            for eps in (0.05, 0.1, 0.2, 0.36, 0.41, 0.5):
+                floored = mass_floor_mix(base, eps)
+                mine, lv = floored.levels(), base.levels()
+                values = floored.probs[lv.order[lv.bounds[:-1]]].tolist()
+                starts = [j for j, v in enumerate(values) if j == 0 or v != values[j - 1]]
+                bounds = [lv.bounds[j] for j in starts] + [base.n]
+                order = np.concatenate([np.sort(lv.order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+                assert mine.values == [values[j] for j in starts] and mine.bounds == bounds
+                assert mine.order.dtype == np.int32 and np.array_equal(mine.order, order)
 
     @pytest.mark.parametrize("rate", [0.05, 3.5, 611.0, core._TABLE_MAX_RATE])
     def test_table_is_the_truncated_pmf(self, rate):

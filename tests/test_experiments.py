@@ -464,11 +464,22 @@ class TestCli:
             {"kind": "bayesnet", "n_values": [3], "eps_values": [0.95], "d_values": [2]},
             {"kind": "bayesnet", "n_values": [2], "eps_values": [0.98], "d_values": [1]},
             {"kind": "bayesnet", "n_values": [4], "eps_values": [0.97], "d_values": [3]},
+            # budgets beyond numpy's draws once ended in an OverflowError, a
+            # "lam value too large" or a division by eps**2 == 0
+            {"kind": "error_grid", "n_values": [64], "eps_values": [1e-7]},
+            {"kind": "scaling", "n_values": [16, 64], "eps_values": [1e-300]},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [1e-6], "d_values": [2]},
+            {"kind": "calibrate", "n_values": [64], "eps_values": [1e-10]},
+            {"kind": "calibrate", "eps_values": [1e-10]},  # at its default n
+            # calibrate's far families once failed as odd-n distributions
+            {"kind": "calibrate", "n_values": [1], "eps_values": [0.5]},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
              "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25",
              "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1",
-             "bn-far-n3", "bn-far-n2", "bn-far-n4"],
+             "bn-far-n3", "bn-far-n2", "bn-far-n4",
+             "grid-eps-tiny", "scaling-eps-tiny", "bn-eps-tiny", "cal-eps-tiny", "cal-default-n-eps-tiny",
+             "cal-n-odd"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"

@@ -122,6 +122,12 @@ class TestEntropyGapPair:
         with pytest.raises(Unachievable):
             make_entropy_gap_pair(8, math.log(8) + 0.1)
 
+    def test_tolerances_are_not_parameters(self):
+        with pytest.raises(TypeError):
+            make_entropy_gap_pair(64, 0.3, tol=1e-6)
+        with pytest.raises(TypeError):
+            make_correlated_pair(8, 2, 0.1, tol=1e-6)
+
     def test_gap_grid(self):
         for n in (64, 1024):
             for gap in (0.1, 0.4, 1.0, math.log(17)):

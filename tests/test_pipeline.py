@@ -116,6 +116,10 @@ class TestPlanCache:
         assert solve_tv_threshold(2**14, 0.3) == x
         assert solve_tv_threshold.__wrapped__(2**14, 0.3) == x
 
+    def test_bisection_tolerance_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            solve_tv_threshold(2**14, 0.3, tol=1e-6)
+
 
 class TestRunEet:
     def test_null_uniform_accepts(self):

@@ -76,6 +76,10 @@ class TestPoissonizedCounts:
         assert c.x_counts[2] == c.x_total
         assert c.y_counts[2] == c.y_total
 
+    def test_totals_are_not_parameters(self):
+        with pytest.raises(TypeError):
+            CountPair(np.ones(3, dtype=np.int64), np.ones(3, dtype=np.int64), 3, x_total=5)
+
     def test_poisson_mean_concentration(self):
         # uniform(2), m = 1e6: the mean of X_1 over 200 draws is within
         # 3 sigma of 5e5

@@ -1,7 +1,10 @@
 """Sub-tester behavior: coin-bias budget, heavy set, mass comparison, the
 T-statistic closeness tests, and the low-mass conditional cascade."""
 
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -83,6 +86,39 @@ class TestThresholdConfig:
         path = tmp_path / "cfg.txt"
         path.write_text("# provenance\n\nc_T_threshold = 5.5  # inline\n")
         assert load_config(path).c_T_threshold == 5.5
+
+    def test_default_file_text_is_pinned(self, tmp_path):
+        # the key lists come from the dataclass fields and the default
+        # multipliers; their order is the file's line order
+        path = tmp_path / "cfg.txt"
+        save_config(DEFAULT_CONFIG, path)
+        scalars = {"c_hellinger_reject": 4.0, "c_heavy_low": 1.0, "c_heavy_high": 2.0, "c_lowmass_mass": 1.0,
+                   "c_mass_diff": 1.0, "c_T_threshold": 4.0, "c_l2_threshold": 0.5, "c_massS_diff": 1.0,
+                   "c_Z_threshold": 1.0, "c_dec": 4.0}
+        mults = {"hellinger": 2.0, "tv": 16.0, "l2": 32.0, "heavy": 2.0, "lowmass_mass": 8.0, "mass_diff": 8.0,
+                 "bias_s": 4.0, "stage5": 32.0, "z_m4_poly": 2.0, "z_m4_log": 32.0}
+        want = [f"{k} = {v!r}" for k, v in scalars.items()] + [f"mult_{k} = {v!r}" for k, v in mults.items()]
+        assert path.read_text().splitlines() == want
+
+    def test_multipliers_are_a_read_only_copy(self):
+        mults = dict(DEFAULT_CONFIG.sample_multipliers)
+        cfg = ThresholdConfig(sample_multipliers=mults)
+        before = hash(cfg)
+        mults["tv"] = -1.0
+        assert cfg.multiplier("tv") == 16.0 and hash(cfg) == before and cfg == DEFAULT_CONFIG
+        for target in (cfg, DEFAULT_CONFIG):
+            with pytest.raises(TypeError):
+                target.sample_multipliers["heavy"] = 0
+        assert DEFAULT_CONFIG.multiplier("heavy") == 2.0
+
+    @pytest.mark.parametrize("roundtrip", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy])
+    def test_pickle_and_copy_keep_equality_and_hash(self, roundtrip):
+        cfg = replace(DEFAULT_CONFIG.with_multiplier("l2", 12.5), c_T_threshold=3.0)
+        back = roundtrip(cfg)
+        assert back == cfg and hash(back) == hash(cfg)
+        assert back.multiplier("l2") == 12.5 and back.c_T_threshold == 3.0
+        with pytest.raises(TypeError):
+            back.sample_multipliers["l2"] = 1.0
 
 
 class TestVerdictInvariants:
