@@ -493,6 +493,12 @@ def _miller_madow(x: np.ndarray, empty) -> np.ndarray:
         return np.where(totals > 0, plugin + (observed - 1) / (2.0 * totals), empty)
 
 
+def _sweep_blocks(n: int, d: int) -> int:
+    """The sweep's block count: per-subset failure probability
+    1/(20 C(n, d+1)), by majority over blocks."""
+    return amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
+
+
 def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     """Check a sweep's inputs (``dims`` must equal n), then size it:
     ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
@@ -503,8 +509,7 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     if any(k != n for k in dims):
         raise ParameterOutOfRange(f"{what} dimension does not match n")
     subsets = list(combinations(range(n), d + 1))
-    # per-subset failure probability 1/(20 C(n, d+1)), by majority over blocks
-    k_blocks = amplification_reps(1.0 / (20.0 * len(subsets)))
+    k_blocks = _sweep_blocks(n, d)
     m = budget(n, d, eps)
     m_block = m / k_blocks
     eps1 = max(eps**2 / n, _local_noise_floor(m_block))
@@ -706,9 +711,13 @@ def local_kl_telescoping(p_joint: np.ndarray, q_joint: np.ndarray, structure) ->
 # ---------------------------------------------------------------------------
 
 
-def random_bayesnet(n: int, d: int, rng, cpt_low: float = 0.1, cpt_high: float = 0.9) -> BayesNet:
+_CPT_RANGE = (0.1, 0.9)  # random_bayesnet's CPT entries lie in this range
+_FLIP_TO = (0.02, 0.98)  # perturb_one_cpt's flipped entries
+
+
+def random_bayesnet(n: int, d: int, rng) -> BayesNet:
     """Random DAG (random topological order, up to d parents each) with
-    CPT entries uniform in [cpt_low, cpt_high]."""
+    CPT entries uniform in ``_CPT_RANGE``."""
     rng = np.random.default_rng(rng)
     order = rng.permutation(n)
     position = np.empty(n, dtype=np.int64)
@@ -719,7 +728,7 @@ def random_bayesnet(n: int, d: int, rng, cpt_low: float = 0.1, cpt_high: float =
         k = int(rng.integers(0, min(d, len(earlier)) + 1))
         ps = sorted(rng.choice(earlier, size=k, replace=False).tolist()) if k else []
         parents.append(tuple(ps))
-    cpts = [rng.uniform(cpt_low, cpt_high, size=2 ** len(ps)) for ps in parents]
+    cpts = [rng.uniform(*_CPT_RANGE, size=2 ** len(ps)) for ps in parents]
     return BayesNet(n, parents, cpts)
 
 
@@ -729,7 +738,7 @@ def perturb_one_cpt(net: BayesNet, rng) -> BayesNet:
     node = int(rng.integers(0, net.n))
     cpts = [c.copy() for c in net.cpts]
     row = int(rng.integers(0, cpts[node].size))
-    cpts[node][row] = 0.98 if cpts[node][row] < 0.5 else 0.02
+    cpts[node][row] = _FLIP_TO[1] if cpts[node][row] < 0.5 else _FLIP_TO[0]
     return BayesNet(net.n, net.parents, cpts)
 
 
@@ -741,12 +750,14 @@ def far_pair_reach(n: int) -> float:
     """The largest joint TV :func:`make_far_net_pair` can certify on n nodes.
 
     Its two nets differ in at most ``_MAX_FLIPS`` flipped CPT entries, and
-    a flip moves an entry by at most 0.88 (entries lie in [0.1, 0.9] and
-    flip to 0.02 or 0.98).  Sampling both nets node by node, with each
-    flipped node's two coins maximally coupled, the samples agree with
-    probability at least 0.12 per flipped node, so TV <= 1 - 0.12^min(8, n).
+    a flip moves an entry from ``_CPT_RANGE`` to ``_FLIP_TO`` by at most
+    0.88.  Sampling both nets node by node, with each flipped node's two
+    coins maximally coupled, the samples agree with probability at least
+    1 - 0.88 = 0.12 per flipped node, so TV <= 1 - 0.12^min(8, n).
     """
-    return 1.0 - 0.12 ** min(_MAX_FLIPS, n)
+    (low, high), (flip_low, flip_high) = _CPT_RANGE, _FLIP_TO
+    agree = 1.0 - max(flip_high - low, high - flip_low)
+    return 1.0 - agree ** min(_MAX_FLIPS, n)
 
 
 def make_far_net_pair(n: int, d: int, min_tv: float, rng):

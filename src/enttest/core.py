@@ -232,7 +232,7 @@ def entropy(d: DiscreteDistribution | np.ndarray) -> float:
     """Shannon entropy in nats, with the 0 log(1/0) = 0 convention."""
     p = d.probs if isinstance(d, DiscreteDistribution) else np.asarray(d, dtype=np.float64)
     nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
+    return float(0.0 - (nz * np.log(nz)).sum())  # 0.0 - s, not -s: a point mass gives 0.0, not -0.0
 
 
 @dataclass(frozen=True)

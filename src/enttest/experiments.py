@@ -9,8 +9,7 @@ one process, which runs its exact-law and small Bayes-net trials on its
 share of the cores (see :func:`_execute`).  Wall-clock measurements go to
 a separate ``timings.csv``, outside the determinism contract.  No seed
 passes through Python's ``hash``, so the CSV does not depend on
-``PYTHONHASHSEED`` either.  Plots are SVG files regenerated from the CSV
-contents.
+``PYTHONHASHSEED`` either.
 
 Each cell's instance pair is built at most once per process and shared
 read-only by that cell's trials (see :func:`make_instance_pair`); building
@@ -51,7 +50,6 @@ from .testers import (
     ConfigError,
     ThresholdConfig,
     _t_noise_floor,
-    amplification_reps,
     hellinger_budget,
     l2_budget,
     load_config,
@@ -103,6 +101,8 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} needs non-empty n and eps grids")
         if self.kind == "scaling" and (len(set(self.n_values)) < 2 or len(self.eps_values) > 1):
             raise ConfigError("scaling fits its slope at one eps over two or more distinct n values")
+        if self.kind == "calibrate" and len(self.eps_values) > 1:
+            raise ConfigError("calibrate freezes the constants at one eps: give at most one")
         if self.kind == "bayesnet":
             if not len(self.n_values) == len(self.eps_values) == len(self.d_values) == 1:
                 raise ConfigError("bayesnet runs one (n, eps, d) cell: give one value of each")
@@ -200,7 +200,6 @@ def _write_results(rows, out_dir, timings):
         fh.write("label,wall_ms\n")
         for label, ms in timings:
             fh.write(f"{label},{ms:.3f}\n")
-    return path
 
 
 def _trial_seed(master: int, cell: int, trial: int) -> np.random.SeedSequence:
@@ -367,17 +366,13 @@ def _run_trials(tasks, threads: int):
         return list(pool.map(_run_trial, tasks))
 
 
-def _wrapped() -> bool:
-    """True while ``_run_trial`` is wrapped (``functools.wraps`` sets
-    ``__wrapped__``), as a tracer's span wraps it: a wrapper may not be
-    thread-safe, so trials and the work beside them stay on one thread."""
-    return hasattr(_run_trial, "__wrapped__")
-
-
 def _execute(tasks, workers: int):
     """Run trial payloads; output order is deterministic regardless of
-    workers and threads.  Trials run serially while ``_wrapped()``."""
-    threaded = all(map(_threaded, tasks)) and not _wrapped()
+    workers and threads."""
+    # trials run serially while _run_trial is wrapped (functools.wraps sets
+    # __wrapped__), as a tracer's span wraps it: a wrapper may not be
+    # thread-safe
+    threaded = all(map(_threaded, tasks)) and not hasattr(_run_trial, "__wrapped__")
     threads = max(1, _cpus() // workers) if threaded else 1  # a worker's share of the cores
     if workers <= 1:
         results = _run_trials(tasks, threads)
@@ -491,15 +486,9 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
          "family": fam, "n": n, "d": d, "eps": eps}
         for fam in SUITE_FAMILIES["bayesnet"]
     ]
-    # deterministic structure checks ride along with the statistical cells;
-    # they draw from a seed of their own, so they run beside the trials,
-    # except beside a process pool: a fork copies whatever lock the side
-    # thread holds (the import lock of its first np.random use), and the
-    # workers hang on it
-    with ThreadPoolExecutor(max_workers=1) as side:
-        pending = None if _wrapped() or workers > 1 else side.submit(bn_exact_checks, spec.seed, eps, d)
-        stats = _run_cells(spec, cfg, workers, "bn", cells)
-    checks = pending.result() if pending else bn_exact_checks(spec.seed, eps, d)
+    stats = _run_cells(spec, cfg, workers, "bn", cells)
+    # deterministic structure checks ride along with the statistical cells
+    checks = bn_exact_checks(spec.seed, eps, d)
 
     rows, violations = [], []
     for cell, cell_stats in zip(cells, stats):
@@ -853,56 +842,6 @@ def run_calibration_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: i
 
 
 # ---------------------------------------------------------------------------
-# SVG plotting (self-contained, no plotting dependency)
-# ---------------------------------------------------------------------------
-
-
-def write_scaling_plot(csv_path, path):
-    """Render the log-log budget chart from results.csv (the CSV is the
-    source of truth; the plot is a derived view)."""
-    import csv as _csv
-
-    with open(csv_path) as fh:
-        rows = list(_csv.DictReader(fh))
-    pts = sorted(
-        (math.log(int(r["n"])), math.log(float(r["mean_samples"])))
-        for r in rows
-        if r["instance_family"] == "budget:nominal" and int(r["n"]) > 0
-    )
-    if len(pts) < 2:
-        return
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    width, height, margin = 640, 420, 60
-
-    def sx(x):
-        return margin + (x - min(xs)) / (max(xs) - min(xs)) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - min(ys)) / (max(ys) - min(ys)) * (height - 2 * margin)
-
-    poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" y2="{height-margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height-margin}" stroke="black"/>',
-        f'<polyline points="{poly}" fill="none" stroke="#1f6fb2" stroke-width="2"/>',
-    ]
-    for x, y in pts:
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="#1f6fb2"/>')
-    parts.append(
-        f'<text x="{width/2:.0f}" y="{height-15}" text-anchor="middle" font-size="13">log n</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{height/2:.0f}" font-size="13" transform="rotate(-90 18 {height/2:.0f})" text-anchor="middle">log nominal budget</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
@@ -964,8 +903,7 @@ def _check_draws(spec: ExperimentSpec, cfg: ThresholdConfig):
             for d in spec.d_values or [0]:
                 try:
                     if spec.kind == "bayesnet":
-                        blocks = amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
-                        draw = max(bn.bn_budget(n, d, eps), bn.bn_identity_budget(n, d, eps)) / blocks
+                        draw = max(bn.bn_budget(n, d, eps), bn.bn_identity_budget(n, d, eps)) / bn._sweep_blocks(n, d)
                     elif spec.kind == "calibrate":  # each multiplier may double up to the cap
                         draw = max(hellinger_budget(n, eps, top), tv_budget(n, eps, top), l2_budget(eps, top))
                     else:
@@ -991,9 +929,7 @@ def run_experiment(spec: ExperimentSpec, workers=None, check: bool = False) -> i
     t0 = time.perf_counter()
     rows, violations = SUITES[spec.kind](spec, cfg, workers)
     wall = (time.perf_counter() - t0) * 1e3
-    csv_path = _write_results(rows, spec.out_dir, [(spec.kind, wall)])
-    if spec.kind == "scaling":
-        write_scaling_plot(csv_path, os.path.join(spec.out_dir, "plot_scaling.svg"))
+    _write_results(rows, spec.out_dir, [(spec.kind, wall)])
     for v in violations:
         print(f"CHECK FAIL: {v}")
     if check and violations:

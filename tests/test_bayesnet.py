@@ -601,8 +601,8 @@ class TestBlockedSubsetCounts:
             assert np.array_equal(hi_map.sum(axis=1), np.full(2**4, math.comb(4, 3 - j)))
 
     def test_threads_at_two_plan_keys_get_serial_tables(self):
-        # the suite's exact checks marginalize beside the trials, so two
-        # threads take turns at _marginal_plan's one cached entry
+        # trial threads of one Bayes-net suite marginalize at once, so two
+        # plan keys take turns at _marginal_plan's one cached entry
         jobs = [
             (np.random.default_rng(16).poisson(3.0, size=(2**12, 16)), 12, 3),
             (self._mixture(6, 69).exact_joint()[:, None], 6, 3),
@@ -681,6 +681,18 @@ class TestFarPairGenerator:
             make_far_net_pair(8, 2, 0.3, np.random.default_rng(51), max_tries=1)
         with pytest.raises(TypeError):
             bayesnet._as_joint(np.full(8, 0.125), n_hint=3)
+
+    def test_reach_bound_keeps_its_bits(self):
+        # derived from the CPT range and the flip targets, it is still 0.12
+        for n in range(1, 11):
+            assert bayesnet.far_pair_reach(n) == 1 - 0.12 ** min(8, n)
+
+    def test_cpt_entries_lie_in_the_range(self):
+        net = random_bayesnet(8, 3, np.random.default_rng(53))
+        entries = np.concatenate(net.cpts)
+        assert ((entries >= 0.1) & (entries <= 0.9)).all()
+        with pytest.raises(TypeError):
+            random_bayesnet(8, 3, np.random.default_rng(53), cpt_low=0.0)
 
     def test_perturbation_changes_exactly_one_cpt(self):
         rng = np.random.default_rng(52)

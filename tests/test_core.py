@@ -105,6 +105,8 @@ class TestEntropy:
 
     def test_point_mass(self):
         assert entropy(DiscreteDistribution.point_mass(8, 3)) == 0.0
+        # -(1 log 1) is -0.0, which once printed as "-0"
+        assert math.copysign(1.0, entropy(DiscreteDistribution.point_mass(4))) == 1.0
 
     def test_half_support_gap(self):
         p = DiscreteDistribution([0.5, 0.5, 0.0, 0.0])

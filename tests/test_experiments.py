@@ -53,6 +53,11 @@ class TestExperimentSpec:
         spec = ExperimentSpec(kind="error_grid", n_values=[128], eps_values=[0.2], trials="7", seed="11")
         assert (spec.validate().trials, spec.seed) == (7, 11)
 
+    def test_far_reach_error_reads_zero(self):
+        # core.entropy once gave -0.0 for a point mass, and this read "-0"
+        with pytest.raises(ConfigError, match="far:mi .* it reaches at most 0 there"):
+            ExperimentSpec(kind="error_grid", n_values=[64, 2], eps_values=[0.3]).validate()
+
     def test_negative_seed_rejected(self):
         # SeedSequence takes non-negative integers only
         with pytest.raises(ConfigError, match="seed must be >= 0"):
@@ -290,6 +295,21 @@ class TestTrialThreads:
         run_experiment(self._spec("error_grid", tmp_path / "w"), workers=1)
         assert threads == [threading.get_ident()] * 60
 
+    def test_bayesnet_exact_checks_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # the checks once ran on a side thread beside the trials
+        monkeypatch.setattr(experiments, "_cpus", lambda: 4)
+        checks, threads = experiments.bn_exact_checks, []
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return checks(*args)
+
+        monkeypatch.setattr(experiments, "bn_exact_checks", recorded)
+        spec = ExperimentSpec(kind="bayesnet", n_values=[4], eps_values=[0.3], d_values=[1], trials=2,
+                              seed=7, out_dir=str(tmp_path / "b"))
+        run_experiment(spec, workers=1)
+        assert threads == [threading.get_ident()]
+
     @pytest.mark.skipif(experiments._cpus() < 2, reason="needs two cores")
     def test_grid_trials_share_the_cores(self, tmp_path, monkeypatch):
         threads = self._recording(monkeypatch, "grid")
@@ -381,9 +401,8 @@ class TestScalingSuite:
             trials=10, seed=5, out_dir=str(tmp_path / "s"),
         )
         assert run_experiment(spec, workers=1) == 0
-        assert (tmp_path / "s" / "plot_scaling.svg").exists()
-        svg = (tmp_path / "s" / "plot_scaling.svg").read_text()
-        assert svg.startswith("<svg") and "polyline" in svg
+        # a scaling run writes its two CSVs and nothing else
+        assert sorted(os.listdir(tmp_path / "s")) == ["results.csv", "timings.csv"]
 
 
 class TestCalibration:
@@ -473,13 +492,15 @@ class TestCli:
             {"kind": "calibrate", "eps_values": [1e-10]},  # at its default n
             # calibrate's far families once failed as odd-n distributions
             {"kind": "calibrate", "n_values": [1], "eps_values": [0.5]},
+            # calibrate once froze its constants at the first eps and dropped the rest
+            {"kind": "calibrate", "n_values": [64], "eps_values": [0.3, 0.2]},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
              "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25",
              "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1",
              "bn-far-n3", "bn-far-n2", "bn-far-n4",
              "grid-eps-tiny", "scaling-eps-tiny", "bn-eps-tiny", "cal-eps-tiny", "cal-default-n-eps-tiny",
-             "cal-n-odd"],
+             "cal-n-odd", "cal-two-eps"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"

@@ -9,7 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from enttest.bayesnet import load_bayesnet, random_bayesnet, save_bayesnet
+from enttest.bayesnet import BayesNet, load_bayesnet, random_bayesnet, save_bayesnet
 from enttest.core import DiscreteDistribution, load_distribution, save_distribution
 from enttest.testers import MULTIPLIER_KEYS, ThresholdConfig, load_config, save_config
 
@@ -49,7 +49,9 @@ def test_distribution_file_roundtrip(scratch, d):
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1), seeds)))
 def test_bayesnet_file_roundtrip(scratch, case):
     n, d, seed = case
-    net = random_bayesnet(n, d, np.random.default_rng(seed), cpt_low=0.0, cpt_high=1.0)
+    rng = np.random.default_rng(seed)
+    shape = random_bayesnet(n, d, rng)  # CPT entries from the whole of [0, 1), not its range
+    net = BayesNet(n, shape.parents, [rng.uniform(0, 1, c.size) for c in shape.cpts])
     back = _reload(save_bayesnet, load_bayesnet, net, scratch)
     assert back.parents == net.parents
     assert all(np.array_equal(a, b) for a, b in zip(back.cpts, net.cpts))
