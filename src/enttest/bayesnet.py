@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import LOG_FLOOR, ParameterOutOfRange, check_range, kl_divergence_vectors
+from .core import ParameterOutOfRange, _parse_field, check_range, kl_divergence_vectors, log_ratio
 from .poisson import batch_t, batch_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -243,7 +243,7 @@ def bn_mixture_weight(n: int, d: int, eps: float) -> float:
     check_range("eps", eps)
     if d < 1:
         raise ParameterOutOfRange("in-degree bound must be >= 1")
-    return eps**2 / (d * n * math.log(max(n / eps, LOG_FLOOR)))
+    return eps**2 / (d * n * log_ratio(n, eps))
 
 
 class BnSampler:
@@ -459,7 +459,7 @@ def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: 
 
 def bn_budget(n: int, d: int, eps: float) -> int:
     """Shared multiset size: a quarter of the asymptotic budget formula."""
-    log_r = math.log(max(n / eps, LOG_FLOOR))
+    log_r = log_ratio(n, eps)
     lead = min(2 ** (0.75 * d) * n / eps**2, 2 ** (2 * d / 3.0) * n ** (4.0 / 3.0) / eps ** (8.0 / 3.0))
     tail = d**3 * n**2 * log_r**2 / eps**4
     return math.ceil(0.25 * (lead + tail))
@@ -579,7 +579,7 @@ def bn_closeness_test(
 
 
 def bn_identity_budget(n: int, d: int, eps: float) -> int:
-    log_r = math.log(max(n / eps, LOG_FLOOR))
+    log_r = log_ratio(n, eps)
     return math.ceil(2 ** (d / 2.0) * n / eps**2 + n**2 * log_r**2 / eps**4)
 
 
@@ -791,11 +791,8 @@ def save_bayesnet(net: BayesNet, path):
                 fh.write(f"cpt {mask} {val:.17g}\n")
 
 
-def _parse_field(convert, text: str, line: str):
-    try:
-        return convert(text)
-    except ValueError:
-        raise BayesNetError(f"bad field {text!r} in {line!r}") from None
+# core's bad-number parser, raising BayesNetError
+_parse_field = functools.partial(_parse_field, error=BayesNetError)
 
 
 def load_bayesnet(path) -> BayesNet:

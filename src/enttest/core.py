@@ -36,6 +36,11 @@ PROB_ATOL = 1e-12
 LOG_FLOOR = math.e
 
 
+def log_ratio(n: float, eps: float) -> float:
+    """log(n / eps), clamped below at 1: the log factor of the budget formulas."""
+    return math.log(max(n / eps, LOG_FLOOR))
+
+
 class DistributionError(ValueError):
     """Probability vector violates the construction invariants."""
 
@@ -298,7 +303,7 @@ def triangle_discrepancy(p: DiscreteDistribution, q: DiscreteDistribution) -> fl
 def mass_floor_eta(n: int, eps: float) -> float:
     """Mixing weight eps / log(n/eps) used by the mass floor."""
     check_range("eps", eps, 0.5)
-    return eps / math.log(max(n / eps, LOG_FLOOR))
+    return eps / log_ratio(n, eps)
 
 
 def mass_floor_mix(d: DiscreteDistribution, eps: float) -> DiscreteDistribution:
@@ -823,13 +828,21 @@ def save_distribution(d: DiscreteDistribution, path):
             fh.write(f"{float(x)!r}\n")
 
 
+def _parse_field(convert, text: str, line: str, error=DistributionError):
+    """``convert(text)``, raising ``error`` that names the bad field and its line."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise error(f"bad field {text!r} in {line!r}") from None
+
+
 def load_distribution(path) -> DiscreteDistribution:
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("n="):
             raise DistributionError(f"bad distribution file header: {header!r}")
-        n = int(header[2:])
-        probs = np.array([float(line) for line in fh if line.strip()])
+        n = _parse_field(int, header[2:], header)
+        probs = np.array([_parse_field(float, line.strip(), line) for line in fh if line.strip()])
     if probs.size != n:
         raise DistributionError(f"expected {n} probabilities, found {probs.size}")
     # the file holds a constructed vector: check it, but keep its bits, since

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, mass_floor_mix, triangle_discrepancy
+from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, log_ratio, mass_floor_mix, triangle_discrepancy
 from .poisson import (
     CountPair,
     batch_t,
@@ -46,7 +46,6 @@ from .poisson import (
 )
 from .testers import (
     DEFAULT_CONFIG,
-    MULTIPLIER_KEYS,
     ConfigError,
     ThresholdConfig,
     _t_noise_floor,
@@ -101,8 +100,11 @@ class ExperimentSpec:
             raise ConfigError(f"{self.kind} needs non-empty n and eps grids")
         if self.kind == "scaling" and (len(set(self.n_values)) < 2 or len(self.eps_values) > 1):
             raise ConfigError("scaling fits its slope at one eps over two or more distinct n values")
-        if self.kind == "calibrate" and len(self.eps_values) > 1:
-            raise ConfigError("calibrate freezes the constants at one eps: give at most one")
+        if self.kind == "calibrate":
+            if len(self.eps_values) > 1:
+                raise ConfigError("calibrate freezes the constants at one eps: give at most one")
+            self.n_values = self.n_values or [1000, 10000]  # the default calibration grid
+            self.eps_values = self.eps_values or [0.1]
         if self.kind == "bayesnet":
             if not len(self.n_values) == len(self.eps_values) == len(self.d_values) == 1:
                 raise ConfigError("bayesnet runs one (n, eps, d) cell: give one value of each")
@@ -156,8 +158,8 @@ def default_spec(kind: str) -> ExperimentSpec:
         return ExperimentSpec(
             kind=kind, n_values=[8], eps_values=[0.3], d_values=[2], trials=50
         )
-    if kind == "calibrate":
-        return ExperimentSpec(kind=kind, n_values=list(_CAL_N), eps_values=[0.1], trials=400)
+    if kind == "calibrate":  # validate() fills its grid
+        return ExperimentSpec(kind=kind, trials=400)
     raise ConfigError(f"unknown experiment kind {kind!r}")
 
 
@@ -518,9 +520,7 @@ def bn_exact_checks(seed: int, eps: float, d: int):
         net = bn.random_bayesnet(n_small, d, rng)
         w = bn.bn_mixture_weight(n_small, d, eps)
         joint = (1.0 - w) * bn.bn_exact_joint(net) + w / 2**n_small
-        floor = eps**2 / (
-            2 ** (d + 1) * d * n_small * math.log(max(n_small / eps, math.e))
-        )
+        floor = eps**2 / (2 ** (d + 1) * d * n_small * log_ratio(n_small, eps))
         min_atom = float(bn._marginal_counts(joint[:, None], n_small, d + 1).min())
         worst_margin = min(worst_margin, min_atom - floor)
     checks.append(("exact:atom-floor", worst_margin >= 0, worst_margin))
@@ -739,23 +739,21 @@ def _tester_statistics(tester: str, n: int, eps_cal: float, cfg: ThresholdConfig
 
 
 _MULT_CAP = 64.0  # calibrate's largest sample multiplier
-_CAL_N = (1000, 10000)  # calibrate's domain sizes when the spec gives none
 
 
-def calibrate(spec: ExperimentSpec, mult_cap: float = _MULT_CAP):
+def calibrate(spec: ExperimentSpec):
     """Freeze the statistic threshold constants by the documented protocol.
 
     For each primitive tester, with its sample multiplier starting at 1:
     pick the largest threshold constant for which the far calibration
     family still rejects in >= 90% of trials, then verify the null accepts
     in >= 90%; double the multiplier and retry when no constant satisfies
-    both; fail beyond the cap.  Returns (config, provenance lines, rows).
+    both; fail beyond the cap.  ``spec`` must be validated (its grid
+    filled).  Returns (config, provenance lines, rows).
     """
-    if mult_cap < 1:
-        raise CalibrationFailed(f"multiplier cap {mult_cap} leaves no budget to search")
     trials = spec.trials
-    eps_cal = float(spec.eps_values[0]) if spec.eps_values else 0.1
-    n_values = [int(v) for v in (spec.n_values or _CAL_N)]
+    eps_cal = spec.eps_values[0]
+    n_values = spec.n_values
     field_for = {"hellinger": "c_hellinger_reject", "tv": "c_T_threshold", "l2": "c_l2_threshold"}
     tester_tag = {"hellinger": 1, "tv": 2, "l2": 3}
     # preferred landing points inside the feasible window: large enough that
@@ -765,10 +763,9 @@ def calibrate(spec: ExperimentSpec, mult_cap: float = _MULT_CAP):
     provenance = []
     cfg = DEFAULT_CONFIG
     for tester in ("hellinger", "tv", "l2"):
-        mult = 1.0
-        frozen = None
-        while True:
-            work = cfg.with_multiplier(tester, mult)
+        mult_key = f"mult_{tester}"
+        for mult in (2.0**k for k in range(int(_MULT_CAP).bit_length())):  # 1, 2, 4, ... <= _MULT_CAP
+            work = replace(cfg, **{mult_key: mult})
             lo_bounds, hi_bounds, stats_cache = [], [], []
             for idx, n in enumerate(n_values):
                 rng = np.random.default_rng(
@@ -784,37 +781,33 @@ def calibrate(spec: ExperimentSpec, mult_cap: float = _MULT_CAP):
                 hi_bounds.append(float(np.quantile(far_stats, 0.10)) / unit * 0.999)
             c_lo = max(lo_bounds + [1e-9])
             c_hi = min(hi_bounds)
-            if c_hi > c_lo:
-                # feasible: land on the preferred constant when the window
-                # allows it, the geometric midpoint otherwise; keep widening
-                # the window while the preferred point is still above it
-                if c_pref[tester] > c_hi and mult * 2.0 <= mult_cap:
-                    mult *= 2.0
-                    continue
-                c_star = min(max(c_pref[tester], c_lo), c_hi)
-                if c_pref[tester] > c_hi:
-                    c_star = math.sqrt(c_lo * c_hi)
-                ok = True
-                for n, null_stats, far_stats, unit in stats_cache:
-                    null_acc = float((null_stats <= c_star * unit).mean())
-                    far_rej = float((far_stats > c_star * unit).mean())
-                    rows.append(Row("calibrate", tester, n, eps_cal, 0,
-                                    f"cal:{tester}:mult={mult:g}", trials,
-                                    null_acc, far_rej, c_star, spec.seed))
-                    ok = ok and null_acc >= 0.90 and far_rej >= 0.90
-                if ok:
-                    frozen = (c_star, mult)
-                    break
-            mult *= 2.0
-            if mult > mult_cap:
-                raise CalibrationFailed(
-                    f"{tester}: no threshold met the 90/90 targets within multiplier cap {mult_cap}"
-                )
-        c_star, mult = frozen
-        cfg = replace(cfg, **{field_for[tester]: c_star})
-        cfg = cfg.with_multiplier(tester, mult)
+            if not c_hi > c_lo:
+                continue
+            # feasible: land on the preferred constant when the window
+            # allows it, the geometric midpoint otherwise; keep widening
+            # the window while the preferred point is still above it
+            if c_pref[tester] > c_hi and mult * 2.0 <= _MULT_CAP:
+                continue
+            c_star = min(max(c_pref[tester], c_lo), c_hi)
+            if c_pref[tester] > c_hi:
+                c_star = math.sqrt(c_lo * c_hi)
+            ok = True
+            for n, null_stats, far_stats, unit in stats_cache:
+                null_acc = float((null_stats <= c_star * unit).mean())
+                far_rej = float((far_stats > c_star * unit).mean())
+                rows.append(Row("calibrate", tester, n, eps_cal, 0,
+                                f"cal:{tester}:mult={mult:g}", trials,
+                                null_acc, far_rej, c_star, spec.seed))
+                ok = ok and null_acc >= 0.90 and far_rej >= 0.90
+            if ok:
+                break
+        else:
+            raise CalibrationFailed(
+                f"{tester}: no threshold met the 90/90 targets within multiplier cap {_MULT_CAP:g}"
+            )
+        cfg = replace(cfg, **{field_for[tester]: c_star, mult_key: mult})
         provenance.append(
-            f"{field_for[tester]} = {c_star!r} at mult_{tester} = {mult:g} "
+            f"{field_for[tester]} = {c_star!r} at {mult_key} = {mult:g} "
             f"(null>=90%, far>=90% on n in {n_values}, eps={eps_cal}, {trials} trials)"
         )
     return cfg, provenance, rows
@@ -834,8 +827,7 @@ def run_calibration_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: i
     header = [
         f"calibrated by enttest on {_calibration_date()}",
         f"seed = {spec.seed}, trials = {spec.trials}",
-        f"grid: n in {[int(v) for v in (spec.n_values or _CAL_N)]}, "
-        f"eps = {spec.eps_values[0] if spec.eps_values else 0.1}",
+        f"grid: n in {spec.n_values}, eps = {spec.eps_values[0]}",
     ] + provenance
     save_config(new_cfg, os.path.join(spec.out_dir, "calibrated_config.txt"), header)
     return rows, []
@@ -897,8 +889,8 @@ def _check_draws(spec: ExperimentSpec, cfg: ThresholdConfig):
     stage's per-stream budget, or a Bayes-net block's, reaches ``_MAX_DRAW``."""
     if spec.kind == "oracle_suite":  # its cells are fixed
         return
-    top = replace(DEFAULT_CONFIG, sample_multipliers=dict.fromkeys(MULTIPLIER_KEYS, _MULT_CAP))
-    for n in spec.n_values or (_CAL_N if spec.kind == "calibrate" else ()):
+    top = replace(DEFAULT_CONFIG, mult_hellinger=_MULT_CAP, mult_tv=_MULT_CAP, mult_l2=_MULT_CAP)
+    for n in spec.n_values:
         for eps in spec.eps_values:
             for d in spec.d_values or [0]:
                 try:

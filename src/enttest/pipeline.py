@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LOG_FLOOR, BudgetExhausted, DomainMismatch, ParameterOutOfRange, check_range, fair_mix, mix_sample
+from .core import BudgetExhausted, DomainMismatch, ParameterOutOfRange, check_range, fair_mix, log_ratio, mix_sample
 from .poisson import poissonized_counts, statistic_t, statistic_z
 from .testers import (
     DEFAULT_CONFIG,
@@ -112,21 +112,18 @@ def make_eet_plan(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig =
     if n < 1:
         raise ParameterOutOfRange("domain size must be >= 1")
     e_i = eps / EPS_SPLIT
-    log_r = math.log(max(n / e_i, LOG_FLOOR))
+    log_r = log_ratio(n, e_i)
     n34 = n**0.75
     _, coin_n, m3 = lowmass_budgets(n, e_i, cfg)
-    m_z = math.ceil(
-        cfg.multiplier("z_m4_poly") * n34 * log_r / e_i
-        + cfg.multiplier("z_m4_log") * log_r**2 / e_i**2
-    )
+    m_z = math.ceil(cfg.mult_z_m4_poly * n34 * log_r / e_i + cfg.mult_z_m4_log * log_r**2 / e_i**2)
     log_m = _log_m(m_z)
     stages = (
         StagePlan("hellinger", hellinger_budget(n, e_i, cfg)),
         StagePlan("heavy-set", heavy_set_budget(n, e_i, cfg), streams=1),
         StagePlan("lowmass-mass-floor", coin_n),
         StagePlan("lowmass-mass-gap", m3),
-        StagePlan("bias-T", math.ceil(cfg.multiplier("bias_s") * n34 * log_r / e_i)),
-        StagePlan("mass-S", math.ceil(cfg.multiplier("stage5") * log_m**2 / e_i**2)),
+        StagePlan("bias-T", math.ceil(cfg.mult_bias_s * n34 * log_r / e_i)),
+        StagePlan("mass-S", math.ceil(cfg.mult_stage5 * log_m**2 / e_i**2)),
         StagePlan("l2", l2_budget(e_i / log_m, cfg)),
         StagePlan("z", m_z),
     )
@@ -176,7 +173,7 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
 
     # stage 5: |p(S) - q(S)| and l2 guards at the eps/log(m) scale; the
     # trace records the chosen scale next to the log(n/eps) alternative
-    trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / math.log(max(n / e_i, math.e))))
+    trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / log_ratio(n, e_i)))
     guard_tol = cfg.c_massS_diff * e_i / log_m
     cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, plan.budget("mass-S"))
     gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)

@@ -13,9 +13,7 @@ multiplier whenever no threshold satisfies both.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields, replace
-from types import MappingProxyType
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +26,7 @@ from .core import (
     _as_mask,
     check_range,
     conditional_rejection_sample,
+    log_ratio,
 )
 from .poisson import poissonized_counts, statistic_l2, statistic_t
 
@@ -36,30 +35,19 @@ class ConfigError(ValueError):
     """Malformed threshold-config file or unknown key."""
 
 
-# calibrated 2026-08-08 (seed 20260808, protocol in experiments.calibrate)
-_DEFAULT_MULTIPLIERS = {
-    "hellinger": 2.0,
-    "tv": 16.0,
-    "l2": 32.0,
-    "heavy": 2.0,
-    "lowmass_mass": 8.0,
-    "mass_diff": 8.0,
-    "bias_s": 4.0,
-    "stage5": 32.0,
-    "z_m4_poly": 2.0,
-    "z_m4_log": 32.0,
-}
-MULTIPLIER_KEYS = tuple(_DEFAULT_MULTIPLIERS)
-
-
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Every constant hidden by the theory's asymptotic notation.
+    """Every constant hidden by the theory's asymptotic notation, one field
+    per config-file key, in the file's line order.
 
     ``c_heavy_low``/``c_heavy_high`` play the roles of the two heavy-set
     constants (the high one at least twice the low one); the remaining
-    ``c_*`` fields are statistic thresholds; ``sample_multipliers`` scale
-    each sub-test's asymptotic budget formula (held as a read-only copy).
+    ``c_*`` fields are statistic thresholds; each ``mult_*`` field scales
+    one sub-test's asymptotic budget formula.  Every field must be finite
+    and strictly positive.  Change a value with ``dataclasses.replace``.
+    A config compares and hashes by value, so plan caches
+    (``pipeline.make_eet_plan``) hit on an equal config unpickled in a pool
+    worker.
     """
 
     c_hellinger_reject: float = 4.0
@@ -72,43 +60,27 @@ class ThresholdConfig:
     c_massS_diff: float = 1.0
     c_Z_threshold: float = 1.0
     c_dec: float = 4.0
-    sample_multipliers: Mapping = field(default_factory=lambda: _DEFAULT_MULTIPLIERS)
+    # calibrated 2026-08-08 (seed 20260808, protocol in experiments.calibrate)
+    mult_hellinger: float = 2.0
+    mult_tv: float = 16.0
+    mult_l2: float = 32.0
+    mult_heavy: float = 2.0
+    mult_lowmass_mass: float = 8.0
+    mult_mass_diff: float = 8.0
+    mult_bias_s: float = 4.0
+    mult_stage5: float = 32.0
+    mult_z_m4_poly: float = 2.0
+    mult_z_m4_log: float = 32.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_multipliers", MappingProxyType(dict(self.sample_multipliers)))
-        for name in _SCALAR_KEYS:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{f.name} must be finite and strictly positive, got {value!r}")
         if self.c_heavy_high < 2 * self.c_heavy_low:
             raise ConfigError("c_heavy_high must be at least 2 * c_heavy_low")
-        unknown = set(self.sample_multipliers) - set(MULTIPLIER_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown sample multipliers: {sorted(unknown)}")
-        for key in MULTIPLIER_KEYS:
-            if key not in self.sample_multipliers:
-                raise ConfigError(f"missing sample multiplier: {key}")
-            if self.sample_multipliers[key] <= 0:
-                raise ConfigError(f"sample multiplier {key} must be positive")
-
-    def __hash__(self):
-        # by value, like the dataclass __eq__, so plan caches
-        # (pipeline.make_eet_plan) hit on an equal config unpickled in a
-        # pool worker
-        scalars = tuple(getattr(self, key) for key in _SCALAR_KEYS)
-        return hash(scalars + tuple(sorted(self.sample_multipliers.items())))
-
-    def __reduce__(self):
-        # a mappingproxy does not pickle: rebuild the config from its fields
-        return ThresholdConfig, tuple(getattr(self, key) for key in _SCALAR_KEYS) + (dict(self.sample_multipliers),)
-
-    def multiplier(self, name: str) -> float:
-        return self.sample_multipliers[name]
-
-    def with_multiplier(self, name: str, value: float) -> "ThresholdConfig":
-        return replace(self, sample_multipliers={**self.sample_multipliers, name: value})
 
 
-_SCALAR_KEYS = tuple(f.name for f in fields(ThresholdConfig) if f.name != "sample_multipliers")
 DEFAULT_CONFIG = ThresholdConfig()
 
 
@@ -116,15 +88,13 @@ def save_config(cfg: ThresholdConfig, path, header_lines=()):
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
-        for key in _SCALAR_KEYS:
-            fh.write(f"{key} = {getattr(cfg, key)!r}\n")
-        for key in MULTIPLIER_KEYS:
-            fh.write(f"mult_{key} = {cfg.sample_multipliers[key]!r}\n")
+        for f in fields(cfg):
+            fh.write(f"{f.name} = {getattr(cfg, f.name)!r}\n")
 
 
 def load_config(path) -> ThresholdConfig:
-    scalars = {}
-    mults = {}
+    keys = {f.name for f in fields(ThresholdConfig)}
+    values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -135,16 +105,12 @@ def load_config(path) -> ThresholdConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             try:
-                num = float(value.strip())
+                values[key] = float(value.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
-            if key in _SCALAR_KEYS:
-                scalars[key] = num
-            elif key.startswith("mult_") and key[5:] in MULTIPLIER_KEYS:
-                mults[key[5:]] = num
-            else:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    return ThresholdConfig(**scalars, sample_multipliers={**_DEFAULT_MULTIPLIERS, **mults})
+    return ThresholdConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +172,6 @@ def amplification_reps(delta: float) -> int:
     return k + 1 if k % 2 == 0 else k
 
 
-def _log_ratio(n: float, eps: float) -> float:
-    return math.log(max(n / eps, LOG_FLOOR))
-
-
 # ---------------------------------------------------------------------------
 # Heavy-set identification
 # ---------------------------------------------------------------------------
@@ -217,12 +179,12 @@ def _log_ratio(n: float, eps: float) -> float:
 
 def heavy_threshold_unit(n: int, eps: float) -> float:
     """tau = eps / (n^{3/4} log(n/eps)); heavy means p_i + q_i >= C * tau."""
-    return eps / (n**0.75 * _log_ratio(n, eps))
+    return eps / (n**0.75 * log_ratio(n, eps))
 
 
 def heavy_set_budget(n: int, eps: float, cfg: ThresholdConfig) -> int:
     log_n = math.log(max(n, LOG_FLOOR))
-    return math.ceil(cfg.multiplier("heavy") * 2.0 * n**0.75 * _log_ratio(n, eps) * log_n / eps)
+    return math.ceil(cfg.mult_heavy * 2.0 * n**0.75 * log_ratio(n, eps) * log_n / eps)
 
 
 def identify_heavy_set(mix_sampler, n: int, eps: float, cfg: ThresholdConfig = DEFAULT_CONFIG):
@@ -280,13 +242,11 @@ def mass_compare(sp, sq, s_set, tol: float, budget: int) -> MassCompareResult:
 
 
 def hellinger_budget(n: int, eps_h: float, cfg: ThresholdConfig) -> int:
-    mult = cfg.multiplier("hellinger")
-    return math.ceil(mult * min(n**0.75 / eps_h, n ** (2.0 / 3.0) / eps_h ** (4.0 / 3.0)))
+    return math.ceil(cfg.mult_hellinger * min(n**0.75 / eps_h, n ** (2.0 / 3.0) / eps_h ** (4.0 / 3.0)))
 
 
 def tv_budget(n: int, eps_tv: float, cfg: ThresholdConfig) -> int:
-    mult = cfg.multiplier("tv")
-    return math.ceil(mult * max(n ** (2.0 / 3.0) / eps_tv ** (4.0 / 3.0), math.sqrt(n) / eps_tv**2))
+    return math.ceil(cfg.mult_tv * max(n ** (2.0 / 3.0) / eps_tv ** (4.0 / 3.0), math.sqrt(n) / eps_tv**2))
 
 
 def _t_noise_floor(n: int, s: int) -> float:
@@ -327,7 +287,7 @@ def tv_closeness_test(sp, sq, n: int, eps_tv: float, delta: float = 0.1, cfg: Th
 
 
 def l2_budget(eps_l2: float, cfg: ThresholdConfig) -> int:
-    return math.ceil(cfg.multiplier("l2") / eps_l2**2)
+    return math.ceil(cfg.mult_l2 / eps_l2**2)
 
 
 def l2_closeness_test(sp, sq, n: int, eps_l2: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> TestVerdict:
@@ -401,10 +361,10 @@ def lowmass_budgets(n: int, eps: float, cfg: ThresholdConfig) -> tuple[float, in
     """(alpha, coin budget, m3) of the low-mass cascade at accuracy eps:
     the mass floor of stages (i)/(ii), the per-stream draws of their coin
     test, and the per-stream draws of the stage (iii) mass comparison."""
-    log_r = _log_ratio(n, eps)
+    log_r = log_ratio(n, eps)
     alpha = min(cfg.c_lowmass_mass * eps / log_r, 0.5)
-    coin_n = coin_bias_budget(alpha, 1.0, 1.0 / 40.0, cfg.multiplier("lowmass_mass"))
-    m3 = math.ceil(cfg.multiplier("mass_diff") * log_r**2 / eps**2)
+    coin_n = coin_bias_budget(alpha, 1.0, 1.0 / 40.0, cfg.mult_lowmass_mass)
+    m3 = math.ceil(cfg.mult_mass_diff * log_r**2 / eps**2)
     return alpha, coin_n, m3
 
 
@@ -420,7 +380,7 @@ def lowmass_conditional_test(sp, sq, sbar, n: int, eps: float, cfg: ThresholdCon
     check_range("eps", eps)
     rng = np.random.default_rng(rng)
     mask = _as_mask(sbar, sp.n)
-    log_r = _log_ratio(n, eps)
+    log_r = log_ratio(n, eps)
     if not mask.any():
         return TestVerdict("accept", None, [Stage("lowmass-mass-floor", 0.0, 0.0)])
 

@@ -98,6 +98,15 @@ class TestDiscreteDistribution:
         assert np.array_equal(back.probs, d.probs)
         assert open(path).readline().strip() == "n=17"
 
+    @pytest.mark.parametrize("text, field", [("n=abc\n0.5\n0.5\n", "'abc'"), ("n=2\n0.5\nhalf\n", "'half'")],
+                             ids=["header", "probability"])
+    def test_bad_number_names_its_field(self, tmp_path, text, field):
+        # a bad number once raised a bare ValueError from int() or float()
+        path = tmp_path / "d.dist"
+        path.write_text(text)
+        with pytest.raises(DistributionError, match=f"bad field {field}"):
+            load_distribution(path)
+
 
 class TestEntropy:
     def test_uniform(self):

@@ -406,9 +406,16 @@ class TestScalingSuite:
 
 
 class TestCalibration:
-    def test_impossible_cap(self):
+    def test_impossible_cap(self, monkeypatch):
+        # a cap below 1 leaves no multiplier to try: calibrate fails before any draw
+        monkeypatch.setattr(experiments, "_MULT_CAP", 0.5)
+        monkeypatch.setattr(experiments, "_tester_statistics", lambda *args: pytest.fail("drew statistics"))
         with pytest.raises(CalibrationFailed):
-            calibrate(default_spec("calibrate"), mult_cap=0)
+            calibrate(default_spec("calibrate").validate())
+
+    def test_validate_fills_the_default_grid(self):
+        spec = ExperimentSpec(kind="calibrate").validate()
+        assert (spec.n_values, spec.eps_values) == ([1000, 10000], [0.1])
 
     def test_small_calibration_deterministic(self):
         spec = ExperimentSpec(kind="calibrate", n_values=[256], eps_values=[0.1],
@@ -583,6 +590,22 @@ class TestCli:
         path = tmp_path / "spec.json"
         json.dump(spec, open(path, "w"))
         assert cli_main(["grid", "--spec", str(path), "--check"]) == 2
+
+    @pytest.mark.parametrize("line", ["mult_tv = nan", "c_T_threshold = nan"])
+    def test_non_finite_config_exits_one(self, line, tmp_path, capsys):
+        # mult_tv = nan once ended in a traceback from tv_budget, and
+        # c_T_threshold = nan in a scaling run that never rejected
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        out = tmp_path / "out"
+        spec = {"kind": "scaling", "n_values": [64, 128], "eps_values": [0.3], "trials": 2,
+                "out_dir": str(out), "cfg_path": str(cfg_path)}
+        path = tmp_path / "spec.json"
+        json.dump(spec, open(path, "w"))
+        assert cli_main(["scaling", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and line.split()[0] in err[0]
+        assert not (out / "results.csv").exists()
 
 
 class TestWorkers:

@@ -2,6 +2,7 @@
 round-trip bit for bit."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from enttest.bayesnet import BayesNet, load_bayesnet, random_bayesnet, save_bayesnet
 from enttest.core import DiscreteDistribution, load_distribution, save_distribution
-from enttest.testers import MULTIPLIER_KEYS, ThresholdConfig, load_config, save_config
+from enttest.testers import ThresholdConfig, load_config, save_config
 
 PROPERTY = settings(max_examples=200, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -62,20 +63,9 @@ positive = st.floats(1e-6, 1e6, allow_nan=False)
 
 @st.composite
 def configs(draw):
-    low = draw(positive)
-    return ThresholdConfig(
-        c_hellinger_reject=draw(positive),
-        c_heavy_low=low,
-        c_heavy_high=2 * low + draw(st.floats(0.0, 1e6)),
-        c_lowmass_mass=draw(positive),
-        c_mass_diff=draw(positive),
-        c_T_threshold=draw(positive),
-        c_l2_threshold=draw(positive),
-        c_massS_diff=draw(positive),
-        c_Z_threshold=draw(positive),
-        c_dec=draw(positive),
-        sample_multipliers={key: draw(positive) for key in MULTIPLIER_KEYS},
-    )
+    values = {f.name: draw(positive) for f in fields(ThresholdConfig)}
+    values["c_heavy_high"] = 2 * values["c_heavy_low"] + draw(st.floats(0.0, 1e6))
+    return ThresholdConfig(**values)
 
 
 @PROPERTY
