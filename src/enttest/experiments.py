@@ -28,11 +28,11 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, log_ratio, mass_floor_mix, triangle_discrepancy
+from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, mass_floor_mix, triangle_discrepancy
 from .poisson import (
     CountPair,
     batch_t,
@@ -84,7 +84,7 @@ class ExperimentSpec:
     out_dir: str = "enttest-out"
 
     def validate(self):
-        if self.kind not in VALID_KINDS:
+        if self.kind not in SUITES:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         self.seed = _as_integer(self.seed, "seed")
         self.trials = _as_integer(self.trials, "trials")
@@ -117,8 +117,8 @@ class ExperimentSpec:
         if any(d < 1 or d >= min(self.n_values, default=math.inf) for d in self.d_values):
             raise ConfigError(f"in-degree bounds d must satisfy 1 <= d <= n - 1, got d in {self.d_values}")
         for family in SUITE_FAMILIES.get(self.kind, ()):
-            for n in self.n_values if family in _FAR_REACH else ():
-                reach, eps = _FAR_REACH[family](n), max(self.eps_values)
+            for n in self.n_values if FAMILIES[family].reach else ():
+                reach, eps = FAMILIES[family].reach(n), max(self.eps_values)
                 if eps > reach:
                     raise ConfigError(f"{family} cannot certify eps = {eps:g} at n = {n}: "
                                       f"it reaches at most {reach:.10g} there")
@@ -140,27 +140,18 @@ class ExperimentSpec:
 
 
 def default_spec(kind: str) -> ExperimentSpec:
-    """The pinned acceptance-suite grids for each experiment kind."""
-    if kind == "oracle_suite":
-        return ExperimentSpec(kind=kind, trials=200)
-    if kind == "error_grid":
-        return ExperimentSpec(
-            kind=kind, n_values=[2**10, 2**12, 2**14], eps_values=[0.2, 0.4], trials=200
-        )
-    if kind == "scaling":
-        return ExperimentSpec(
-            kind=kind,
-            n_values=[2**k for k in range(10, 17)],
-            eps_values=[0.3],
-            trials=100,
-        )
-    if kind == "bayesnet":
-        return ExperimentSpec(
-            kind=kind, n_values=[8], eps_values=[0.3], d_values=[2], trials=50
-        )
-    if kind == "calibrate":  # validate() fills its grid
-        return ExperimentSpec(kind=kind, trials=400)
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+    """The pinned acceptance-suite grids for each experiment kind
+    (``validate`` fills calibrate's)."""
+    grids = {
+        "oracle_suite": {"trials": 200},
+        "error_grid": {"n_values": [2**10, 2**12, 2**14], "eps_values": [0.2, 0.4], "trials": 200},
+        "scaling": {"n_values": [2**k for k in range(10, 17)], "eps_values": [0.3], "trials": 100},
+        "bayesnet": {"n_values": [8], "eps_values": [0.3], "d_values": [2], "trials": 50},
+        "calibrate": {"trials": 400},
+    }
+    if kind not in grids:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
+    return ExperimentSpec(kind=kind, **grids[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +205,48 @@ def _trial_seed(master: int, cell: int, trial: int) -> np.random.SeedSequence:
 # Instance families
 # ---------------------------------------------------------------------------
 
-NULL_FAMILIES = ("null:uniform", "null:zipf", "null:dense")
-FAR_FAMILIES = ("far:entropy-gap", "far:mi")
+class Family(NamedTuple):
+    """An instance family: ``null`` when its two laws are equal, else its
+    pair carries a certificate of at least eps (an entropy gap, a mutual
+    information or a joint TV).  ``build(n, eps, master, cell)`` makes a flat
+    family's (p, q); ``reach(n)`` is the largest eps a far family's builder
+    certifies at domain size n; ``tester`` is the net tester a net family runs."""
+
+    null: bool
+    build: Callable | None = None
+    reach: Callable | None = None
+    tester: str = ""
+
+
+def _mi_pair(n, eps, master, cell):
+    if n % 2:
+        raise ConfigError("far:mi needs an even domain size")
+    pair = inst.make_correlated_pair(n // 2, 2, eps)
+    return pair.joint, pair.product_of_marginals()
+
+
+FAMILIES = {
+    "null:uniform": Family(True, lambda n, eps, master, cell: (DiscreteDistribution.uniform(n),) * 2),
+    "null:zipf": Family(True, lambda n, eps, master, cell: (DiscreteDistribution.zipf(n),) * 2),
+    "null:dense": Family(True, lambda n, eps, master, cell: (DiscreteDistribution.random_dense(
+        n, np.random.default_rng(np.random.SeedSequence([master, cell, 0xD15E]))),) * 2),
+    # the entropy gap reaches log n
+    "far:entropy-gap": Family(False, lambda n, eps, master, cell: inst.make_entropy_gap_pair(n, eps), math.log),
+    # the MI pair reaches H(a mod 2) over n // 2 values of a (log 2 when n // 2
+    # is even, 0 at n = 2), and nothing at odd n
+    "far:mi": Family(False, _mi_pair, lambda n: inst.max_mutual_information(n // 2, 2) if n % 2 == 0 else 0.0),
+    "bn-null": Family(True, tester="bn-closeness"),
+    "bn-far": Family(False, reach=bn.far_pair_reach, tester="bn-closeness"),
+    "bn-id-null": Family(True, tester="bn-identity"),
+    "bn-id-far": Family(False, reach=bn.far_pair_reach, tester="bn-identity"),
+    # the MI-reduction streams: a product law, and one with log 2 of mutual information
+    "mi-product": Family(True),
+    "mi-correlated": Family(False),
+}
 SUITE_FAMILIES = {
-    "error_grid": NULL_FAMILIES + FAR_FAMILIES,
+    "error_grid": ("null:uniform", "null:zipf", "null:dense", "far:entropy-gap", "far:mi"),
     "scaling": ("null:uniform", "far:entropy-gap"),
     "bayesnet": ("bn-null", "bn-far", "bn-id-null", "bn-id-far"),
-}
-# The largest eps each far family's builder certifies at domain size n,
-# which ``ExperimentSpec.validate`` checks before any trial runs: the
-# entropy gap reaches log n; the MI pair H(a mod 2) over n // 2 values of a
-# (log 2 when n // 2 is even, 0 at n = 2) and nothing at odd n; the net
-# pairs ``bayesnet.far_pair_reach``.
-_FAR_REACH = {
-    "far:entropy-gap": math.log,
-    "far:mi": lambda n: inst.max_mutual_information(n // 2, 2) if n % 2 == 0 else 0.0,
-    "bn-far": bn.far_pair_reach,
-    "bn-id-far": bn.far_pair_reach,
 }
 
 
@@ -254,24 +270,10 @@ def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
 
 @functools.lru_cache(maxsize=_cpus())
 def _instance_pair(family: str, n: int, eps: float, master: int, cell: int):
-    if family == "null:uniform":
-        p = DiscreteDistribution.uniform(n)
-        return p, p
-    if family == "null:zipf":
-        p = DiscreteDistribution.zipf(n)
-        return p, p
-    if family == "null:dense":
-        rng = np.random.default_rng(np.random.SeedSequence([master, cell, 0xD15E]))
-        p = DiscreteDistribution.random_dense(n, rng)
-        return p, p
-    if family == "far:entropy-gap":
-        return inst.make_entropy_gap_pair(n, eps)
-    if family == "far:mi":
-        if n % 2:
-            raise ConfigError("far:mi needs an even domain size")
-        pair = inst.make_correlated_pair(n // 2, 2, eps)
-        return pair.joint, pair.product_of_marginals()
-    raise ConfigError(f"unknown instance family {family!r}")
+    build = FAMILIES[family].build if family in FAMILIES else None
+    if build is None:
+        raise ConfigError(f"unknown flat instance family {family!r}")
+    return build(n, eps, master, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +303,16 @@ def _bn_trial(payload):
     cfg = payload["cfg"]
     n, d, eps = payload["n"], payload["d"], payload["eps"]
     gen = np.random.default_rng(child[0])
-    family = payload["family"]
-    if family in ("bn-null", "bn-id-null"):
-        base = bn.random_bayesnet(n, d, gen)
-        other = base
+    if FAMILIES[payload["family"]].null:
+        base = other = bn.random_bayesnet(n, d, gen)
     else:
         try:
             base, other, _tv = bn.make_far_net_pair(n, d, eps, gen)
         except RuntimeError as exc:  # far_pair_reach bounds TV from above; no pair may reach it
-            raise ConfigError(f"{family} at n = {n}, d = {d}: {exc}") from None
-    if family.startswith("bn-id"):
-        side = other if family == "bn-id-far" else base
+            raise ConfigError(f"{payload['family']} at n = {n}, d = {d}: {exc}") from None
+    if payload["tester"] == "bn-identity":  # ``other`` is ``base`` itself on a null cell
         return bn.bn_identity_test(
-            bn.BnSampler(side, child[1]), base, n, d, eps, cfg, rng=np.random.default_rng(child[3])
+            bn.BnSampler(other, child[1]), base, n, d, eps, cfg, rng=np.random.default_rng(child[3])
         )
     return bn.bn_closeness_test(
         bn.BnSampler(base, child[1]), bn.BnSampler(other, child[2]), n, d, eps, cfg,
@@ -326,8 +325,8 @@ def _reduction_trial(payload):
     child = seq.spawn(2)
     cfg = payload["cfg"]
     n, eps = payload["n"], payload["eps"]
-    # the product family has no mutual information; the correlated one log 2
-    pair = inst.make_correlated_pair(n // 2, 2, 0.0 if payload["family"] == "mi-product" else math.log(2.0))
+    # a null family's pair has no mutual information; a far one's log 2
+    pair = inst.make_correlated_pair(n // 2, 2, 0.0 if FAMILIES[payload["family"]].null else math.log(2.0))
     eet_budget, base_budget = combined_budgets(n, eps, 0.1, cfg)
     per_stream = min(eet_budget, base_budget) // 2 + 1
     t = int(per_stream + 10 * math.sqrt(per_stream) + 200)
@@ -421,9 +420,9 @@ def _cell_row(kind: str, cell: dict, stats: CellStats, seed: int) -> Row:
                stats.trials, stats.accept_rate, stats.reject_rate, stats.mean_samples, seed)
 
 
-def _gate(violations, label: str, null: bool, stats: CellStats, bar: float = 0.85):
-    """A null cell must accept, and a far cell reject, in ``bar`` of its trials."""
-    verb, rate = ("accept", stats.accept_rate) if null else ("reject", stats.reject_rate)
+def _gate(violations, label: str, cell: dict, stats: CellStats, bar: float = 0.85):
+    """A null family's cell must accept, and a far one's reject, in ``bar`` of its trials."""
+    verb, rate = ("accept", stats.accept_rate) if FAMILIES[cell["family"]].null else ("reject", stats.reject_rate)
     if rate < bar:
         violations.append(f"{label}: {verb} {rate:.3f} < {bar}")
 
@@ -443,8 +442,7 @@ def run_error_grid(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     rows, violations = [], []
     for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "grid", cells)):
         rows.append(_cell_row("error_grid", cell, stats, spec.seed))
-        _gate(violations, f"grid cell n={cell['n']} eps={cell['eps']} {cell['family']}",
-              cell["family"].startswith("null"), stats)
+        _gate(violations, f"grid cell n={cell['n']} eps={cell['eps']} {cell['family']}", cell, stats)
     return rows, violations
 
 
@@ -470,7 +468,7 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
         if cell_stats.branches != {expected_branch[n]}:
             violations.append(f"scaling trace branch mismatch at n={n}: "
                               f"{cell_stats.branches} != {expected_branch[n]}")
-        _gate(violations, f"scaling {cell['family']} n={n}", cell["family"].startswith("null"), cell_stats)
+        _gate(violations, f"scaling {cell['family']} n={n}", cell, cell_stats)
     ns = np.array(sorted(budgets), dtype=np.float64)
     bs = np.array([budgets[n] for n in sorted(budgets)], dtype=np.float64)
     slope = float(np.polyfit(np.log(ns), np.log(bs), 1)[0])
@@ -484,8 +482,7 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
 def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     n, d, eps = spec.n_values[0], spec.d_values[0], spec.eps_values[0]
     cells = [
-        {"tester": "bn-identity" if fam.startswith("bn-id") else "bn-closeness",
-         "family": fam, "n": n, "d": d, "eps": eps}
+        {"tester": FAMILIES[fam].tester, "family": fam, "n": n, "d": d, "eps": eps}
         for fam in SUITE_FAMILIES["bayesnet"]
     ]
     stats = _run_cells(spec, cfg, workers, "bn", cells)
@@ -495,7 +492,7 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
     rows, violations = [], []
     for cell, cell_stats in zip(cells, stats):
         rows.append(_cell_row("bayesnet", cell, cell_stats, spec.seed))
-        _gate(violations, f"bayesnet {cell['family']}", cell["family"].endswith("null"), cell_stats, bar=0.8)
+        _gate(violations, f"bayesnet {cell['family']}", cell, cell_stats, bar=0.8)
     for name, ok, value in checks:
         rows.append(Row("bayesnet", "oracle", n, eps, d, name, 1,
                         1.0 if ok else 0.0, 0.0 if ok else 1.0, value, spec.seed))
@@ -520,7 +517,7 @@ def bn_exact_checks(seed: int, eps: float, d: int):
         net = bn.random_bayesnet(n_small, d, rng)
         w = bn.bn_mixture_weight(n_small, d, eps)
         joint = (1.0 - w) * bn.bn_exact_joint(net) + w / 2**n_small
-        floor = eps**2 / (2 ** (d + 1) * d * n_small * log_ratio(n_small, eps))
+        floor = w / 2 ** (d + 1)
         min_atom = float(bn._marginal_counts(joint[:, None], n_small, d + 1).min())
         worst_margin = min(worst_margin, min_atom - floor)
     checks.append(("exact:atom-floor", worst_margin >= 0, worst_margin))
@@ -678,7 +675,7 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
              {"tester": "combined", "family": "mi-correlated", "n": 4, "eps": 0.3}]
     for cell, stats in zip(cells, _run_cells(spec, cfg, workers, "reduction", cells, min(spec.trials, 200))):
         rows.append(_cell_row("oracle_suite", cell, stats, seed))
-        _gate(violations, f"reduction {cell['family']}", cell["family"] == "mi-product", stats)
+        _gate(violations, f"reduction {cell['family']}", cell, stats)
     return rows, violations
 
 
@@ -846,7 +843,6 @@ SUITES = {
     "bayesnet": run_bayesnet_suite,
     "oracle_suite": run_oracle_suite,
 }
-VALID_KINDS = tuple(SUITES)
 
 
 def _as_integer(value, what: str) -> int:

@@ -94,7 +94,7 @@ def save_config(cfg: ThresholdConfig, path, header_lines=()):
 
 def load_config(path) -> ThresholdConfig:
     keys = {f.name for f in fields(ThresholdConfig)}
-    values = {}
+    values, lines = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -104,12 +104,15 @@ def load_config(path) -> ThresholdConfig:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
+            if key not in keys:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: {key} set twice, on lines {lines[key]} and {lineno}")
+            lines[key] = lineno
             try:
                 values[key] = float(value.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}") from exc
-            if key not in keys:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     return ThresholdConfig(**values)
 
 

@@ -3,7 +3,9 @@ equivalence, calibration, and the CLI surface."""
 
 import functools
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,6 +31,8 @@ from enttest.experiments import (
 )
 from enttest.testers import DEFAULT_CONFIG, load_config
 from enttest.testers import TestVerdict as Verdict  # not a test class
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestExperimentSpec:
@@ -107,9 +111,53 @@ class TestExperimentSpec:
 
 class TestInstanceFamilies:
     def test_null_families_identical(self):
-        for fam in ("null:uniform", "null:zipf", "null:dense"):
+        flat_nulls = [f for f, fam in experiments.FAMILIES.items() if fam.null and fam.build]
+        assert flat_nulls
+        for fam in flat_nulls:
             p, q = make_instance_pair(fam, 64, 0.3, master=1, cell=0)
             assert p == q
+
+    def test_suite_families_are_in_the_table(self):
+        for kind, families in experiments.SUITE_FAMILIES.items():
+            assert set(families) <= set(experiments.FAMILIES), kind
+
+    def test_benchmark_decision_families_match_the_suites(self, monkeypatch):
+        # the benchmark counts samples_per_decision over the rows of these
+        # families; a renamed family would silently drop its rows there
+        path = os.path.join(REPO, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read the file, write nothing beside it
+        spec.loader.exec_module(workloads)
+        assert workloads.DECISION_FAMILIES == experiments.SUITE_FAMILIES
+
+    @pytest.mark.parametrize("family", [f for f, fam in experiments.FAMILIES.items() if fam.reach])
+    def test_validate_refuses_eps_just_above_reach(self, family, monkeypatch):
+        # an n at which the family's reach lies below its suite's top eps
+        n = {"far:entropy-gap": 1, "far:mi": 2, "bn-far": 8, "bn-id-far": 8}[family]
+        kind = next(k for k, families in experiments.SUITE_FAMILIES.items() if family in families)
+        monkeypatch.setitem(experiments.SUITE_FAMILIES, kind, (family,))  # no other family refuses first
+        reach = experiments.FAMILIES[family].reach(n)
+
+        def spec(eps):
+            return ExperimentSpec(kind=kind, n_values=[n], eps_values=[eps],
+                                  d_values=[2] if kind == "bayesnet" else [])
+
+        with pytest.raises(ConfigError, match=f"^{family} cannot certify eps"):
+            spec(math.nextafter(reach, 1.0)).validate()
+        if reach > 0:
+            spec(reach).validate()
+
+    def test_gate_reads_null_from_the_table(self):
+        def stats(accept):
+            return experiments.CellStats(accept, 1.0 - accept, 0.0, 10, {""})
+
+        violations = []
+        for family, accept in [("far:mi", 1.0), ("bn-id-null", 0.0), ("mi-correlated", 0.0), ("null:zipf", 1.0),
+                               ("mi-product", 0.9), ("bn-far", 0.1)]:
+            experiments._gate(violations, family, {"family": family}, stats(accept))
+        assert violations == ["far:mi: reject 0.000 < 0.85", "bn-id-null: accept 0.000 < 0.85"]
 
     def test_dense_family_deterministic_per_cell(self):
         a, _ = make_instance_pair("null:dense", 64, 0.3, master=1, cell=0)
@@ -191,7 +239,9 @@ class TestReproducibility:
         assert outs[0] == outs[1]
 
     # The SHA-256 of each results.csv is pinned: a change in RNG use or in
-    # the CSV bytes must re-pin these and say so.
+    # the CSV bytes must re-pin these and say so.  They were made with numpy
+    # 2.4.6: numpy does not promise that Generator streams stay the same
+    # across versions (NEP 19), so another numpy may change them.
     @pytest.mark.parametrize(
         "spec, sha256",
         [

@@ -88,6 +88,19 @@ class TestThresholdConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_unknown_key_is_named_before_its_value_is_read(self, tmp_path):
+        path = tmp_path / "cfg.txt"
+        path.write_text("c_T_threshold = 4.0\nbogus = abc\n")
+        with pytest.raises(ConfigError, match=r":2: unknown key 'bogus'"):
+            load_config(path)
+
+    def test_repeated_key_is_hard_error(self, tmp_path):
+        # the last line once won without a word
+        path = tmp_path / "cfg.txt"
+        path.write_text("mult_tv = 8.0\n# edited by hand\nmult_tv = 64.0\n")
+        with pytest.raises(ConfigError, match="mult_tv set twice, on lines 1 and 3"):
+            load_config(path)
+
     def test_retired_coin_multiplier_is_hard_error(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("c_T_threshold = 4.0\nmult_coin = 8.0\n")
