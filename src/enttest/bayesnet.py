@@ -7,19 +7,21 @@ tests over every (d+1)-subset, fed by one shared sample multiset), its
 identity-test variant against a fully known net, and the exact
 KL-to-projection oracle used by the verification suites.
 
-The sweep is batched: one (subset, block, cell) count array holds every
-subset's per-block counts, each local statistic is computed for all
-subsets at once (T and Z by the shared batched kernels
-``poisson.batch_t``/``batch_z``), each subset's blocks are majority-voted
-by ``testers._majority``, and the verdict names the first rejecting subset
+The sweep is batched: one draw gives each stream's per-atom block counts
+(or, past the dense path, its streamed per-subset counts), and the local
+statistics are computed for all subsets at once, one chunk of blocks at a
+time (T and Z by the shared batched kernels ``poisson.batch_t``/
+``batch_z``); each subset's blocks are majority-voted by
+``testers._majority``, and the verdict names the first rejecting subset
 in ``combinations`` order.  One batched primitive, ``_marginal_counts``,
-marginalizes onto every (d+1)-subset at once: on small nets the sampled
-per-atom block counts, and the exact mixture joints of the identity test's
-q side and the suite's atom-floor check.  It splits the atoms in half: the
-low n//2 variables and the high ones each get a small cached one-hot map
-onto their own j-subsets, and every (d+1)-subset with j low variables
-comes from two contractions, one per half.  ``joint_marginal`` is the
-exact one-subset oracle of the projection and telescoping checks.
+marginalizes onto every (d+1)-subset at once: on small nets each chunk of
+sampled per-atom block counts, and the exact mixture joints of the
+identity test's q side and the suite's atom-floor check.  It splits the
+atoms in half: the low n//2 variables and the high ones each get a small
+cached one-hot map onto their own j-subsets, and every (d+1)-subset with
+j low variables comes from two contractions, one per half.
+``joint_marginal`` is the exact one-subset oracle of the projection and
+telescoping checks.
 
 CPT layout: for node i with sorted parent tuple (p_0 < p_1 < ...), entry
 ``cpt[i][mask]`` is P(X_i = 1 | parents), where bit j of ``mask`` carries
@@ -204,32 +206,34 @@ def _build_atom_cells(n: int, subset: tuple) -> np.ndarray:
 _memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 
 
-# One chunk of tabulation work: atoms times blocks per bincount in
-# _block_atom_counts, and high-half atoms squared times blocks per GEMM
-# chunk in _marginal_counts (16 blocks at n = 11 and 12)
+# One chunk of tabulation work: atom-block cells per bincount or Poisson
+# draw in _block_atom_counts, and per chunk of the sweep's scoring,
+# high-half atoms squared (or subset cells) times blocks
 _TABLE_CHUNK = 2**16
 
 
 def _small_sweep(n: int, d: int) -> bool:
-    """The one size rule of the in-degree-d sweep over n variables: width
-    d + 1 <= 3 and n <= 12.  ``_marginal_counts`` then contracts in block
-    chunks and ``experiments._threaded`` runs the trials on trial threads.
-
-    There a chunk of ``_TABLE_CHUNK / 4^(n - n//2)`` blocks holds at least
-    16 blocks and keeps every GEMM on the calling thread (on 2 cores twice
+    """The thread rule of the in-degree-d sweep over n variables: width
+    d + 1 <= 3 and n <= 12, where ``experiments._threaded`` runs the trials
+    on trial threads.  There ``_block_step``'s chunk holds at least 16
+    blocks and keeps every GEMM on the calling thread (on 2 cores twice
     that woke OpenBLAS's worker thread at n = 9 to 14, d = 2), so two
-    trials in flight do not fight OpenBLAS's threads.  Serial -> threaded
-    suite wall on 2 shared cores (median of 3 fresh runs, 10 trials a
-    cell, 5 at n = 12) and peak RSS: n = 9, d = 2 0.54 -> 0.36 s (43 ->
-    48 MB); n = 10, d = 2 0.89 -> 0.55 s (44 -> 51 MB); n = 12, d = 1
-    0.26 -> 0.22 s, d = 2 0.55 -> 0.36 s (51 -> 63 MB).  Larger sweeps run
-    serially: past n = 12 one pass on OpenBLAS's threads is faster (n = 13:
-    7 ms a call against 27 ms in 4-block chunks), and at d >= 3 threads
-    gained little for much memory (n = 8, d = 3 0.74 -> 0.77 s, 45 -> 51 MB;
-    d = 4 1.46 -> 1.44 s, 47 -> 58 MB; n = 10, d = 4 3.04 -> 2.48 s, 83 ->
-    138 MB).
+    trials in flight do not fight OpenBLAS's threads.  The README's "Trial
+    threads" has the serial and threaded measurements.
     """
     return d + 1 <= 3 and n <= 12
+
+
+def _block_step(n: int, width: int) -> int:
+    """Blocks per chunk of the sweep's scoring: at most ``_TABLE_CHUNK``
+    high-half atoms squared times blocks, and as many subset cells times
+    blocks, so that a chunk's float64 tables and GEMM temporaries stay
+    near ``_TABLE_CHUNK`` entries whatever m is: 16 blocks at n = 11 and
+    12, d = 2, one pass at n = 8.  Chunks 16 times as large saved up to
+    0.13 s of a 0.25-0.41 s call at n = 12, d = 4 and n = 16, d = 2, and
+    cost 10-32 MB more peak RSS.
+    """
+    return max(1, _TABLE_CHUNK // max(4 ** (n - n // 2), math.comb(n, width) << width))
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +301,12 @@ class BnMixtureSampler:
 # ---------------------------------------------------------------------------
 
 
-# Path switch, not a memory guard: nets with C(n, d+1) 2^{n+d+1} at most
-# this count draw per-atom block counts from the exact mixture joint (the
-# dense path), larger ones stream samples.  The two paths consume the
-# generator differently, so the value fixes each n's random stream.
-_PROJECTION_CELL_CAP = 2**26
+# Path switch: nets whose per-atom block counts, 2^n k entries, number at
+# most this many draw them from the exact mixture joint (the dense path);
+# larger ones stream samples.  It keeps d = 2 dense up to n = 16 (k = 169),
+# and a dense net has n <= 24 = EXACT_GUARD.  The two paths consume the
+# generator differently, so the value fixes each size's random stream.
+_DENSE_ATOM_CELLS = 2**24
 
 
 def _half_map(bits: int, j: int) -> np.ndarray:
@@ -345,116 +350,125 @@ def _marginal_plan(n: int, width: int):
 
 def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
     """Counts[subset, block, cell] of per-block atom counts ``per_atom`` of
-    shape ``(2^n, k)`` (any integer or float dtype and strides, as
-    ``_block_atom_counts`` returns them), for every ``width``-subset in
-    ``combinations`` order.  A probability joint as one column,
-    ``joint[:, None]``, gives its exact tables on every subset.
+    shape ``(2^n, k)`` (any integer or float dtype and strides), for every
+    ``width``-subset in ``combinations`` order.  A probability joint as one
+    column, ``joint[:, None]``, gives its exact tables on every subset.
 
     The atom index is high half times low half, so a C-ordered float64
-    copy of a chunk of blocks reshapes to ``(2^(n - n//2), 2^(n//2),
-    blocks)``, and each split contracts it with its two half maps, the one
-    with fewer columns first.  Counts are integers far below 2^53, so every
-    order of summation gives the same floats; a probability joint is summed
-    in GEMM order, within about 1e-14 relative of ``joint_marginal``'s.
-
-    Under ``_small_sweep`` a chunk holds ``_TABLE_CHUNK / 4^(n - n//2)``
-    blocks (16 at n = 11 and 12), which keeps every GEMM on the calling
-    thread; other sizes take one pass on OpenBLAS's threads.  At n = 8
-    (127 blocks) the chunk is one pass: 64-block chunks took 0.25-0.32 ms
-    a call against 0.57 ms on one thread, but the n = 8 suite, whose
-    trials run on two threads, was no faster with them (0.414 against
-    0.402 s, median of 24 fresh processes).
+    copy of the blocks reshapes to ``(2^(n - n//2), 2^(n//2), k)``, and
+    each split contracts it with its two half maps, the one with fewer
+    columns first.  Counts are integers far below 2^53, so every order of
+    summation, and every split of the blocks into chunks, gives the same
+    floats; a probability joint is summed in GEMM order, within about
+    1e-14 relative of ``joint_marginal``'s.
     """
     k = per_atom.shape[1]
-    step = _TABLE_CHUNK >> 2 * (n - n // 2) if _small_sweep(n, width - 1) else k
     out = np.empty((math.comb(n, width), k, 2**width))
-    shape = (2 ** (n - n // 2), 2 ** (n // 2))
-    for b in range(0, k, step):
-        x = np.ascontiguousarray(per_atom[:, b : b + step], dtype=np.float64)
-        kc = x.shape[1]
-        x = x.reshape(*shape, kc)
-        for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
-            if lo_map.shape[1] <= hi_map.shape[1]:
-                z = hi_map.T @ (lo_map.T @ x).reshape(x.shape[0], -1)
-            else:
-                z = lo_map.T @ (hi_map.T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[1], kc)
-            # z[(s_hi, c_hi), (s_lo, c_lo), b] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
-            n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
-            z = z.reshape(n_hi, 2 ** (width - j), n_lo, 2**j, kc).transpose(0, 2, 4, 1, 3)
-            out[sweep, b : b + kc] = z.reshape(n_hi * n_lo, kc, 2**width)
+    x = np.ascontiguousarray(per_atom, dtype=np.float64).reshape(2 ** (n - n // 2), 2 ** (n // 2), k)
+    for j, lo_map, hi_map, sweep in _marginal_plan(n, width):
+        if lo_map.shape[1] <= hi_map.shape[1]:
+            z = hi_map.T @ (lo_map.T @ x).reshape(x.shape[0], -1)
+        else:
+            z = lo_map.T @ (hi_map.T @ x.reshape(x.shape[0], -1)).reshape(-1, x.shape[1], k)
+        # z[(s_hi, c_hi), (s_lo, c_lo), b] -> out[(s_hi, s_lo), b, c_lo | c_hi << j]
+        n_hi, n_lo = hi_map.shape[1] >> (width - j), lo_map.shape[1] >> j
+        z = z.reshape(n_hi, 2 ** (width - j), n_lo, 2**j, k).transpose(0, 2, 4, 1, 3)
+        out[sweep] = z.reshape(n_hi * n_lo, k, 2**width)
     return out
 
 
 def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, rng) -> np.ndarray:
     """Independent ``Poi(m/k * joint[a])`` counts of atom a in each of
     ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: an
-    integer array of shape ``(joint.size, k_blocks)``, which
-    ``_marginal_counts`` reads in block chunks.
+    int32 array of shape ``(joint.size, k_blocks)`` (int64 when a block's
+    rate m/k passes 2^30), the transposed view of block-major counts.
 
-    Sparse branch: the block labels of all samples come from one
-    ``rng.integers`` call and are narrowed to int32; the samples are atom-
-    major, so each chunk of ``_TABLE_CHUNK`` atom-block cells is one
-    bincount over a contiguous run of labels into an int32 array (a count
-    is at most the sample total, below ``k_blocks * 2^n``, which the dense
-    path keeps far below 2^31).
-    Per-cell branch: the transposed view of the ``(k_blocks, 2^n)`` draw.
+    Both branches draw a chunk of about ``_TABLE_CHUNK`` atom-block cells
+    at a time, and the chunked calls give the stream of one call.  Sparse
+    branch: the block labels of a chunk of atoms' samples (atom-major, so
+    one contiguous run of the label stream), bincounted; a count is at
+    most the sample total, about m < ``k_blocks * 2^n``.  Per-cell branch:
+    ``rng.poisson(rates, size=(k_blocks, 2^n))``, a group of rows at a time.
     """
     atoms = joint.size
+    counts = np.empty((k_blocks, atoms), dtype=np.int32 if m / k_blocks <= 2**30 else np.int64)
     if m >= k_blocks * atoms:
-        return rng.poisson(m / k_blocks * joint, size=(k_blocks, atoms)).T
+        rate = m / k_blocks * joint
+        rows = max(1, _TABLE_CHUNK // atoms)
+        for b in range(0, k_blocks, rows):
+            counts[b : b + rows] = rng.poisson(rate, size=(min(rows, k_blocks - b), atoms))
+        return counts.T
     totals = rng.poisson(m * joint)
-    labels = rng.integers(0, k_blocks, size=int(totals.sum())).astype(np.int32)
-    counts = np.empty((atoms, k_blocks), dtype=np.int32)
     step = max(1, _TABLE_CHUNK // k_blocks)
-    first = 0  # the chunk's first label
     for a in range(0, atoms, step):
         chunk = totals[a : a + step]
-        cells = np.repeat(np.arange(0, chunk.size * k_blocks, k_blocks, dtype=np.int32), chunk)
-        cells += labels[first : first + cells.size]
-        first += cells.size
-        counts[a : a + chunk.size] = np.bincount(cells, minlength=chunk.size * k_blocks).reshape(-1, k_blocks)
-    return counts
+        cells = rng.integers(0, k_blocks, size=int(chunk.sum()), dtype=np.int32)
+        cells *= chunk.size  # label b of the chunk's atom i is cell b * size + i
+        cells += np.repeat(np.arange(chunk.size, dtype=np.int32), chunk)
+        counts[:, a : a + chunk.size] = np.bincount(cells, minlength=chunk.size * k_blocks).reshape(k_blocks, -1)
+    return counts.T
 
 
 def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
-    """Counts[subset, block, cell] for every ``width``-subset of the
-    variables, from one shared Poissonized multiset.
+    """Block counts of one shared Poissonized multiset, for every
+    ``width``-subset of the variables.
 
     The multiset of ``Poi(m)`` samples is split uniformly into ``k_blocks``
     majority-vote blocks (Poisson thinning keeps blocks independent).  On
-    the dense path (``C(n, width) 2^(n+width)`` at most
-    ``_PROJECTION_CELL_CAP``) the per-atom block counts, independent
-    ``Poi(m/k * p_atom)``, come from the exact mixture joint by whichever
-    draw needs fewer variates:
+    the dense path (``2^n k_blocks`` per-atom counts at most
+    ``_DENSE_ATOM_CELLS``, so n is within ``EXACT_GUARD``) the per-atom
+    block counts, independent ``Poi(m/k * p_atom)``, come from the exact
+    mixture joint by whichever draw needs fewer variates:
 
     - ``m < k_blocks * 2^n`` (sparse): each atom's total ``Poi(m * p_atom)``,
       then a uniform block label for each of the about m samples, as the
       streaming path labels its samples; by Poisson splitting this is the
-      per-cell law, and the label array is no larger than the per-block
-      array, so memory does not grow with m;
+      per-cell law, and the labels are drawn and tabulated a chunk of
+      atoms at a time, so memory does not grow with m;
     - otherwise (per cell): one ``Poi(m/k * p_atom)`` per block and atom.
 
-    Either way the counts are marginalized onto every subset by
-    ``_marginal_counts``, two half-width contractions per split of the
-    subset between the low and high variables.  Above the cap, samples are
-    streamed and each subset is bincounted.  Subsets run in
-    ``combinations(range(n), width)`` order.  Returns ``(float64 array of
-    shape (C(n, width), k_blocks, 2^width), total samples drawn)``.
+    The dense path returns those per-atom counts, of shape ``(2^n,
+    k_blocks)``; ``_block_tables`` marginalizes them onto every subset a
+    chunk of blocks at a time.  Past the limit, samples are streamed and
+    each subset is bincounted into float64 tables of shape ``(C(n, width),
+    k_blocks, 2^width)``.  Subsets run in ``combinations(range(n), width)``
+    order.  Returns ``(counts, total samples drawn)``.
     """
     n = mix.n
+    if 2**n * k_blocks <= _DENSE_ATOM_CELLS:
+        counts = _block_atom_counts(mix.exact_joint(), m, k_blocks, rng)
+        return counts, int(counts.sum())
     ncells = 2**width
-    subsets = list(combinations(range(n), width))
-    if n <= EXACT_GUARD and len(subsets) * 2 ** (n + width) <= _PROJECTION_CELL_CAP:
-        counts = _marginal_counts(_block_atom_counts(mix.exact_joint(), m, k_blocks, rng), n, width)
-        return counts, int(counts[0].sum())  # each subset's cells hold every sample
     realized = int(rng.poisson(m))
     bits = mix.sample(realized)
     offsets = rng.integers(0, k_blocks, size=realized) * ncells
-    counts = np.empty((len(subsets), k_blocks, ncells))
-    for s, sub in enumerate(subsets):
+    counts = np.empty((math.comb(n, width), k_blocks, ncells))
+    for s, sub in enumerate(combinations(range(n), width)):
         flat = np.bincount(offsets + _parent_masks(bits, sub), minlength=k_blocks * ncells)
         counts[s] = flat.reshape(k_blocks, ncells)
     return counts, realized
+
+
+def _block_tables(counts: np.ndarray, n: int, width: int, blocks: slice) -> np.ndarray:
+    """Float64 counts[subset, block, cell] of the blocks in ``blocks``, from
+    either form ``_blocked_subset_counts`` returns."""
+    if counts.ndim == 3:
+        return counts[:, blocks]
+    return _marginal_counts(counts[:, blocks], n, width)
+
+
+def _sweep_scores(score, counts, n: int, width: int, k_blocks: int) -> list:
+    """The two (subset, block) statistics ``score`` returns on the tables
+    of the streams in ``counts``, one chunk of ``_block_step(n, width)``
+    blocks at a time.  Each statistic is a sum over one (subset, block)
+    row, so the chunks give the floats of one pass."""
+    step = _block_step(n, width)
+    out = [np.empty((math.comb(n, width), k_blocks)) for _ in range(2)]
+    for b in range(0, k_blocks, step):
+        blocks = slice(b, b + step)
+        for whole, part in zip(out, score(*(_block_tables(c, n, width, blocks) for c in counts))):
+            whole[:, blocks] = part
+    return out
 
 
 def bn_budget(n: int, d: int, eps: float) -> int:
@@ -557,6 +571,7 @@ def bn_closeness_test(
     rng = np.random.default_rng(rng)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
     mix_q = BnMixtureSampler(sq, weight, rng.integers(0, 2**63 - 1))
+    # p's counts stay compact while q's draw from the same generator
     counts_p, used_p = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     counts_q, used_q = _blocked_subset_counts(mix_q, m, k_blocks, d + 1, rng)
 
@@ -568,10 +583,11 @@ def bn_closeness_test(
         Stage("bn-shared-m", float(m), float(k_blocks), used_p + used_q),
         Stage("bn-eps1", eps1, eps**2 / n),
     ]
-    # (subset, block) statistics in one pass; the EET vote outranks the
-    # Hellinger one at the same subset
-    t_blocks = batch_t(counts_p, counts_q)
-    z_blocks = np.abs(batch_z(counts_p, counts_q, m_block))
+    # (subset, block) statistics; the EET vote outranks the Hellinger one at
+    # the same subset
+    t_blocks, z_blocks = _sweep_scores(
+        lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), (counts_p, counts_q), n, d + 1, k_blocks
+    )
     eet_votes = _majority((t_blocks > tau_eet) | (z_blocks > tau_z))
     hell_votes = _majority(t_blocks > tau_hell)
     tests = [("eet", eet_votes, t_blocks, tau_eet), ("hellinger", hell_votes, t_blocks, tau_hell)]
@@ -606,7 +622,7 @@ def bn_identity_test(
         raise TooLargeForExact("identity test needs exact q marginals")
     rng = np.random.default_rng(rng)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
-    x, samples = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
+    counts, samples = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     q_joint = (1.0 - weight) * bn_exact_joint(q_known) + weight / 2**n
 
     tau_chi = cfg.c_T_threshold * math.sqrt(2 ** (d + 1) + 1.0)
@@ -620,13 +636,16 @@ def bn_identity_test(
     # every entry positive, so the same terms add in the same order
     h_q = -(q_tables * np.log(q_tables)).sum(axis=-1)
     lam = m_block * q_tables
-    chi = x - lam
-    chi *= chi
-    chi -= x
-    chi /= lam
-    chi_blocks = chi.sum(axis=-1)
-    # an empty block gets h_q and so never votes to reject
-    gap_blocks = np.abs(_miller_madow(x, h_q) - h_q)
+
+    def score(x):
+        chi = x - lam
+        chi *= chi
+        chi -= x
+        chi /= lam
+        # an empty block gets h_q and so never votes to reject
+        return np.abs(_miller_madow(x, h_q) - h_q), chi.sum(axis=-1)
+
+    gap_blocks, chi_blocks = _sweep_scores(score, (counts,), n, d + 1, k_blocks)
     tests = [
         ("entropy", _majority(gap_blocks > tau_ent), gap_blocks, tau_ent),
         ("chi", _majority(chi_blocks > tau_chi), chi_blocks, tau_chi),

@@ -34,6 +34,7 @@ from enttest.bayesnet import (
     save_bayesnet,
 )
 from enttest.core import entropy
+from enttest.poisson import batch_t, batch_z
 from enttest.testers import DEFAULT_CONFIG, ParameterOutOfRange
 
 
@@ -391,7 +392,7 @@ class TestGoldenVerdicts:
     @pytest.mark.parametrize("case", sorted({case for case, _ in GOLDEN}))
     def test_verdict_and_trace_pinned(self, case, path, monkeypatch):
         if path == "streaming":
-            monkeypatch.setattr(bayesnet, "_PROJECTION_CELL_CAP", 0)
+            monkeypatch.setattr(bayesnet, "_DENSE_ATOM_CELLS", 0)
         accepted, stage, samples, trace = GOLDEN[case, path]
         v = _golden_verdict(case)
         assert v.accepted == accepted
@@ -414,13 +415,15 @@ class TestBlockedSubsetCounts:
 
     def test_dense_counts_match_per_subset_bincount(self):
         n, width, k, m = 8, 3, 9, 5000
-        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 61), m, k, width,
-                                                       np.random.default_rng(7))
+        per_atom, total = bayesnet._blocked_subset_counts(self._mixture(n, 61), m, k, width,
+                                                         np.random.default_rng(7))
         # the same per-block atom counts, projected one subset at a time
         per_block = np.random.default_rng(7).poisson(
             np.outer(np.full(k, m / k), self._mixture(n, 61).exact_joint()))
         atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
         subsets = list(combinations(range(n), width))
+        assert np.array_equal(per_atom, per_block.T)
+        counts = bayesnet._block_tables(per_atom, n, width, slice(None))
         assert counts.shape == (len(subsets), k, 2**width)
         assert total == per_block.sum()
         for s, sub in enumerate(subsets):
@@ -430,7 +433,7 @@ class TestBlockedSubsetCounts:
                 assert np.array_equal(counts[s, b], ref)
 
     def test_streaming_counts_match_per_sample_tally(self, monkeypatch):
-        monkeypatch.setattr(bayesnet, "_PROJECTION_CELL_CAP", 0)
+        monkeypatch.setattr(bayesnet, "_DENSE_ATOM_CELLS", 0)
         n, width, k, m = 6, 3, 5, 2000
         counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 62), m, k, width,
                                                        np.random.default_rng(8))
@@ -486,13 +489,15 @@ class TestBlockedSubsetCounts:
     @pytest.mark.parametrize("n", [11, 12])
     @pytest.mark.parametrize("layout", ["int32", "transposed-int64"])
     def test_chunked_counts_match_per_subset_bincount(self, n, layout):
-        # n = 11 and 12 contract 16 blocks at a time: 37 blocks leave a short
-        # last chunk; the per-cell branch hands over a transposed int64 view
+        # n = 11 and 12 score 16 blocks at a time: 37 blocks leave a short
+        # last chunk; per-atom counts may come as a transposed view
         width, k = 3, 37
-        assert bayesnet._TABLE_CHUNK >> 2 * (n - n // 2) == 16
+        step = bayesnet._block_step(n, width)
+        assert step == 16
         draw = np.random.default_rng(8).poisson(2000 / k / 2**n, size=(k, 2**n))
         per_atom = draw.T if layout == "transposed-int64" else np.ascontiguousarray(draw.T, dtype=np.int32)
-        counts = bayesnet._marginal_counts(per_atom, n, width)
+        counts = np.concatenate(
+            [bayesnet._block_tables(per_atom, n, width, slice(b, b + step)) for b in range(0, k, step)], axis=1)
         atom_bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
         for s, sub in enumerate(combinations(range(n), width)):
             cells = self._cells(atom_bits, sub)
@@ -519,6 +524,15 @@ class TestBlockedSubsetCounts:
             assert np.array_equal(got, sparse) == (m < k * 2**n)
             assert np.array_equal(got, per_cell) == (m >= k * 2**n)
 
+    def test_per_cell_counts_widen_past_int32(self):
+        # a block rate past 2^30 keeps the counts int64, so none wraps
+        n, k = 3, 3
+        joint = self._mixture(n, 72).exact_joint()
+        for m, dtype in ((k * 2.0**30, np.int32), (k * 2.0**34, np.int64)):
+            got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(16))
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.random.default_rng(16).poisson(m / k * joint, size=(k, 2**n)).T)
+
     def test_sparse_block_counts_tabulated_in_atom_chunks(self):
         # k = 153 blocks at n = 10: three chunks of at most 428 atoms
         n, k, m = 10, 153, 100_000
@@ -528,10 +542,14 @@ class TestBlockedSubsetCounts:
         assert got.dtype == np.int32
         assert np.array_equal(got, self._sparse_reference(joint, m, k, np.random.default_rng(14)))
 
-    def test_sparse_block_counts_memory_bound(self):
-        # the bayesnet benchmark's n = 12 size; the labels are drawn as int64
-        # (3.9 MB) and the counts kept as int32 (2.5 MB)
-        n, k, m = 12, 153, 483_929
+    @pytest.mark.parametrize("m", [483_929, 10_924_272])
+    def test_block_counts_memory_bound(self, m):
+        # the bayesnet benchmark's n = 12 size, both branches: the counts are
+        # kept as int32 (2.4 MiB), and the labels or the Poisson rows are
+        # drawn a chunk at a time (all labels at once as int64 take 3.9 MB,
+        # one whole Poisson draw 4.8 MB)
+        n, k = 12, 153
+        assert (m < k * 2**n) == (m == 483_929)
         joint = self._mixture(n, 68).exact_joint()
         tracemalloc.start()
         try:
@@ -539,7 +557,7 @@ class TestBlockedSubsetCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * 2**20
+        assert peak <= 5 * 2**20
 
     def test_sparse_block_counts_follow_per_cell_poisson_law(self):
         # Poisson splitting: uniform labels on Poi(m p_a) samples give
@@ -575,9 +593,10 @@ class TestBlockedSubsetCounts:
         per_atom = bayesnet._block_atom_counts(self._mixture(n, 66).exact_joint(), m, k,
                                                np.random.default_rng(12))
         assert total == per_atom.sum()
-        assert np.array_equal(counts, bayesnet._marginal_counts(per_atom, n, width))
+        assert np.array_equal(counts, per_atom)
         # every subset's cells hold every sample once
-        assert np.array_equal(counts.sum(axis=(1, 2)), np.full(len(counts), total))
+        tables = bayesnet._block_tables(counts, n, width, slice(None))
+        assert np.array_equal(tables.sum(axis=(1, 2)), np.full(len(tables), total))
         # a fixed seed replays the same counts, another seed does not
         again, total_again = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
                                                              np.random.default_rng(12))
@@ -616,6 +635,79 @@ class TestBlockedSubsetCounts:
         finally:
             sys.setswitchinterval(interval)
         assert got == [[table] * 40 for table in serial]
+
+
+class TestChunkedSweep:
+    def test_generator_streams_split_like_one_call(self):
+        # the chunked draws of _block_atom_counts rest on this: int32 label
+        # chunks equal one int64 call, and Poisson row groups equal one
+        # call, leaving the generator in the same state (NEP 19 does not
+        # promise it across numpy versions)
+        k, rates = 153, np.random.default_rng(0).uniform(0, 3, size=64)
+        one = np.random.default_rng(1)
+        split = np.random.default_rng(1)
+        labels = one.integers(0, k, size=1001)
+        chunks = [split.integers(0, k, size=size, dtype=np.int32) for size in (1, 400, 0, 333, 267)]
+        assert np.array_equal(np.concatenate(chunks), labels)
+        assert split.bit_generator.state == one.bit_generator.state
+        rows = one.poisson(rates, size=(11, 64))
+        groups = [split.poisson(rates, size=(g, 64)) for g in (4, 4, 3)]
+        assert np.array_equal(np.concatenate(groups), rows)
+        assert split.bit_generator.state == one.bit_generator.state
+
+    @pytest.mark.parametrize("step", [1, 7, 16])
+    def test_chunked_scores_equal_one_pass(self, step, monkeypatch):
+        # every (subset, block) statistic is the float of one pass over the
+        # whole tables, whatever the chunk
+        n, width, k = 8, 3, 37
+        rng = np.random.default_rng(17)
+        p, q = (rng.poisson(rng.uniform(0, 6, size=2**n), size=(k, 2**n)).T for _ in range(2))
+        full_p, full_q = (bayesnet._marginal_counts(c, n, width) for c in (p, q))
+        empty = np.arange(math.comb(n, width))[:, None] / 7.0
+        monkeypatch.setattr(bayesnet, "_block_step", lambda n, width: step)
+        t, z = bayesnet._sweep_scores(lambda x, y: (batch_t(x, y), batch_z(x, y, 50.0)), (p, q), n, width, k)
+        h, total = bayesnet._sweep_scores(lambda x: (bayesnet._miller_madow(x, empty), x.sum(axis=-1)), (p,),
+                                          n, width, k)
+        assert t.tobytes() == batch_t(full_p, full_q).tobytes()
+        assert z.tobytes() == batch_z(full_p, full_q, 50.0).tobytes()
+        assert h.tobytes() == bayesnet._miller_madow(full_p, empty).tobytes()
+        assert total.tobytes() == full_p.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("eps", [0.3, 0.15])
+    @pytest.mark.parametrize("tester", ["closeness", "identity"])
+    def test_memory_flat_in_m(self, tester, eps):
+        # n = 12, d = 2: eps 0.3 takes the sparse draw and eps 0.15 the
+        # per-cell one, at 22 times the samples (closeness m = 484k and
+        # 10.9M).  Both streams' int32 counts take 4.8 MiB; holding them as
+        # int64, or scoring every block in one pass, exceeds the bound.
+        n, d = 12, 2
+        net = random_bayesnet(n, d, np.random.default_rng(70))
+        budget = bayesnet.bn_budget if tester == "closeness" else bayesnet.bn_identity_budget
+        assert (budget(n, d, eps) < bayesnet._sweep_blocks(n, d) * 2**n) == (eps == 0.3)
+        tracemalloc.start()
+        try:
+            if tester == "closeness":
+                bn_closeness_test(BnSampler(net, 1), BnSampler(net, 2), n, d, eps, rng=0)
+            else:
+                bn_identity_test(BnSampler(net, 1), net, n, d, eps, rng=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_dense_limit_keeps_n16_d2(self):
+        limit = bayesnet._DENSE_ATOM_CELLS
+        assert 2**16 * bayesnet._sweep_blocks(16, 2) <= limit < 2**17 * bayesnet._sweep_blocks(17, 2)
+
+    @pytest.mark.parametrize("n, d", [(12, 4), (16, 2)])
+    def test_large_nets_take_the_dense_path(self, n, d, monkeypatch):
+        def no_stream(self, count):
+            raise AssertionError("streamed samples")
+
+        monkeypatch.setattr(BnMixtureSampler, "sample", no_stream)
+        base, far, _ = make_far_net_pair(n, d, 0.3, np.random.default_rng(71))
+        assert not bn_closeness_test(BnSampler(base, 1), BnSampler(far, 2), n, d, 0.3, rng=0).accepted
+        assert not bn_identity_test(BnSampler(far, 3), base, n, d, 0.3, rng=0).accepted
 
 
 class TestNetFiles:

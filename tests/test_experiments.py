@@ -381,10 +381,10 @@ class TestTrialThreads:
 
     @pytest.mark.parametrize("n, d", [(13, 2), (16, 1), (9, 3), (12, 3), (10, 4), (8, 3), (8, 4)])
     def test_large_bayesnet_trials_stay_serial(self, n, d, monkeypatch):
-        # past 2^12 atoms `_marginal_counts` contracts every block at once,
-        # on OpenBLAS's own threads; at d >= 3 two trials in flight gain
-        # little and raise peak memory by a tenth to a half; a stub keeps
-        # the check cheap
+        # larger sweeps stay serial, as measured when they contracted every
+        # block at once on OpenBLAS's own threads: at d >= 3 two trials in
+        # flight gained little and raised peak memory by a tenth to a half;
+        # a stub keeps the check cheap
         monkeypatch.setattr(experiments, "_cpus", lambda: 4)
         threads = []
 
