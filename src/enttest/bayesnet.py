@@ -380,25 +380,29 @@ def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
 def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, rng) -> np.ndarray:
     """Independent ``Poi(m/k * joint[a])`` counts of atom a in each of
     ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: an
-    int32 array of shape ``(joint.size, k_blocks)`` (int64 when a block's
-    rate m/k passes 2^30), the transposed view of block-major counts.
+    array of shape ``(joint.size, k_blocks)``, the transposed view of
+    block-major counts.  The counts are int32 (int64 when a block's rate
+    m/k passes 2^30), or uint16 on the sparse branch when every atom's
+    total is below 2^16, since a count is at most its atom's total.
 
     Both branches draw a chunk of about ``_TABLE_CHUNK`` atom-block cells
     at a time, and the chunked calls give the stream of one call.  Sparse
-    branch: the block labels of a chunk of atoms' samples (atom-major, so
-    one contiguous run of the label stream), bincounted; a count is at
-    most the sample total, about m < ``k_blocks * 2^n``.  Per-cell branch:
-    ``rng.poisson(rates, size=(k_blocks, 2^n))``, a group of rows at a time.
+    branch: each atom's total, then the block labels of a chunk of atoms'
+    samples (atom-major, so one contiguous run of the label stream),
+    bincounted.  Per-cell branch: ``rng.poisson(rates, size=(k_blocks,
+    2^n))``, a group of rows at a time.
     """
     atoms = joint.size
-    counts = np.empty((k_blocks, atoms), dtype=np.int32 if m / k_blocks <= 2**30 else np.int64)
+    wide = np.int32 if m / k_blocks <= 2**30 else np.int64
     if m >= k_blocks * atoms:
+        counts = np.empty((k_blocks, atoms), dtype=wide)
         rate = m / k_blocks * joint
         rows = max(1, _TABLE_CHUNK // atoms)
         for b in range(0, k_blocks, rows):
             counts[b : b + rows] = rng.poisson(rate, size=(min(rows, k_blocks - b), atoms))
         return counts.T
     totals = rng.poisson(m * joint)
+    counts = np.empty((k_blocks, atoms), dtype=np.uint16 if totals.max() < 2**16 else wide)
     step = max(1, _TABLE_CHUNK // k_blocks)
     for a in range(0, atoms, step):
         chunk = totals[a : a + step]

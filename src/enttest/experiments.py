@@ -26,7 +26,7 @@ import operator
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -361,10 +361,38 @@ def _threaded(task) -> bool:
 
 
 def _run_trials(tasks, threads: int):
+    """The outcomes of ``tasks``, in no set order (``_execute`` sorts them).
+    The calling thread runs trials beside ``threads - 1`` helper threads,
+    and each takes the next task from one shared iterator, so the trials
+    in flight sit on adjacent cells and the pair cache (one cell per core)
+    holds them.  The first trial error stops the other threads from taking
+    tasks and is raised here, once they have finished their trials."""
     if threads <= 1:
         return [_run_trial(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(_run_trial, tasks))
+    pending = iter(tasks)
+    results, errors = [], []
+    lock = threading.Lock()
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    task = None if errors else next(pending, None)
+                if task is None:
+                    return
+                results.append(_run_trial(task))
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _execute(tasks, workers: int):

@@ -539,15 +539,48 @@ class TestBlockedSubsetCounts:
         assert m < k * 2**n and 2**n > 2 * (bayesnet._TABLE_CHUNK // k)
         joint = self._mixture(n, 67).exact_joint()
         got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(14))
-        assert got.dtype == np.int32
+        assert got.dtype == np.uint16
         assert np.array_equal(got, self._sparse_reference(joint, m, k, np.random.default_rng(14)))
+        tables = bayesnet._block_tables(got, n, 3, slice(None))
+        assert tables.tobytes() == bayesnet._block_tables(got.astype(np.int32), n, 3, slice(None)).tobytes()
+
+    def test_sparse_counts_past_uint16_stay_int32(self):
+        # one atom holds 0.9 of the mass, so its total is near 90,000 > 2^16
+        n, k, m = 10, 153, 100_000
+        joint = np.full(2**n, 0.1 / 2**n)
+        joint[5] += 0.9
+        assert m < k * 2**n
+        got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(18))
+        ref = self._sparse_reference(joint, m, k, np.random.default_rng(18))
+        assert got.dtype == np.int32 and ref[5].sum() >= 2**16
+        assert np.array_equal(got, ref)
+        tables = bayesnet._block_tables(got, n, 3, slice(None))
+        assert tables.tobytes() == bayesnet._block_tables(ref.astype(np.int32), n, 3, slice(None)).tobytes()
+
+    @pytest.mark.parametrize("top, dtype", [(2**16 - 1, np.uint16), (2**16, np.int32)])
+    def test_sparse_count_dtype_edge(self, top, dtype):
+        # one block, so atom 0's count is its whole total
+        class Totals:
+            def __init__(self, totals):
+                self.totals, self.gen = totals, np.random.default_rng(19)
+
+            def poisson(self, lam):
+                return self.totals
+
+            def integers(self, *args, **kwargs):
+                return self.gen.integers(*args, **kwargs)
+
+        totals = np.array([top, 0, 3, 1])
+        got = bayesnet._block_atom_counts(np.full(4, 0.25), 2.0, 1, Totals(totals))
+        assert got.dtype == dtype
+        assert got[:, 0].tolist() == totals.tolist()
 
     @pytest.mark.parametrize("m", [483_929, 10_924_272])
     def test_block_counts_memory_bound(self, m):
         # the bayesnet benchmark's n = 12 size, both branches: the counts are
-        # kept as int32 (2.4 MiB), and the labels or the Poisson rows are
-        # drawn a chunk at a time (all labels at once as int64 take 3.9 MB,
-        # one whole Poisson draw 4.8 MB)
+        # kept as uint16 (sparse, 1.2 MiB) or int32 (per-cell, 2.4 MiB), and
+        # the labels or the Poisson rows are drawn a chunk at a time (all
+        # labels at once as int64 take 3.9 MB, one whole Poisson draw 4.8 MB)
         n, k = 12, 153
         assert (m < k * 2**n) == (m == 483_929)
         joint = self._mixture(n, 68).exact_joint()
@@ -679,7 +712,8 @@ class TestChunkedSweep:
         # n = 12, d = 2: eps 0.3 takes the sparse draw and eps 0.15 the
         # per-cell one, at 22 times the samples (closeness m = 484k and
         # 10.9M).  Both streams' int32 counts take 4.8 MiB; holding them as
-        # int64, or scoring every block in one pass, exceeds the bound.
+        # int64, or scoring every block in one pass, exceeds the bound.  The
+        # sparse draw keeps them as uint16 (2.4 MiB) and stays under 6 MiB.
         n, d = 12, 2
         net = random_bayesnet(n, d, np.random.default_rng(70))
         budget = bayesnet.bn_budget if tester == "closeness" else bayesnet.bn_identity_budget
@@ -693,7 +727,7 @@ class TestChunkedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= (6 if eps == 0.3 else 8) * 2**20
 
     def test_dense_limit_keeps_n16_d2(self):
         limit = bayesnet._DENSE_ATOM_CELLS

@@ -359,6 +359,28 @@ def _implied_law(alias, threshold):
     return law / alias.size
 
 
+def _numpy_scalar_alias_tables(probs):
+    # the Vose loop on numpy scalars that _alias_tables replaced, kept as
+    # the reference for its list form
+    size = max(2, 1 << (probs.size - 1).bit_length())
+    scaled = np.zeros(size)
+    scaled[:probs.size] = probs * size
+    alias = np.arange(size, dtype=np.int64)
+    cut = scaled.copy()
+    small = [i for i in range(size) if scaled[i] < 1.0]
+    large = [i for i in range(size) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        alias[s] = l
+        cut[l] -= 1.0 - cut[s]
+        (small if cut[l] < 1.0 else large).append(l)
+    for i in small + large:
+        cut[i] = 1.0
+    threshold = np.ceil(np.minimum(cut, 1.0) * 2.0**53).astype(np.uint64)
+    return alias, threshold
+
+
 class _Words:
     """A stand-in generator whose bit generator hands out given words."""
 
@@ -407,6 +429,21 @@ class TestBlockedAliasDraw:
         got = core._alias_draw(_Words(words), alias, threshold, len(words))
         want = [0 if c * 2.0**-53 < cut else int(alias[0]) for c in coins]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1341, 2**16 + 1])
+    @pytest.mark.parametrize("law", ["exponential", "zipf", "point"])
+    def test_alias_tables_equal_numpy_scalar_loop(self, n, law):
+        if law == "point":
+            probs = np.zeros(n)
+            probs[n // 2] = 1.0
+        else:
+            x = np.arange(1, n + 1, dtype=np.float64)
+            w = np.exp(-x / max(1.0, n / 8.0)) if law == "exponential" else 1.0 / x
+            probs = w / w.sum()
+        alias, threshold = core._alias_tables(probs)
+        ref_alias, ref_threshold = _numpy_scalar_alias_tables(probs)
+        assert alias.dtype == ref_alias.dtype and threshold.dtype == ref_threshold.dtype
+        assert np.array_equal(alias, ref_alias) and np.array_equal(threshold, ref_threshold)
 
     def test_sampler_draw_chi_square_two_words(self):
         # 4,099 cells pad to 2^13 columns, past the one-word limit of 2^11

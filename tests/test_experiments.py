@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -372,6 +373,38 @@ class TestTrialThreads:
         threads = self._recording(monkeypatch, "bn")
         run_experiment(self._spec(kind, tmp_path / "bn"), workers=1)
         assert len(threads) == trials and len(set(threads)) > 1
+
+    def test_caller_is_one_of_the_trial_threads(self, tmp_path, monkeypatch):
+        # a 1-worker run on two cores runs trials on the calling thread and
+        # on one helper, not on two pool threads beside an idle caller
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        threads = self._recording(monkeypatch, "grid")
+        run_experiment(self._spec("error_grid", tmp_path / "g"), workers=1)
+        assert len(threads) == 60 and len(set(threads)) == 2
+        assert threading.get_ident() in threads
+
+    def test_trial_error_stops_the_other_threads(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        ran = []
+
+        def stub(payload):
+            ran.append(payload["trial"])
+            if payload["trial"] == 0:
+                raise RuntimeError("first trial failed")
+            time.sleep(0.002)
+            return Verdict("accept", None, [])
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, "grid", stub)
+        tasks = [{"op": "grid", "cell": 0, "trial": t} for t in range(60)]
+        with pytest.raises(RuntimeError, match="first trial failed"):
+            experiments._execute(tasks, workers=1)
+        assert len(ran) < 10
+
+    @pytest.mark.parametrize("kind", ["bayesnet", "bayesnet-n12"])
+    def test_bayesnet_worker_count_invariance(self, kind, tmp_path):
+        for workers in (1, 2):
+            run_experiment(self._spec(kind, tmp_path / f"w{workers}"), workers=workers)
+        assert (tmp_path / "w1" / "results.csv").read_bytes() == (tmp_path / "w2" / "results.csv").read_bytes()
 
     @pytest.mark.parametrize("n, d, small", [(12, 2, True), (8, 2, True), (13, 2, False), (12, 3, False),
                                              (8, 3, False)])
