@@ -210,6 +210,7 @@ _memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 # draw in _block_atom_counts, and per chunk of the sweep's scoring,
 # high-half atoms squared (or subset cells) times blocks
 _TABLE_CHUNK = 2**16
+_MAX_BLOCK_STEP = 64  # blocks per chunk of the sweep's scoring (see _block_step)
 
 
 def _small_sweep(n: int, d: int) -> bool:
@@ -229,11 +230,18 @@ def _block_step(n: int, width: int) -> int:
     high-half atoms squared times blocks, and as many subset cells times
     blocks, so that a chunk's float64 tables and GEMM temporaries stay
     near ``_TABLE_CHUNK`` entries whatever m is: 16 blocks at n = 11 and
-    12, d = 2, one pass at n = 8.  Chunks 16 times as large saved up to
-    0.13 s of a 0.25-0.41 s call at n = 12, d = 4 and n = 16, d = 2, and
-    cost 10-32 MB more peak RSS.
+    12, d = 2.  Chunks 16 times as large saved up to 0.13 s of a 0.25-0.41 s
+    call at n = 12, d = 4 and n = 16, d = 2, and cost 10-32 MB more peak RSS.
+
+    A chunk holds at most ``_MAX_BLOCK_STEP`` blocks.  At n = 8, d = 2
+    the bound above allows 146, more than the 127 blocks there are: one
+    pass over them took 0.50-0.55 ms a call and about 135 minor page
+    faults (its ~260 KB temporaries are mapped afresh on every call),
+    against 0.30-0.46 ms and under one fault in chunks of 64, and
+    0.33-0.36 ms in chunks of 32 or 48 (2 shared cores, 200 calls a
+    size, identical tables).
     """
-    return max(1, _TABLE_CHUNK // max(4 ** (n - n // 2), math.comb(n, width) << width))
+    return max(1, min(_MAX_BLOCK_STEP, _TABLE_CHUNK // max(4 ** (n - n // 2), math.comb(n, width) << width)))
 
 
 # ---------------------------------------------------------------------------

@@ -411,8 +411,13 @@ def _alias_draw(rng, alias: np.ndarray, threshold: np.ndarray, k: int) -> np.nda
 # former two-call alias draw, 390 against 498 at 2,048).
 # The pinned grid spec in process at one worker, on two trial threads, ran
 # in 3.80 s at 2,048 and 3.69 s at 4,096 (medians of 6 alternating runs);
-# 2,048 stays, since a `scaling` pool worker draws on one thread, where a
-# 2,048-cell level draws 1.8 times as fast from its table.
+# 2,048 stayed, since a `scaling` pool worker draws on one thread, where a
+# 2,048-cell level draws 1.8 times as fast from its table.  The two-thread
+# figures above now describe only trials of 2^14 cells or more: smaller
+# laws run on one thread (``experiments._THREAD_MIN_CELLS``), where the
+# table matched the per-cell draw from 16 cells a level and won from 256.
+# The value stays until the random streams may change (moving it changes
+# which levels draw from tables).
 # _TABLE_MAX_RATE caps a table at 1,341 entries, whose ~1 ms build the
 # ~30 ns a variate saving repays within 2^15 variates.
 _TABLE_MIN_LEVEL = 2048

@@ -350,27 +350,50 @@ def _run_trial(payload) -> dict:
     }
 
 
-# Trials run on threads, as numpy's draws and ufuncs release the GIL: every
-# exact-law ("grid") trial, and a Bayes-net trial whose sweep
-# ``bayesnet._small_sweep`` calls small (its measurements are there).
-# MI-reduction trials hold whole-sample pools and stay serial.
+# Trials run on threads, as numpy's draws and ufuncs release the GIL, but
+# only where a trial's numpy calls are long: two threads making many short
+# calls hand the GIL back and forth.  An exact-law ("grid") trial of the
+# error-grid or scaling suite is threaded from _THREAD_MIN_CELLS cells,
+# where one Generator.poisson call of null:zipf or null:dense takes about
+# 1 ms.  The benchmark's pinned cells (seed 4099) at one worker on 2 shared
+# cores, numpy 2.4.6, serial against two trial threads, 4 alternating runs
+# after a warm-up, identical results.csv:
+#
+#   grid, n = 2^10, 80 trials a family      0.26-0.27 s   0.38-0.49 s
+#   grid, n = 2^12                          0.47-0.76 s   0.53-0.70 s
+#   grid, n = 2^14                          1.66-1.90 s   1.18-1.41 s
+#   scaling, n = 2^10 to 2^13, 100 trials   0.19-0.26 s   0.38-0.41 s
+#   scaling, n = 2^14 to 2^16               0.66-0.76 s   0.63-0.71 s
+#
+# Below 2^14 cells the threads spent 1.5 to 2.3 times the serial CPU time.
+# A Bayes-net trial is threaded when ``bayesnet._small_sweep`` calls its
+# sweep small (its measurements are there).  MI-reduction trials hold
+# whole-sample pools and stay serial.
+_THREAD_MIN_CELLS = 2**14
+
+
 def _threaded(task) -> bool:
     if task["op"] == "bn":
         return bn._small_sweep(task["n"], task["d"])
-    return task["op"] == "grid"
+    return task["op"] == "grid" and task["n"] >= _THREAD_MIN_CELLS
 
 
 def _run_trials(tasks, threads: int):
     """The outcomes of ``tasks``, in no set order (``_execute`` sorts them).
-    The calling thread runs trials beside ``threads - 1`` helper threads,
-    and each takes the next task from one shared iterator, so the trials
-    in flight sit on adjacent cells and the pair cache (one cell per core)
-    holds them.  The first trial error stops the other threads from taking
-    tasks and is raised here, once they have finished their trials."""
+    The calling thread first runs the trials ``_threaded`` rejects.  It then
+    runs the rest beside ``threads - 1`` helper threads, and each takes the
+    next task from one shared iterator, so the trials in flight sit on
+    adjacent cells and the pair cache (one cell per core) holds them.  The
+    first trial error stops the other threads from taking tasks and is
+    raised here, once they have finished their trials."""
     if threads <= 1:
         return [_run_trial(t) for t in tasks]
-    pending = iter(tasks)
-    results, errors = [], []
+    results = [_run_trial(t) for t in tasks if not _threaded(t)]
+    shared = [t for t in tasks if _threaded(t)]
+    if not shared:
+        return results
+    pending = iter(shared)
+    errors = []
     lock = threading.Lock()
 
     def work():
@@ -401,8 +424,8 @@ def _execute(tasks, workers: int):
     # trials run serially while _run_trial is wrapped (functools.wraps sets
     # __wrapped__), as a tracer's span wraps it: a wrapper may not be
     # thread-safe
-    threaded = all(map(_threaded, tasks)) and not hasattr(_run_trial, "__wrapped__")
-    threads = max(1, _cpus() // workers) if threaded else 1  # a worker's share of the cores
+    wrapped = hasattr(_run_trial, "__wrapped__")
+    threads = 1 if wrapped else max(1, _cpus() // workers)  # a worker's share of the cores
     if workers <= 1:
         results = _run_trials(tasks, threads)
     else:

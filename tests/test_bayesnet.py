@@ -504,6 +504,18 @@ class TestBlockedSubsetCounts:
             ref = [np.bincount(cells, weights=col, minlength=2**width) for col in draw]
             assert counts[s].tobytes() == np.array(ref).tobytes()
 
+    def test_n8_chunks_equal_one_pass(self):
+        # n = 8, d = 2 has 127 blocks, which the cell bound alone would
+        # score in one pass; chunks of at most 64 give the same tables
+        n, width = 8, 3
+        k, step = bayesnet._sweep_blocks(n, width - 1), bayesnet._block_step(n, width)
+        assert (k, step) == (127, 64)
+        draw = np.random.default_rng(12).poisson(170_000 / k / 2**n, size=(k, 2**n))
+        per_atom = np.ascontiguousarray(draw.T, dtype=np.int32)
+        chunks = [bayesnet._block_tables(per_atom, n, width, slice(b, b + step)) for b in range(0, k, step)]
+        assert len(chunks) == 2
+        assert np.concatenate(chunks, axis=1).tobytes() == bayesnet._marginal_counts(per_atom, n, width).tobytes()
+
     @staticmethod
     def _sparse_reference(joint, m, k, rng):
         # each atom's Poi(m p_a) samples, then one uniform block label each

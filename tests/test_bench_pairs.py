@@ -72,3 +72,16 @@ def test_src_digest_follows_src_files_only(tmp_path):
     assert bench_pairs.src_digest(tmp_path) == before
     (tmp_path / "src" / "pkg" / "a.py").write_text("x = 2\n")
     assert bench_pairs.src_digest(tmp_path) != before
+
+
+def test_blas_fields_read_the_config_and_the_thread_variables():
+    config = {"Build Dependencies": {"blas": {"name": "scipy-openblas", "found": True, "version": "0.3.31"},
+                                     "lapack": {"name": "scipy-openblas"}}}
+    environ = {"OMP_NUM_THREADS": "1", "PATH": "/usr/bin"}
+    assert bench_pairs.blas_fields(environ, config) == {
+        "name": "scipy-openblas", "version": "0.3.31",
+        "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": None,
+    }
+    unknown = bench_pairs.blas_fields({"MKL_NUM_THREADS": "2"}, {})
+    assert unknown["name"] is None and unknown["version"] is None and unknown["MKL_NUM_THREADS"] == "2"
+    assert json.loads(json.dumps(unknown)) == unknown

@@ -300,18 +300,22 @@ class TestTrialThreads:
         if kind == "bayesnet-n12":
             return ExperimentSpec(kind="bayesnet", n_values=[12], eps_values=[0.3], d_values=[2], trials=2,
                                   seed=7, out_dir=str(out))
+        # grid trials run on threads from n = 2^14 cells
         if kind == "scaling":
-            return ExperimentSpec(kind="scaling", n_values=[64, 2**13], eps_values=[0.3], trials=6,
+            return ExperimentSpec(kind="scaling", n_values=[64, 2**14], eps_values=[0.3], trials=6,
                                   seed=7, out_dir=str(out))
-        return ExperimentSpec(kind="error_grid", n_values=[64, 256], eps_values=[0.3], trials=6,
+        return ExperimentSpec(kind="error_grid", n_values=[64, 2**14], eps_values=[0.3], trials=6,
                               seed=7, out_dir=str(out))
 
-    def _recording(self, monkeypatch, op):
+    def _recording(self, monkeypatch, op, sizes=None):
+        # the thread of each trial, and of each trial of n cells in sizes[n]
         threads = []
         trial = experiments._TRIAL_OPS[op]
 
         def recorded(payload):
             threads.append(threading.get_ident())
+            if sizes is not None:
+                sizes.setdefault(payload["n"], []).append(threading.get_ident())
             return trial(payload)
 
         monkeypatch.setitem(experiments._TRIAL_OPS, op, recorded)
@@ -383,6 +387,29 @@ class TestTrialThreads:
         assert len(threads) == 60 and len(set(threads)) == 2
         assert threading.get_ident() in threads
 
+    def test_small_grid_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # n = 256 trials make many short numpy calls, which two threads slow
+        # down; n = 2^14 trials share the cores
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+        sizes = {}
+        self._recording(monkeypatch, "grid", sizes)
+        spec = ExperimentSpec(kind="error_grid", n_values=[256, 2**14], eps_values=[0.3], trials=6,
+                              seed=7, out_dir=str(tmp_path / "m"))
+        run_experiment(spec, workers=1)
+        assert sizes[256] == [threading.get_ident()] * 30
+        assert len(sizes[2**14]) == 30 and len(set(sizes[2**14])) == 2
+        assert threading.get_ident() in sizes[2**14]
+
+    @pytest.mark.parametrize("task, threaded", [
+        ({"op": "grid", "n": 2**13}, False),
+        ({"op": "grid", "n": 2**14}, True),
+        ({"op": "grid", "n": 2**16}, True),
+        ({"op": "reduction", "n": 2**14}, False),
+    ])
+    def test_thread_rule(self, task, threaded):
+        # Bayes-net trials: test_one_size_rule_for_chunks_and_threads
+        assert experiments._threaded(task) == threaded
+
     def test_trial_error_stops_the_other_threads(self, monkeypatch):
         monkeypatch.setattr(experiments, "_cpus", lambda: 2)
         ran = []
@@ -395,7 +422,7 @@ class TestTrialThreads:
             return Verdict("accept", None, [])
 
         monkeypatch.setitem(experiments._TRIAL_OPS, "grid", stub)
-        tasks = [{"op": "grid", "cell": 0, "trial": t} for t in range(60)]
+        tasks = [{"op": "grid", "n": 2**14, "cell": 0, "trial": t} for t in range(60)]
         with pytest.raises(RuntimeError, match="first trial failed"):
             experiments._execute(tasks, workers=1)
         assert len(ran) < 10
@@ -444,16 +471,17 @@ class TestTrialThreads:
             run_experiment(self._spec("error_grid", tmp_path / "e"), workers=1)
 
     def test_pool_after_trial_threads(self, tmp_path):
-        # the 1-worker run starts trial threads; the 2-worker run of the same
-        # spec then forks its pool from that process, and each worker runs
-        # its trials on two threads of its own; neither may hang or change a byte
+        # the 1-worker run starts trial threads (n = 2^14 cells); the
+        # 2-worker run of the same spec then forks its pool from that
+        # process, and each worker runs its trials on two threads of its
+        # own; neither may hang or change a byte
         src = os.path.dirname(os.path.dirname(enttest.__file__))
         code = (
             "from enttest import experiments\n"
             "from enttest.experiments import ExperimentSpec, run_experiment\n"
             "experiments._cpus = lambda: 4\n"
             "for workers in (1, 2):\n"
-            "    spec = ExperimentSpec(kind='error_grid', n_values=[2**13], eps_values=[0.4],"
+            "    spec = ExperimentSpec(kind='error_grid', n_values=[2**14], eps_values=[0.4],"
             f" trials=4, seed=3, out_dir={str(tmp_path)!r} + f'/w{{workers}}')\n"
             "    run_experiment(spec, workers=workers)\n"
         )

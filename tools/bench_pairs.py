@@ -13,9 +13,12 @@ sides.  Each run's values are the medians ``run.py`` reports.  Per
 end-to-end metric the record holds both sides' median and quartiles over
 the pairs and ``change_lower_in``, the number of pairs whose change value
 is below its parent value.  It also holds the ``src/`` line counts, the
-git HEAD, the numpy version and the core count.  Every run lasts the
-benchmark's own ``run_seconds`` (``BENCHMARK.json``), so records stay
-comparable with the benchmark's bounds.
+git HEAD, the numpy version, the core count, and the BLAS numpy was built
+with beside the BLAS thread variables the runs inherit
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null
+where unset).  Every run lasts the benchmark's own ``run_seconds``
+(``BENCHMARK.json``), so records stay comparable with the benchmark's
+bounds.
 
 Each seed's pairs carry ``src_digest``, a hash of the working tree's
 ``src/``.  A new seed is added to an existing record only when the record
@@ -42,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
 PAIRS = 10
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def summarize(runs):
@@ -89,6 +93,24 @@ def src_digest(tree: Path) -> str:
     for path in sorted((tree / "src").rglob("*.py")):
         digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def blas_fields(environ, config: dict) -> dict:
+    """The BLAS name and version from ``config``, numpy's
+    ``show_config(mode="dicts")``, and each of ``BLAS_THREAD_VARS`` in
+    ``environ`` (None where unset or unknown)."""
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            **{var: environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
+def _numpy_config() -> dict:
+    import numpy
+
+    try:
+        return numpy.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 prints its configuration only
+        return {}
 
 
 def _git(*args) -> str:
@@ -146,6 +168,7 @@ def _fields(args, parent: str, parent_tree: Path) -> dict:
         "head": _git("rev-parse", "HEAD") + (" with uncommitted changes" if dirty else ""),
         "machine": f"{_cores()} cores ({platform.system()}), Python {platform.python_version()}, "
                    f"numpy {metadata.version('numpy')}",
+        "blas": blas_fields(os.environ, _numpy_config()),
         "change": args.change,
         "claim": args.claim,
         "src_lines": {"parent": src_lines(parent_tree), "change": src_lines(ROOT)},
