@@ -22,10 +22,19 @@ from enttest.bayesnet import (
 rng = np.random.default_rng(1)
 n, d, eps = 8, 2, 0.3
 
+
+def drawn(v, streams):
+    # the first trace record notes the nominal multiset m per stream and the
+    # k vote blocks; the sweep stops drawing blocks once its votes are
+    # settled, so it draws about half of the nominal samples
+    m, k = v.trace[0].statistic, v.trace[0].threshold
+    return f"{v.samples_used:,} of {streams * m:,.0f} nominal samples in {k:.0f} blocks"
+
+
 # Identical nets should accept.
 net = random_bayesnet(n, d, rng)
 v = bn_closeness_test(BnSampler(net, 1), BnSampler(net, 2), n, d, eps, rng=3)
-print(f"identical nets: {v.decision} ({v.samples_used:,} shared samples, "
+print(f"identical nets: {v.decision} ({drawn(v, 2)}, "
       f"{sum(1 for record in v.trace if record.name == 'bn-sweep')} sweep record)")
 
 # A certified far pair: one CPT perturbed until the exact joint TV
@@ -33,13 +42,13 @@ print(f"identical nets: {v.decision} ({v.samples_used:,} shared samples, "
 base, far, tv = make_far_net_pair(n, d, eps, rng)
 print(f"\ncertified far pair: exact d_TV = {tv:.4f} >= {eps}")
 v = bn_closeness_test(BnSampler(base, 4), BnSampler(far, 5), n, d, eps, rng=6)
-print(f"far verdict: {v.decision} at {v.fired_stage!r}")
+print(f"far verdict: {v.decision} at {v.fired_stage!r} ({drawn(v, 2)})")
 
 # Identity variant: the reference side is computed exactly.
 v = bn_identity_test(BnSampler(base, 7), base, n, d, eps, rng=8)
-print(f"\nidentity (matching stream): {v.decision}")
+print(f"\nidentity (matching stream): {v.decision} ({drawn(v, 1)})")
 v = bn_identity_test(BnSampler(far, 9), base, n, d, eps, rng=10)
-print(f"identity (perturbed stream): {v.decision} at {v.fired_stage!r}")
+print(f"identity (perturbed stream): {v.decision} at {v.fired_stage!r} ({drawn(v, 1)})")
 
 # Exact structure oracles: KL to a projection vanishes iff the
 # distribution is Markov w.r.t. the structure, and the local-KL

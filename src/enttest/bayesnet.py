@@ -7,13 +7,16 @@ tests over every (d+1)-subset, fed by one shared sample multiset), its
 identity-test variant against a fully known net, and the exact
 KL-to-projection oracle used by the verification suites.
 
-The sweep is batched: one draw gives each stream's per-atom block counts
-(or, past the dense path, its streamed per-subset counts), and the local
-statistics are computed for all subsets at once, one chunk of blocks at a
-time (T and Z by the shared batched kernels ``poisson.batch_t``/
-``batch_z``); each subset's blocks are majority-voted by
-``testers._majority``, and the verdict names the first rejecting subset
-in ``combinations`` order.  One batched primitive, ``_marginal_counts``,
+The sweep draws its majority-vote blocks in groups: (k+1)/2 blocks, then
+``_SETTLE_GROUP`` at a time.  Each group gives each stream's per-atom
+block counts (or, past the dense path, its streamed per-subset counts),
+and the local statistics are computed for all subsets at once, one chunk
+of blocks at a time (T and Z by the shared batched kernels
+``poisson.batch_t``/``batch_z``).  After each group ``_settle`` checks
+whether the blocks still to come could change a vote that matters; once
+none can, the sweep stops, with the verdict a majority over all k blocks
+(``testers._majority``) would give: the first rejecting subset in
+``combinations`` order, or accept.  One batched primitive, ``_marginal_counts``,
 marginalizes onto every (d+1)-subset at once: on small nets each chunk of
 sampled per-atom block counts, and the exact mixture joints of the
 identity test's q side and the suite's atom-floor check.  It splits the
@@ -43,7 +46,6 @@ from .testers import (
     Stage,
     TestVerdict,
     ThresholdConfig,
-    _majority,
     amplification_reps,
 )
 
@@ -385,79 +387,85 @@ def _marginal_counts(per_atom: np.ndarray, n: int, width: int) -> np.ndarray:
     return out
 
 
-def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, rng) -> np.ndarray:
+def _block_atom_counts(joint: np.ndarray, m: float, k_blocks: int, blocks: int, rng) -> np.ndarray:
     """Independent ``Poi(m/k * joint[a])`` counts of atom a in each of
-    ``k_blocks`` blocks, by the rule of ``_blocked_subset_counts``: an
-    array of shape ``(joint.size, k_blocks)``, the transposed view of
-    block-major counts.  The counts are int32 (int64 when a block's rate
-    m/k passes 2^30), or uint16 on the sparse branch when every atom's
-    total is below 2^16, since a count is at most its atom's total.
+    ``blocks`` of the ``k_blocks`` blocks of a ``Poi(m)`` multiset, by the
+    rule of ``_blocked_subset_counts``: an array of shape ``(joint.size,
+    blocks)``, the transposed view of block-major counts.  The counts are
+    int32 (int64 when a block's rate m/k passes 2^30), or uint16 on the
+    sparse branch when every atom's total is below 2^16, since a count is
+    at most its atom's total.
 
     Both branches draw a chunk of about ``_TABLE_CHUNK`` atom-block cells
     at a time, and the chunked calls give the stream of one call.  Sparse
-    branch: each atom's total, then the block labels of a chunk of atoms'
-    samples (atom-major, so one contiguous run of the label stream),
-    bincounted.  Per-cell branch: ``rng.poisson(rates, size=(k_blocks,
-    2^n))``, a group of rows at a time.
+    branch: each atom's total ``Poi(m * blocks/k * joint[a])``, then the
+    block labels of a chunk of atoms' samples (atom-major, so one
+    contiguous run of the label stream), bincounted.  Per-cell branch:
+    ``rng.poisson(m/k * joint, size=(blocks, 2^n))``, a group of rows at a
+    time.
     """
     atoms = joint.size
     wide = np.int32 if m / k_blocks <= 2**30 else np.int64
     if m >= k_blocks * atoms:
-        counts = np.empty((k_blocks, atoms), dtype=wide)
+        counts = np.empty((blocks, atoms), dtype=wide)
         rate = m / k_blocks * joint
         rows = max(1, _TABLE_CHUNK // atoms)
-        for b in range(0, k_blocks, rows):
-            counts[b : b + rows] = rng.poisson(rate, size=(min(rows, k_blocks - b), atoms))
+        for b in range(0, blocks, rows):
+            counts[b : b + rows] = rng.poisson(rate, size=(min(rows, blocks - b), atoms))
         return counts.T
-    totals = rng.poisson(m * joint)
-    counts = np.empty((k_blocks, atoms), dtype=np.uint16 if totals.max() < 2**16 else wide)
-    step = max(1, _TABLE_CHUNK // k_blocks)
+    totals = rng.poisson(m * blocks / k_blocks * joint)
+    counts = np.empty((blocks, atoms), dtype=np.uint16 if totals.max() < 2**16 else wide)
+    step = max(1, _TABLE_CHUNK // blocks)
     for a in range(0, atoms, step):
         chunk = totals[a : a + step]
-        cells = rng.integers(0, k_blocks, size=int(chunk.sum()), dtype=np.int32)
+        cells = rng.integers(0, blocks, size=int(chunk.sum()), dtype=np.int32)
         cells *= chunk.size  # label b of the chunk's atom i is cell b * size + i
         cells += np.repeat(np.arange(chunk.size, dtype=np.int32), chunk)
-        counts[:, a : a + chunk.size] = np.bincount(cells, minlength=chunk.size * k_blocks).reshape(k_blocks, -1)
+        counts[:, a : a + chunk.size] = np.bincount(cells, minlength=chunk.size * blocks).reshape(blocks, -1)
     return counts.T
 
 
-def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, width: int, rng):
-    """Block counts of one shared Poissonized multiset, for every
-    ``width``-subset of the variables.
+def _blocked_subset_counts(mix: BnMixtureSampler, m: int, k_blocks: int, blocks: int, width: int, rng):
+    """Counts of ``blocks`` of the ``k_blocks`` blocks of one shared
+    Poissonized multiset, for every ``width``-subset of the variables.
 
     The multiset of ``Poi(m)`` samples is split uniformly into ``k_blocks``
-    majority-vote blocks (Poisson thinning keeps blocks independent).  On
-    the dense path (``2^n k_blocks`` per-atom counts at most
-    ``_DENSE_ATOM_CELLS``, so n is within ``EXACT_GUARD``) the per-atom
-    block counts, independent ``Poi(m/k * p_atom)``, come from the exact
-    mixture joint by whichever draw needs fewer variates:
+    majority-vote blocks (Poisson thinning keeps blocks independent), so
+    the ``blocks`` drawn here hold ``Poi(m * blocks/k)`` samples, and a
+    later call draws the next blocks independently.  On the dense path
+    (``2^n k_blocks`` per-atom counts at most ``_DENSE_ATOM_CELLS``, so n
+    is within ``EXACT_GUARD``) the per-atom block counts, independent
+    ``Poi(m/k * p_atom)``, come from the exact mixture joint by whichever
+    draw needs fewer variates:
 
-    - ``m < k_blocks * 2^n`` (sparse): each atom's total ``Poi(m * p_atom)``,
-      then a uniform block label for each of the about m samples, as the
-      streaming path labels its samples; by Poisson splitting this is the
-      per-cell law, and the labels are drawn and tabulated a chunk of
-      atoms at a time, so memory does not grow with m;
+    - ``m < k_blocks * 2^n`` (sparse): each atom's total
+      ``Poi(m * blocks/k * p_atom)``, then a uniform label among the
+      ``blocks`` for each sample, as the streaming path labels its
+      samples; by Poisson splitting this is the per-cell law, and the
+      labels are drawn and tabulated a chunk of atoms at a time, so memory
+      does not grow with m;
     - otherwise (per cell): one ``Poi(m/k * p_atom)`` per block and atom.
 
     The dense path returns those per-atom counts, of shape ``(2^n,
-    k_blocks)``; ``_block_tables`` marginalizes them onto every subset a
-    chunk of blocks at a time.  Past the limit, samples are streamed and
-    each subset is bincounted into float64 tables of shape ``(C(n, width),
-    k_blocks, 2^width)``.  Subsets run in ``combinations(range(n), width)``
-    order.  Returns ``(counts, total samples drawn)``.
+    blocks)``; ``_block_tables`` marginalizes them onto every subset a
+    chunk of blocks at a time.  Past the limit, ``Poi(m * blocks/k)``
+    samples are streamed, each with a uniform label among the ``blocks``,
+    and each subset is bincounted into float64 tables of shape ``(C(n,
+    width), blocks, 2^width)``.  Subsets run in ``combinations(range(n),
+    width)`` order.  Returns ``(counts, samples drawn)``.
     """
     n = mix.n
     if 2**n * k_blocks <= _DENSE_ATOM_CELLS:
-        counts = _block_atom_counts(mix.exact_joint(), m, k_blocks, rng)
+        counts = _block_atom_counts(mix.exact_joint(), m, k_blocks, blocks, rng)
         return counts, int(counts.sum())
     ncells = 2**width
-    realized = int(rng.poisson(m))
+    realized = int(rng.poisson(m * blocks / k_blocks))
     bits = mix.sample(realized)
-    offsets = rng.integers(0, k_blocks, size=realized) * ncells
-    counts = np.empty((math.comb(n, width), k_blocks, ncells))
+    offsets = rng.integers(0, blocks, size=realized) * ncells
+    counts = np.empty((math.comb(n, width), blocks, ncells))
     for s, sub in enumerate(combinations(range(n), width)):
-        flat = np.bincount(offsets + _parent_masks(bits, sub), minlength=k_blocks * ncells)
-        counts[s] = flat.reshape(k_blocks, ncells)
+        flat = np.bincount(offsets + _parent_masks(bits, sub), minlength=blocks * ncells)
+        counts[s] = flat.reshape(blocks, ncells)
     return counts, realized
 
 
@@ -471,9 +479,10 @@ def _block_tables(counts: np.ndarray, n: int, width: int, blocks: slice) -> np.n
 
 def _sweep_scores(score, counts, n: int, width: int, k_blocks: int) -> list:
     """The two (subset, block) statistics ``score`` returns on the tables
-    of the streams in ``counts``, one chunk of ``_block_step(n, width)``
-    blocks at a time.  Each statistic is a sum over one (subset, block)
-    row, so the chunks give the floats of one pass."""
+    of the streams in ``counts`` (``k_blocks`` blocks each), one chunk of
+    ``_block_step(n, width)`` blocks at a time.  Each statistic is a sum
+    over one (subset, block) row, so the chunks give the floats of one
+    pass."""
     step = _block_step(n, width)
     out = [np.empty((math.comb(n, width), k_blocks)) for _ in range(2)]
     for b in range(0, k_blocks, step):
@@ -483,8 +492,59 @@ def _sweep_scores(score, counts, n: int, width: int, k_blocks: int) -> list:
     return out
 
 
+_SETTLE_GROUP = 8  # blocks per group of the sweep's draws after the first (k+1)/2
+
+
+def _group_sizes(k_blocks: int):
+    """The sweep's draw schedule over k_blocks blocks: (k+1)/2 blocks, the
+    fewest after which a vote can be settled, then groups of
+    ``_SETTLE_GROUP`` (the last one shorter) up to k."""
+    first = (k_blocks + 1) // 2
+    yield first
+    for start in range(first, k_blocks, _SETTLE_GROUP):
+        yield min(_SETTLE_GROUP, k_blocks - start)
+
+
+def _settle(groups, k_blocks: int):
+    """The verdict of majority votes over ``k_blocks`` (odd) blocks, read
+    as soon as the blocks drawn so far fix it.
+
+    ``groups`` yields boolean reject votes of shape ``(subsets, g, kinds)``,
+    g blocks at a time, subsets in sweep order and kinds in priority
+    order.  With r of the g blocks drawn so far rejecting, a vote is
+    settled reject when 2r > k and settled accept when 2(r + k - g) < k,
+    whatever the blocks still to come say.  The verdict is settled when
+    every vote is settled accept, or when, at the first subset with a
+    settled-reject vote, that subset's first such vote and every vote
+    ranked before it (at that subset or an earlier one) are settled.
+    ``groups`` is read no further than the first group after which the
+    verdict is settled, and reading all k blocks settles every vote.
+
+    Returns ``(fired, drawn)``: the (subset, kind) whose vote rejects, or
+    None for accept, exactly as ``testers._majority`` over all k blocks
+    would give, and the number of blocks drawn.
+    """
+    rejects, drawn = 0, 0
+    for votes in groups:
+        rejects = rejects + np.count_nonzero(votes, axis=1)
+        drawn += votes.shape[1]
+        accept = 2 * (rejects + k_blocks - drawn) < k_blocks
+        hits = np.argwhere(2 * rejects > k_blocks)  # in sweep order, then priority order
+        if hits.size:
+            s, kind = map(int, hits[0])
+            if accept[:s].all() and accept[s, :kind].all():
+                return (s, kind), drawn
+        elif accept.all():
+            return None, drawn
+    raise ValueError(f"{drawn} blocks drawn of {k_blocks}, and the votes are not settled")
+
+
 def bn_budget(n: int, d: int, eps: float) -> int:
-    """Shared multiset size: a quarter of the asymptotic budget formula."""
+    """Shared multiset size m: a quarter of the asymptotic budget formula.
+
+    m is the nominal multiset of each stream.  The sweep stops drawing
+    blocks once its votes are settled, so a closeness call draws about 55%
+    of 2m at the suite's cells (n = 8 and 12, d = 2, eps = 0.3)."""
     log_r = log_ratio(n, eps)
     lead = min(2 ** (0.75 * d) * n / eps**2, 2 ** (2 * d / 3.0) * n ** (4.0 / 3.0) / eps ** (8.0 / 3.0))
     tail = d**3 * n**2 * log_r**2 / eps**4
@@ -542,22 +602,42 @@ def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     return subsets, m, k_blocks, m_block, bn_mixture_weight(n, d, eps), eps1
 
 
-def _sweep_verdict(prefix: str, tests, subsets, trace) -> TestVerdict:
-    """Reject at the first subset in sweep order where one of ``tests``
-    (``(kind, votes, per-block statistic, threshold)``, in priority order)
-    votes to reject, recording the statistic's median over the blocks (an
-    odd count, so the middle one, as ``np.median`` gives it without its
-    ``numpy.ma`` import); otherwise accept after the whole sweep."""
-    fired = np.flatnonzero(np.logical_or.reduce([votes for _, votes, _, _ in tests]))
-    if fired.size:
-        s = int(fired[0])
-        kind, _, stat, tau = next(test for test in tests if test[1][s])
-        stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
-        mid = stat.shape[1] // 2
-        trace.append(Stage(stage, float(np.partition(stat[s], mid)[mid]), tau))
-        return TestVerdict("reject", stage, trace)
-    trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
-    return TestVerdict("accept", None, trace)
+def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blocks: int, trace) -> TestVerdict:
+    """Draw and score the sweep's blocks a group at a time (see
+    ``_group_sizes``) until ``_settle`` reads the verdict.
+
+    Each group draws each of the ``mixes`` streams' next blocks of the
+    shared multiset in turn from ``rng``; ``score`` turns a chunk of their
+    tables into two (subset, block) statistics, and each of ``tests``,
+    ``(kind, rule, index, threshold)`` in priority order, votes with
+    ``rule(*statistics)`` per block.  A reject names the first rejecting
+    subset in sweep order and records its statistic ``index``'s middle
+    value over the g drawn blocks (``np.partition`` at g // 2, the median
+    when g is odd, without ``np.median``'s ``numpy.ma`` import); an accept
+    records the sweep.  ``trace``'s first record notes
+    the shared multiset and gets the samples drawn.
+    """
+    n, width = mixes[0].n, len(subsets[0])
+    drawn = []  # each group's statistics and samples
+
+    def groups():
+        for g in _group_sizes(k_blocks):
+            counts = [_blocked_subset_counts(mix, m, k_blocks, g, width, rng) for mix in mixes]
+            stats = _sweep_scores(score, [c for c, _ in counts], n, width, g)
+            drawn.append((stats, sum(samples for _, samples in counts)))
+            yield np.stack([rule(*stats) for _, rule, _, _ in tests], axis=-1)
+
+    fired, blocks = _settle(groups(), k_blocks)
+    trace[0] = trace[0]._replace(samples=sum(samples for _, samples in drawn))
+    if fired is None:
+        trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
+        return TestVerdict("accept", None, trace)
+    s, i = fired
+    kind, _, index, tau = tests[i]
+    stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
+    stat = np.concatenate([stats[index][s] for stats, _ in drawn])
+    trace.append(Stage(stage, float(np.partition(stat, blocks // 2)[blocks // 2]), tau))
+    return TestVerdict("reject", stage, trace)
 
 
 def bn_closeness_test(
@@ -575,35 +655,35 @@ def bn_closeness_test(
     d+1 variables, a local entropy-difference test and a local Hellinger
     test on the projected counts of the uniform mixtures; any local
     rejection rejects the pair.  Per-subset failure probability is
-    1/(20 C(n, d+1)), met by majority vote over sample blocks.
+    1/(20 C(n, d+1)), met by majority vote over k sample blocks.
+
+    The blocks are drawn and scored in groups, p's group and then q's,
+    and the sweep stops once the blocks drawn fix every vote the verdict
+    depends on (``_settle``): the verdict is the one all k blocks would
+    give on the same blocks, and ``samples_used`` counts only the drawn
+    blocks' samples, about 55% of the nominal 2m at the suite's cells.
     """
     subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
         n, d, eps, bn_budget, (sp.n, sq.n), "sampler"
     )
     rng = np.random.default_rng(rng)
-    mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
-    mix_q = BnMixtureSampler(sq, weight, rng.integers(0, 2**63 - 1))
-    # p's counts stay compact while q's draw from the same generator
-    counts_p, used_p = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
-    counts_q, used_q = _blocked_subset_counts(mix_q, m, k_blocks, d + 1, rng)
+    mixes = [BnMixtureSampler(s, weight, rng.integers(0, 2**63 - 1)) for s in (sp, sq)]
 
     t_floor = math.sqrt(min(2 ** (d + 1), m_block) + 1.0)
     tau_eet = cfg.c_T_threshold * t_floor
     tau_hell = cfg.c_hellinger_reject * t_floor
     tau_z = cfg.c_Z_threshold * eps1
-    trace = [
-        Stage("bn-shared-m", float(m), float(k_blocks), used_p + used_q),
-        Stage("bn-eps1", eps1, eps**2 / n),
+    trace = [Stage("bn-shared-m", float(m), float(k_blocks)), Stage("bn-eps1", eps1, eps**2 / n)]
+    # (subset, block) statistics T and |Z|; the EET vote outranks the
+    # Hellinger one at the same subset
+    tests = [
+        ("eet", lambda t, z: (t > tau_eet) | (z > tau_z), 0, tau_eet),
+        ("hellinger", lambda t, z: t > tau_hell, 0, tau_hell),
     ]
-    # (subset, block) statistics; the EET vote outranks the Hellinger one at
-    # the same subset
-    t_blocks, z_blocks = _sweep_scores(
-        lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), (counts_p, counts_q), n, d + 1, k_blocks
+    return _sweep_verdict(
+        "bn", mixes, rng, lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), tests,
+        subsets, m, k_blocks, trace,
     )
-    eet_votes = _majority((t_blocks > tau_eet) | (z_blocks > tau_z))
-    hell_votes = _majority(t_blocks > tau_hell)
-    tests = [("eet", eet_votes, t_blocks, tau_eet), ("hellinger", hell_votes, t_blocks, tau_hell)]
-    return _sweep_verdict("bn", tests, subsets, trace)
 
 
 def bn_identity_budget(n: int, d: int, eps: float) -> int:
@@ -625,7 +705,8 @@ def bn_identity_test(
 
     Per subset, a chi-square-style statistic against the exact local table
     (the Hellinger side) and a Miller-Madow entropy gap against the exact
-    local entropy (the entropy side); majority over blocks as above.
+    local entropy (the entropy side); majority over blocks, drawn in groups
+    until the votes are settled, as above.
     """
     subsets, m, k_blocks, m_block, weight, eps1 = _sweep_setup(
         n, d, eps, bn_identity_budget, (q_known.n, sp.n), "net"
@@ -634,15 +715,11 @@ def bn_identity_test(
         raise TooLargeForExact("identity test needs exact q marginals")
     rng = np.random.default_rng(rng)
     mix_p = BnMixtureSampler(sp, weight, rng.integers(0, 2**63 - 1))
-    counts, samples = _blocked_subset_counts(mix_p, m, k_blocks, d + 1, rng)
     q_joint = (1.0 - weight) * bn_exact_joint(q_known) + weight / 2**n
 
     tau_chi = cfg.c_T_threshold * math.sqrt(2 ** (d + 1) + 1.0)
     tau_ent = cfg.c_Z_threshold * eps1
-    trace = [
-        Stage("bn-id-shared-m", float(m), float(k_blocks), samples),
-        Stage("bn-id-eps1", eps1, eps**2 / n),
-    ]
+    trace = [Stage("bn-id-shared-m", float(m), float(k_blocks)), Stage("bn-id-eps1", eps1, eps**2 / n)]
     q_tables = _marginal_counts(q_joint[:, None], n, d + 1)  # (subset, 1, cell)
     # core.entropy of each table as one row sum: the uniform mixture makes
     # every entry positive, so the same terms add in the same order
@@ -657,12 +734,11 @@ def bn_identity_test(
         # an empty block gets h_q and so never votes to reject
         return np.abs(_miller_madow(x, h_q) - h_q), chi.sum(axis=-1)
 
-    gap_blocks, chi_blocks = _sweep_scores(score, (counts,), n, d + 1, k_blocks)
     tests = [
-        ("entropy", _majority(gap_blocks > tau_ent), gap_blocks, tau_ent),
-        ("chi", _majority(chi_blocks > tau_chi), chi_blocks, tau_chi),
+        ("entropy", lambda gap, chi: gap > tau_ent, 0, tau_ent),
+        ("chi", lambda gap, chi: chi > tau_chi, 1, tau_chi),
     ]
-    return _sweep_verdict("bn-id", tests, subsets, trace)
+    return _sweep_verdict("bn-id", [mix_p], rng, score, tests, subsets, m, k_blocks, trace)
 
 
 # ---------------------------------------------------------------------------

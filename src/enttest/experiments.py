@@ -552,13 +552,17 @@ def run_bayesnet_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int)
     return rows, violations
 
 
-def bn_exact_checks(seed: int, eps: float, d: int):
-    """Exact (non-statistical) Bayes-net suite checks.
+@functools.lru_cache(maxsize=16)
+def bn_exact_checks(seed: int, eps: float, d: int) -> tuple:
+    """Exact (non-statistical) Bayes-net suite checks, as ``(name, ok,
+    value)`` tuples.
 
     Mixture atom floor at n = 6 and 12; local-KL telescoping at n = 8 to
     1e-9; mixture KL-to-projection drift at most 8 eps^2 on 20 random nets.
     The first two take each net at n >= d + 2, so that it has (d+1)-subsets
-    and in-degree d is within reach.
+    and in-degree d is within reach.  The checks depend on (seed, eps, d)
+    alone, not on the suite's n, so they are memoized per process (16
+    entries): suites at several n in one process run them once.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB41E5]))
     checks = []
@@ -599,7 +603,7 @@ def bn_exact_checks(seed: int, eps: float, d: int):
             drift = abs(bn.bn_kl_to_projection(mixed, g) - kl_unmixed)
             worst_drift = max(worst_drift, drift / eps_c**2)
     checks.append(("exact:mixture-kl-drift", worst_drift <= 8.0, worst_drift))
-    return checks
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

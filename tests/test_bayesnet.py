@@ -10,6 +10,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from enttest import bayesnet
 from enttest.bayesnet import (
@@ -35,7 +37,7 @@ from enttest.bayesnet import (
 )
 from enttest.core import entropy
 from enttest.poisson import batch_t, batch_z
-from enttest.testers import DEFAULT_CONFIG, ParameterOutOfRange
+from enttest.testers import DEFAULT_CONFIG, ParameterOutOfRange, _majority
 
 
 def fair_coins(n):
@@ -281,13 +283,27 @@ class TestClosenessTester:
         sweep = [t for t in v.trace if t[0] == "bn-sweep"]
         assert sweep and sweep[0][1] == 1.0
 
-    def test_shared_budget_accounting(self):
-        # total samples = the two shared multisets, not per-subset draws
+    def test_shared_budget_accounting(self, monkeypatch):
+        # total samples = the drawn blocks of the two shared multisets, not
+        # per-subset draws: p's and q's groups in turn, on the sweep's schedule
+        draws, counts = [], bayesnet._blocked_subset_counts
+
+        def recorded(mix, m, k_blocks, blocks, width, rng):
+            out = counts(mix, m, k_blocks, blocks, width, rng)
+            draws.append((blocks, out[1]))
+            return out
+
+        monkeypatch.setattr(bayesnet, "_blocked_subset_counts", recorded)
         net = random_bayesnet(8, 2, np.random.default_rng(24))
         v = bn_closeness_test(BnSampler(net, 1), BnSampler(net, 2), 8, 2, 0.3, rng=5)
-        m = [t[1] for t in v.trace if t[0] == "bn-shared-m"][0]
-        assert v.samples_used <= 2 * m + 8 * math.sqrt(2 * m) + 10
-        assert v.samples_used >= 2 * m - 8 * math.sqrt(2 * m) - 10
+        m, k = [t[1:3] for t in v.trace if t[0] == "bn-shared-m"][0]
+        assert v.samples_used == v.trace[0].samples == sum(samples for _, samples in draws)
+        sizes = [blocks for blocks, _ in draws]
+        assert sizes[0::2] == sizes[1::2] == list(bayesnet._group_sizes(int(k)))[: len(sizes) // 2]
+        blocks = sum(sizes) // 2
+        assert (k + 1) / 2 <= blocks <= k
+        mean = 2 * m * blocks / k
+        assert abs(v.samples_used - mean) <= 8 * math.sqrt(mean) + 10
 
     def test_parameter_validation(self):
         net = fair_coins(4)
@@ -322,43 +338,49 @@ class TestIdentityTester:
             bn_identity_test(BnSampler(net, 1), net, 4, 0, 0.3)
 
 
-# Verdicts of the per-subset sweep, recorded before the sweep was batched:
-# (accepted, fired stage, samples_used, trace) on each counting path.  The
-# identity-far chi statistics moved by one ulp when the exact q tables came
-# from the GEMM marginalization instead of index-order bincounts.
+# Verdicts of the sweep: (accepted, fired stage, samples_used, trace) on
+# each counting path.  First recorded before the sweep was batched; re-pinned
+# when the sweep began to draw its blocks in groups and stop once the votes
+# are settled, with every decision kept.  samples_used counts the drawn
+# blocks alone, 56-57% of the earlier multisets, except for the two
+# identity-far-entropy cases, whose entropy votes sit near their threshold and
+# settle only after all 127 blocks.  On the dense path the identity test's
+# per-cell draws are the blocks of one whole draw, so that case keeps its
+# earlier statistic; streamed groups are fresh multisets, and there it
+# fires on 3,5,7 instead of 3,5,6.
 _SHARED = [("bn-shared-m", 170427.0, 127.0), ("bn-eps1", 0.5560620396340937, 0.01125)]
 _ID_SHARED = [("bn-id-shared-m", 85360.0, 127.0), ("bn-id-eps1", 0.7102812960045428, 0.01125)]
 GOLDEN = {
-    ("closeness-null", "dense"): (True, None, 340158, _SHARED + [("bn-sweep", 56.0, 0.0)]),
+    ("closeness-null", "dense"): (True, None, 192745, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "dense"): (
-        False, "bn-eet:0,1,6", 339907, _SHARED + [("bn-eet:0,1,6", 1913.0456154991725, 12.0)]),
+        False, "bn-eet:0,1,6", 192975, _SHARED + [("bn-eet:0,1,6", 1911.7829550889642, 12.0)]),
     ("closeness-far-hellinger", "dense"): (
-        False, "bn-hellinger:0,1,2", 342013,
-        _SHARED + [("bn-hellinger:0,1,2", 40.40575846238259, 12.0)]),
-    ("identity-null", "dense"): (True, None, 85501, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
+        False, "bn-hellinger:0,1,2", 193835,
+        _SHARED + [("bn-hellinger:0,1,2", 40.9460246662835, 12.0)]),
+    ("identity-null", "dense"): (True, None, 48769, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "dense"): (
-        False, "bn-id-chi:0,1,6", 85360, _ID_SHARED + [("bn-id-chi:0,1,6", 4001.8398667499487, 12.0)]),
+        False, "bn-id-chi:0,1,6", 48467, _ID_SHARED + [("bn-id-chi:0,1,6", 4029.8161170503495, 12.0)]),
     ("identity-far-entropy", "dense"): (
         False, "bn-id-entropy:3,5,6", 85599,
         _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7120868626860921, 0.7102812960045428)]),
     ("identity-far-both", "dense"): (
-        False, "bn-id-entropy:0,1,6", 85360,
-        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.311134269992277, 0.14205625920090856)]),
-    ("closeness-null", "streaming"): (True, None, 339937, _SHARED + [("bn-sweep", 56.0, 0.0)]),
+        False, "bn-id-entropy:0,1,6", 48467,
+        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.3123668466674916, 0.14205625920090856)]),
+    ("closeness-null", "streaming"): (True, None, 192522, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "streaming"): (
-        False, "bn-eet:0,1,6", 341665, _SHARED + [("bn-eet:0,1,6", 1922.3719475548965, 12.0)]),
+        False, "bn-eet:0,1,6", 193421, _SHARED + [("bn-eet:0,1,6", 1934.8248753776184, 12.0)]),
     ("closeness-far-hellinger", "streaming"): (
-        False, "bn-hellinger:0,1,2", 340600,
-        _SHARED + [("bn-hellinger:0,1,2", 37.360191339056065, 12.0)]),
-    ("identity-null", "streaming"): (True, None, 85158, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
+        False, "bn-hellinger:0,1,2", 192488,
+        _SHARED + [("bn-hellinger:0,1,2", 38.750347695181006, 12.0)]),
+    ("identity-null", "streaming"): (True, None, 48306, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "streaming"): (
-        False, "bn-id-chi:0,1,6", 85092, _ID_SHARED + [("bn-id-chi:0,1,6", 3924.7281686101956, 12.0)]),
+        False, "bn-id-chi:0,1,6", 48311, _ID_SHARED + [("bn-id-chi:0,1,6", 3996.1984816278155, 12.0)]),
     ("identity-far-entropy", "streaming"): (
-        False, "bn-id-entropy:3,5,6", 85186,
-        _ID_SHARED + [("bn-id-entropy:3,5,6", 0.7139697963848808, 0.7102812960045428)]),
+        False, "bn-id-entropy:3,5,7", 85264,
+        _ID_SHARED + [("bn-id-entropy:3,5,7", 0.7185873607259279, 0.7102812960045428)]),
     ("identity-far-both", "streaming"): (
-        False, "bn-id-entropy:0,1,6", 85092,
-        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.3057250937632714, 0.14205625920090856)]),
+        False, "bn-id-entropy:0,1,6", 48311,
+        _ID_SHARED + [("bn-id-entropy:0,1,6", 0.3019476417096687, 0.14205625920090856)]),
 }
 
 
@@ -415,7 +437,7 @@ class TestBlockedSubsetCounts:
 
     def test_dense_counts_match_per_subset_bincount(self):
         n, width, k, m = 8, 3, 9, 5000
-        per_atom, total = bayesnet._blocked_subset_counts(self._mixture(n, 61), m, k, width,
+        per_atom, total = bayesnet._blocked_subset_counts(self._mixture(n, 61), m, k, k, width,
                                                          np.random.default_rng(7))
         # the same per-block atom counts, projected one subset at a time
         per_block = np.random.default_rng(7).poisson(
@@ -435,7 +457,7 @@ class TestBlockedSubsetCounts:
     def test_streaming_counts_match_per_sample_tally(self, monkeypatch):
         monkeypatch.setattr(bayesnet, "_DENSE_ATOM_CELLS", 0)
         n, width, k, m = 6, 3, 5, 2000
-        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 62), m, k, width,
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 62), m, k, k, width,
                                                        np.random.default_rng(8))
         rng = np.random.default_rng(8)
         realized = int(rng.poisson(m))
@@ -529,7 +551,7 @@ class TestBlockedSubsetCounts:
         n, k = 6, 5
         joint = self._mixture(n, 64).exact_joint()
         for m in (k * 2**n - 1, k * 2**n - 0.5, k * 2**n, k * 2**n + 1):
-            got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(10))
+            got = bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(10))
             sparse = self._sparse_reference(joint, m, k, np.random.default_rng(10))
             per_cell = np.random.default_rng(10).poisson(m / k * joint, size=(k, 2**n)).T
             assert got.shape == (2**n, k)
@@ -541,7 +563,7 @@ class TestBlockedSubsetCounts:
         n, k = 3, 3
         joint = self._mixture(n, 72).exact_joint()
         for m, dtype in ((k * 2.0**30, np.int32), (k * 2.0**34, np.int64)):
-            got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(16))
+            got = bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(16))
             assert got.dtype == dtype
             assert np.array_equal(got, np.random.default_rng(16).poisson(m / k * joint, size=(k, 2**n)).T)
 
@@ -550,7 +572,7 @@ class TestBlockedSubsetCounts:
         n, k, m = 10, 153, 100_000
         assert m < k * 2**n and 2**n > 2 * (bayesnet._TABLE_CHUNK // k)
         joint = self._mixture(n, 67).exact_joint()
-        got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(14))
+        got = bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(14))
         assert got.dtype == np.uint16
         assert np.array_equal(got, self._sparse_reference(joint, m, k, np.random.default_rng(14)))
         tables = bayesnet._block_tables(got, n, 3, slice(None))
@@ -562,7 +584,7 @@ class TestBlockedSubsetCounts:
         joint = np.full(2**n, 0.1 / 2**n)
         joint[5] += 0.9
         assert m < k * 2**n
-        got = bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(18))
+        got = bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(18))
         ref = self._sparse_reference(joint, m, k, np.random.default_rng(18))
         assert got.dtype == np.int32 and ref[5].sum() >= 2**16
         assert np.array_equal(got, ref)
@@ -583,7 +605,7 @@ class TestBlockedSubsetCounts:
                 return self.gen.integers(*args, **kwargs)
 
         totals = np.array([top, 0, 3, 1])
-        got = bayesnet._block_atom_counts(np.full(4, 0.25), 2.0, 1, Totals(totals))
+        got = bayesnet._block_atom_counts(np.full(4, 0.25), 2.0, 1, 1, Totals(totals))
         assert got.dtype == dtype
         assert got[:, 0].tolist() == totals.tolist()
 
@@ -598,7 +620,7 @@ class TestBlockedSubsetCounts:
         joint = self._mixture(n, 68).exact_joint()
         tracemalloc.start()
         try:
-            bayesnet._block_atom_counts(joint, m, k, np.random.default_rng(15))
+            bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(15))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -615,7 +637,7 @@ class TestBlockedSubsetCounts:
         zeros = np.zeros((2**n, k))
         totals = np.empty(draws)
         for i in range(draws):
-            x = bayesnet._block_atom_counts(joint, m, k, rng)
+            x = bayesnet._block_atom_counts(joint, m, k, k, rng)
             sums += x
             zeros += x == 0
             totals[i] = x.sum()
@@ -633,9 +655,9 @@ class TestBlockedSubsetCounts:
     def test_sparse_counts_total_and_replay(self):
         n, width, k, m = 8, 3, 9, 1000
         assert m < k * 2**n
-        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, k, width,
                                                        np.random.default_rng(12))
-        per_atom = bayesnet._block_atom_counts(self._mixture(n, 66).exact_joint(), m, k,
+        per_atom = bayesnet._block_atom_counts(self._mixture(n, 66).exact_joint(), m, k, k,
                                                np.random.default_rng(12))
         assert total == per_atom.sum()
         assert np.array_equal(counts, per_atom)
@@ -643,12 +665,45 @@ class TestBlockedSubsetCounts:
         tables = bayesnet._block_tables(counts, n, width, slice(None))
         assert np.array_equal(tables.sum(axis=(1, 2)), np.full(len(tables), total))
         # a fixed seed replays the same counts, another seed does not
-        again, total_again = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+        again, total_again = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, k, width,
                                                              np.random.default_rng(12))
-        other, _ = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, width,
+        other, _ = bayesnet._blocked_subset_counts(self._mixture(n, 66), m, k, k, width,
                                                    np.random.default_rng(13))
         assert total_again == total and again.tobytes() == counts.tobytes()
         assert not np.array_equal(other, counts)
+
+    def test_per_cell_groups_draw_the_blocks_of_one_call(self):
+        # m >= k 2^n: each group's Poisson rows continue the stream of one
+        # whole draw
+        n, k, m = 6, 9, 5000
+        joint = self._mixture(n, 73).exact_joint()
+        rng = np.random.default_rng(20)
+        groups = [bayesnet._block_atom_counts(joint, m, k, g, rng) for g in bayesnet._group_sizes(k)]
+        whole = bayesnet._block_atom_counts(joint, m, k, k, np.random.default_rng(20))
+        assert [g.shape for g in groups] == [(2**n, 5), (2**n, 4)]
+        assert np.array_equal(np.concatenate(groups, axis=1), whole)
+
+    def test_a_group_draws_its_share_of_the_multiset(self, monkeypatch):
+        # g of k blocks: Poi(m g/k) samples, each labelled among the g blocks
+        n, width, k, g, m = 6, 3, 9, 4, 500
+        assert m < k * 2**n
+        mix = self._mixture(n, 74)
+        sparse, total = bayesnet._blocked_subset_counts(mix, m, k, g, width, np.random.default_rng(21))
+        ref = self._sparse_reference(mix.exact_joint(), m * g / k, g, np.random.default_rng(21))
+        assert sparse.shape == (2**n, g) and total == ref.sum()
+        assert np.array_equal(sparse, ref)
+        monkeypatch.setattr(bayesnet, "_DENSE_ATOM_CELLS", 0)
+        counts, total = bayesnet._blocked_subset_counts(self._mixture(n, 74), m, k, g, width,
+                                                        np.random.default_rng(22))
+        rng = np.random.default_rng(22)
+        realized = int(rng.poisson(m * g / k))
+        bits = self._mixture(n, 74).sample(realized)
+        labels = rng.integers(0, g, size=realized)
+        assert total == realized and counts.shape == (math.comb(n, width), g, 2**width)
+        for s, sub in enumerate(combinations(range(n), width)):
+            ref = np.zeros((g, 2**width))
+            np.add.at(ref, (labels, self._cells(bits, sub)), 1.0)
+            assert np.array_equal(counts[s], ref)
 
     def test_marginal_plan_cached_read_only(self):
         splits = bayesnet._marginal_plan(7, 3)
@@ -723,9 +778,11 @@ class TestChunkedSweep:
     def test_memory_flat_in_m(self, tester, eps):
         # n = 12, d = 2: eps 0.3 takes the sparse draw and eps 0.15 the
         # per-cell one, at 22 times the samples (closeness m = 484k and
-        # 10.9M).  Both streams' int32 counts take 4.8 MiB; holding them as
-        # int64, or scoring every block in one pass, exceeds the bound.  The
-        # sparse draw keeps them as uint16 (2.4 MiB) and stays under 6 MiB.
+        # 10.9M).  Per-atom counts are held one group at a time: both
+        # streams' first group of 77 blocks takes 2.4 MiB as int32 and
+        # 1.2 MiB as the sparse draw's uint16.  A closeness call peaks near
+        # 3.0 and 4.0 MiB; int32 sparse counts, int64 counts, or all 153
+        # blocks drawn at once exceed the bounds.
         n, d = 12, 2
         net = random_bayesnet(n, d, np.random.default_rng(70))
         budget = bayesnet.bn_budget if tester == "closeness" else bayesnet.bn_identity_budget
@@ -739,7 +796,7 @@ class TestChunkedSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (6 if eps == 0.3 else 8) * 2**20
+        assert peak <= (4 if eps == 0.3 else 5) * 2**20
 
     def test_dense_limit_keeps_n16_d2(self):
         limit = bayesnet._DENSE_ATOM_CELLS
@@ -755,6 +812,72 @@ class TestChunkedSweep:
         assert not bn_closeness_test(BnSampler(base, 1), BnSampler(far, 2), n, d, 0.3, rng=0).accepted
         assert not bn_identity_test(BnSampler(far, 3), base, n, d, 0.3, rng=0).accepted
 
+
+def _full_verdict(votes):
+    # the (subset, kind) a majority over every block fires, in sweep order
+    # and then priority order, or None
+    hits = np.argwhere(_majority(votes, axis=1))
+    return tuple(map(int, hits[0])) if hits.size else None
+
+
+@st.composite
+def _votes_and_schedule(draw):
+    # reject votes of shape (subsets, k, kinds) with odd k up to 31, one
+    # subset whose kinds all vote alike (a tie that priority breaks), and
+    # any split of the k blocks into groups
+    k = 2 * draw(st.integers(0, 15)) + 1
+    shape = (draw(st.integers(1, 6)), k, draw(st.integers(1, 3)))
+    votes = draw(arrays(np.bool_, shape))
+    tie = draw(st.integers(0, shape[0] - 1))
+    votes[tie] = votes[tie, :, :1]
+    cuts = sorted(draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+    return votes, np.diff([0, *cuts, k]).tolist()
+
+
+class TestSettle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_votes_and_schedule())
+    def test_settled_verdict_is_the_full_majority(self, case):
+        votes, sizes = case
+        k = votes.shape[1]
+        bounds = np.cumsum(sizes).tolist()
+        read = []
+
+        def groups():
+            for size, end in zip(sizes, bounds):
+                read.append(end)
+                yield votes[:, end - size : end]
+
+        fired, drawn = bayesnet._settle(groups(), k)
+        assert fired == _full_verdict(votes)
+        # it never settles before (k+1)/2 blocks, and reads no group past the
+        # one it stops after
+        assert 2 * drawn >= k + 1
+        assert read[-1] == drawn
+
+        # the verdict is settled once the drawn blocks fix it: every undrawn
+        # block rejecting and every one accepting give the same verdict
+        def settled(end):
+            rest = np.zeros((votes.shape[0], k - end, votes.shape[2]), dtype=bool)
+            return _full_verdict(np.concatenate([votes[:, :end], rest], axis=1)) == _full_verdict(
+                np.concatenate([votes[:, :end], ~rest], axis=1))
+
+        assert drawn == next(end for end in bounds if settled(end))
+
+    def test_unsettled_votes_after_the_last_group_raise(self):
+        votes = np.zeros((2, 9, 2), dtype=bool)
+        votes[1, :, 0] = True
+        assert bayesnet._settle(iter([votes[:, :5], votes[:, 5:]]), 9) == ((1, 0), 5)
+        # 4 of 9 blocks settle no vote
+        with pytest.raises(ValueError, match="not settled"):
+            bayesnet._settle(iter([votes[:, :4]]), 9)
+
+    @pytest.mark.parametrize("k", [1, 3, 17, 55, 127, 153])
+    def test_group_schedule(self, k):
+        sizes = list(bayesnet._group_sizes(k))
+        assert sum(sizes) == k and sizes[0] == (k + 1) // 2
+        assert all(size == bayesnet._SETTLE_GROUP for size in sizes[1:-1])
+        assert all(0 < size <= bayesnet._SETTLE_GROUP for size in sizes[1:])
 
 class TestNetFiles:
     def test_roundtrip_bytes_stable(self, tmp_path):

@@ -85,3 +85,55 @@ def test_blas_fields_read_the_config_and_the_thread_variables():
     unknown = bench_pairs.blas_fields({"MKL_NUM_THREADS": "2"}, {})
     assert unknown["name"] is None and unknown["version"] is None and unknown["MKL_NUM_THREADS"] == "2"
     assert json.loads(json.dumps(unknown)) == unknown
+
+
+def test_paired_block_reads_within_pair_ratios():
+    rss = bench_pairs.summarize(RUNS)["peak_rss_mb"]["paired"]
+    ratios = sorted(c / p for p, c in [(55.5, 51.5), (55.6, 51.4), (55.7, 51.3), (55.4, 51.6), (55.8, 55.9)])
+    assert rss["median_ratio"] == ratios[2] == 51.5 / 55.5
+    # statistics.quantiles' default (exclusive) method: positions 1.5 and 4.5
+    assert rss["ratio_quartiles"] == pytest.approx([(ratios[0] + ratios[1]) / 2, (ratios[3] + ratios[4]) / 2])
+    # 4 lower against 1 higher: 2 * (1 + 5) / 32
+    assert rss["sign_test_p"] == pytest.approx(0.375)
+    # equal runs: every ratio is 1 and no pair is lower or higher
+    wall = bench_pairs.summarize(RUNS)["wall_s"]["paired"]
+    assert wall == {"median_ratio": 1.0, "ratio_quartiles": [1.0, 1.0], "sign_test_p": 1.0}
+
+
+def test_sign_test_is_two_sided_and_exact():
+    assert bench_pairs.sign_test(10, 0) == bench_pairs.sign_test(0, 10) == pytest.approx(2 / 1024)
+    assert bench_pairs.sign_test(9, 1) == pytest.approx(2 * 11 / 1024)
+    assert bench_pairs.sign_test(5, 5) == 1.0 and bench_pairs.sign_test(0, 0) == 1.0
+
+
+def test_paired_ratios_skip_a_zero_parent():
+    runs = [_pair(0.0, 1.0), _pair(2.0, 1.0), _pair(4.0, 1.0)]
+    block = bench_pairs.summarize(runs)["peak_rss_mb"]["paired"]
+    # the exclusive quartiles of two ratios, 0.25 and 0.5, reach past them
+    assert block["median_ratio"] == pytest.approx(0.375)
+    assert block["ratio_quartiles"] == pytest.approx([0.1875, 0.5625])
+    none = bench_pairs.paired([0.0, 0.0], [1.0, 2.0])
+    assert none["median_ratio"] is None and none["ratio_quartiles"] is None and none["sign_test_p"] == 0.5
+
+
+def test_recompute_rewrites_summaries_from_stored_runs(tmp_path, monkeypatch):
+    def no_runs(*args):
+        raise AssertionError("recompute ran the benchmark")
+
+    monkeypatch.setattr(bench_pairs, "bench", no_runs)
+    old = bench_pairs.record({}, {"workload": "bayesnet", "parent_commit": "abc"}, 7, RUNS, "d1")
+    old["alternating_pairs"]["seed 7"]["summary"] = {"wall_s": {"parent": {"median": 1.0}}}
+    old["alternating_pairs"]["seed 9"] = {"pairs": 0, "summary": {"note": "kept"}}
+    path = tmp_path / "BENCH_x.json"
+    path.write_text(json.dumps(old))
+    assert bench_pairs.main(["--recompute", str(path)]) == 0
+    new = json.loads(path.read_text())
+    assert new["alternating_pairs"]["seed 7"]["summary"] == json.loads(json.dumps(bench_pairs.summarize(RUNS)))
+    assert new["alternating_pairs"]["seed 9"] == old["alternating_pairs"]["seed 9"]
+    del new["alternating_pairs"], old["alternating_pairs"]
+    assert new == old
+
+
+def test_a_benchmark_run_needs_its_arguments():
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--workload", "bayesnet"])

@@ -222,6 +222,25 @@ class TestReproducibility:
             tmp_path / "w4" / "results.csv"
         ).read_bytes()
 
+    def test_bayesnet_exact_checks_reused_across_n(self, tmp_path):
+        # the checks depend on (seed, eps, d) alone, so a second n at the
+        # same (seed, eps, d) reuses them and writes the rows a cold run does
+        def spec(n, out):
+            return ExperimentSpec(kind="bayesnet", n_values=[n], eps_values=[0.3], d_values=[1], trials=2,
+                                  seed=11, out_dir=str(tmp_path / out))
+
+        checks = experiments.bn_exact_checks
+        checks.cache_clear()
+        run_experiment(spec(5, "first"), workers=1)
+        run_experiment(spec(4, "warm"), workers=1)
+        assert (checks.cache_info().hits, checks.cache_info().misses) == (1, 1)
+        checks.cache_clear()
+        run_experiment(spec(4, "cold"), workers=1)
+        assert (tmp_path / "warm" / "results.csv").read_bytes() == (tmp_path / "cold" / "results.csv").read_bytes()
+        rows = checks(11, 0.3, 1)
+        assert isinstance(rows, tuple) and rows == tuple(checks.__wrapped__(11, 0.3, 1))
+        assert [name for name, _, _ in rows] == ["exact:atom-floor", "exact:telescoping", "exact:mixture-kl-drift"]
+
     def test_reduction_trial_independent_of_hash_seed(self):
         # the MI-reduction streams must not be seeded through str hashing
         src = os.path.dirname(os.path.dirname(enttest.__file__))
@@ -247,10 +266,11 @@ class TestReproducibility:
         "spec, sha256",
         [
             ("kind='bayesnet', n_values=[6], eps_values=[0.3], d_values=[2], trials=2",
-             "e3cf8217541de9c5615818e69d789bdd023a3c8989b52f11d3fd370cb60d85bb"),
-            # n = 12 draws its block counts as atom totals plus block labels
+             "89f4a5924973a72d305e73abbf3687a303f5795119056abcfab6dfbf2dc709c8"),
+            # n = 12 draws each group of blocks as atom totals plus labels
+            # among the group's blocks
             ("kind='bayesnet', n_values=[12], eps_values=[0.3], d_values=[2], trials=1",
-             "11bbf522aa744853abe486dc63efe8734f2eacae4d14e6a304c67dedcaee7a04"),
+             "006cd6affb7c2bb4b0193801890765c387999352fa2cd12d07e20bf592dcdffa"),
             ("kind='error_grid', n_values=[64], eps_values=[0.4], trials=2",
              "fb100a8ef952ff68aebc17b0ee108933bb03d920342f5e8ff5c8feadb8badc4e"),
             # tabled Poisson levels, and heavy-set draws of both sure and

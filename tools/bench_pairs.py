@@ -20,6 +20,19 @@ where unset).  Every run lasts the benchmark's own ``run_seconds``
 (``BENCHMARK.json``), so records stay comparable with the benchmark's
 bounds.
 
+Each metric's ``paired`` block reads the pairs as pairs: the median of
+the within-pair ratios change/parent, their quartiles, and a two-sided
+sign-test p over the pairs whose change value is lower or higher (ties
+left out).  Machine load drifts across the ten pairs, so the two sides'
+quartiles mix that drift with the effect, while a pair's two runs share
+it.
+
+    python3 tools/bench_pairs.py --recompute
+
+rewrites the summaries of the ``BENCH_*.json`` records at the repository
+root (or of the records named after ``--recompute``) from the runs they
+store, and runs nothing.
+
 Each seed's pairs carry ``src_digest``, a hash of the working tree's
 ``src/``.  A new seed is added to an existing record only when the record
 holds the same parent and workload and every seed in it has the same
@@ -32,6 +45,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -50,8 +64,9 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 def summarize(runs):
     """Per metric, the two sides' medians and quartiles over ``runs`` (a
-    list of ``{"parent": values, "change": values}`` pairs) and the pairs
-    whose change value is lower.  A metric missing from any run is left out."""
+    list of ``{"parent": values, "change": values}`` pairs), the pairs
+    whose change value is lower, and the ``paired`` block.  A metric
+    missing from any run is left out."""
     summary = {}
     for name in (key for key in runs[0]["parent"] if key not in ("correct", "failed")):
         if not all(name in run[side] for run in runs for side in ("parent", "change")):
@@ -65,8 +80,43 @@ def summarize(runs):
             "change_quartiles": _quartiles(change),
             "change_lower_in": sum(c < p for p, c in zip(parent, change)),
             "pairs": len(runs),
+            "paired": paired(parent, change),
         }
     return summary
+
+
+def paired(parent, change) -> dict:
+    """The within-pair view of one metric: the median ratio change/parent
+    and its quartiles over the pairs with a nonzero parent value (None
+    when there is none), and the two-sided sign-test p of the pairs whose
+    change value is lower against those whose is higher."""
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    lower = sum(c < p for p, c in zip(parent, change))
+    higher = sum(c > p for p, c in zip(parent, change))
+    return {
+        "median_ratio": statistics.median(ratios) if ratios else None,
+        "ratio_quartiles": _quartiles(ratios) if ratios else None,
+        "sign_test_p": sign_test(lower, higher),
+    }
+
+
+def sign_test(lower: int, higher: int) -> float:
+    """Two-sided exact sign-test p of ``lower`` against ``higher`` pairs:
+    twice the Binomial(lower + higher, 1/2) tail of the smaller count,
+    at most 1."""
+    total = lower + higher
+    tail = sum(math.comb(total, i) for i in range(min(lower, higher) + 1)) / 2**total
+    return min(1.0, 2 * tail)
+
+
+def recompute(path: Path):
+    """Rewrite every seed's summary in the record at ``path`` from the runs
+    it stores; a seed without runs is left as it is."""
+    rec = json.loads(path.read_text())
+    for seed in rec.get("alternating_pairs", {}).values():
+        if seed.get("runs"):
+            seed["summary"] = summarize(seed["runs"])
+    path.write_text(json.dumps(rec, indent=1) + "\n")
 
 
 def _quartiles(values):
@@ -181,15 +231,27 @@ def _cores() -> int:
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=("grid", "scaling", "bayesnet"))
-    parser.add_argument("--parent", required=True, help="the revision to compare against")
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
-    parser.add_argument("--change", required=True, help="one line on what the change does")
+    parser.add_argument("--recompute", nargs="*", type=Path, metavar="RECORD",
+                        help="rewrite the summaries of these records (default: every BENCH_*.json at the "
+                             "repository root) from their stored runs, and run nothing")
+    parser.add_argument("--workload", choices=("grid", "scaling", "bayesnet"))
+    parser.add_argument("--parent", help="the revision to compare against")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--label", help="writes BENCH_<label>.json at the repository root")
+    parser.add_argument("--change", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="the metric the change claims to improve")
     parser.add_argument("--tmpdir", type=Path, default=None,
                         help="the directory to export the parent under (default: the system's)")
     args = parser.parse_args(argv)
+    if args.recompute is not None:
+        for path in args.recompute or sorted(ROOT.glob("BENCH_*.json")):
+            recompute(path)
+            print(f"recomputed {path}")
+        return 0
+    missing = [f"--{name}" for name in ("workload", "parent", "seed", "label", "change")
+               if getattr(args, name) is None]
+    if missing:
+        parser.error(f"{', '.join(missing)} required unless --recompute is given")
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     path = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(path.read_text()) if path.exists() else {}
@@ -212,8 +274,11 @@ def main(argv=None):
         path.write_text(json.dumps(record(old, fields, args.seed, runs, digest), indent=1) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
     for name, s in summarize(runs).items():
+        ratio = s["paired"]["median_ratio"]
         print(f"{name}: parent {s['parent_median']:.6g} {s['parent_quartiles']}, change {s['change_median']:.6g} "
-              f"{s['change_quartiles']}, change lower in {s['change_lower_in']} of {s['pairs']}")
+              f"{s['change_quartiles']}, change lower in {s['change_lower_in']} of {s['pairs']}, "
+              f"median ratio {ratio if ratio is None else format(ratio, '.4g')} "
+              f"{s['paired']['ratio_quartiles']}, sign-test p {s['paired']['sign_test_p']:.3g}")
     return 0
 
 
