@@ -5,9 +5,13 @@ On laws with few probability levels, the exact-law Poisson counts
 (``SampleStream.poisson_counts``: N ~ Poi(m) draws, tabulated) agree in
 law.  The Bayes-net sweep's grouped dense block counts, drawn from the
 exact mixture joint, and its streamed blocks of literal ``bn_sample``
-rows give the same laws of the per-(subset, block) statistics."""
+rows give the same laws of the per-(subset, block) statistics.  The
+whole cascade on exact-law samplers and on pools of literal draws gives
+the same laws of its verdicts, stage statistics and samples used."""
 
 import math
+from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +21,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from enttest import bayesnet, core
-from enttest.core import DiscreteDistribution, SampleStream, Sampler
+from enttest.core import DiscreteDistribution, SampleStream, Sampler, StreamSampler
+from enttest.instances import make_entropy_gap_pair
+from enttest.pipeline import make_eet_plan, run_eet
 from enttest.poisson import batch_t, batch_z
+from enttest.testers import DEFAULT_CONFIG
 
 
 @st.composite
@@ -99,3 +106,74 @@ def test_grouped_bn_draws_match_literal_samples_in_law(m, monkeypatch):
         assert a.shape == b.shape == (56, sweeps * k)
         worst = min(spstats.ks_2samp(a[s], b[s]).pvalue for s in range(56))
         assert worst >= _BN_KS_LEVEL, f"{name}: KS p {worst:.3g}"
+
+
+# The cascade at eps = 0.5 with every sample multiplier cut by 32: nominal
+# 124,309 draws a trial at n = 64 and 321,999 at n = 4096, and a null
+# reject rate high enough that several stages fire.
+_SMALL_CFG = replace(DEFAULT_CONFIG, **{f.name: getattr(DEFAULT_CONFIG, f.name) / 32
+                                        for f in fields(DEFAULT_CONFIG) if f.name.startswith("mult_")})
+_CASCADE_LAWS = {
+    "null:uniform": lambda n: (DiscreteDistribution.uniform(n),) * 2,
+    "null:zipf": lambda n: (DiscreteDistribution.zipf(n),) * 2,
+    "entropy-gap": lambda n: make_entropy_gap_pair(n, 0.02),
+}
+
+
+def _cascade_trials(p, q, n, trials, literal, seed):
+    # fired stages, per-record statistics and samples used of `trials`
+    # cascades; the literal side runs each on fresh pools of draws from
+    # the same laws (0.6 of the nominal total a stream, which no trial
+    # here runs dry)
+    plan = make_eet_plan(n, 0.5, cfg=_SMALL_CFG)
+    pool = plan.total_nominal * 6 // 10
+    source = [Sampler(d, s) for d, s in zip((p, q), np.random.SeedSequence(seed).spawn(2))]
+    fired, records, used = [], {}, []
+    for child in np.random.SeedSequence(seed + 1).spawn(trials):
+        a, b, c = child.spawn(3)
+        if literal:
+            sp, sq = (StreamSampler(s.draw(pool), n, rng) for s, rng in zip(source, (a, b)))
+        else:
+            sp, sq = Sampler(p, a), Sampler(q, b)
+        v = run_eet(sp, sq, plan, c)
+        fired.append(str(v.fired_stage))
+        used.append(v.samples_used)
+        for record in v.trace:
+            records.setdefault(record.name, []).append(record.statistic)
+    return fired, records, used
+
+
+def _stage_table_p(a, b):
+    # chi-square of the two fired-stage distributions; stages fired fewer
+    # than 10 times in all are pooled, and one remaining bin is no test
+    counts = Counter(a + b)
+    rare = {stage for stage, count in counts.items() if count < 10}
+    bins = sorted({("rare" if stage in rare else stage) for stage in counts})
+    if len(bins) < 2:
+        return 1.0
+    table = [[sum((("rare" if s in rare else s) == name) for s in side) for name in bins] for side in (a, b)]
+    return spstats.chi2_contingency(table).pvalue
+
+
+def test_cascade_on_exact_samplers_matches_literal_pools_in_law():
+    # Per (law, n): chi-square of the fired stages, two-sample KS of every
+    # trace record's statistic seen at least 10 times on each side, and KS
+    # of samples_used.  Bonferroni over every test run keeps the chance
+    # that equal laws fail below 1e-3.  Uniform at n = 4096 is one
+    # 4,096-cell level, so its exact side draws from the Poisson tables.
+    pvalues = {}
+    for n, trials in ((64, 150), (4096, 60)):
+        for name, build in _CASCADE_LAWS.items():
+            p, q = build(n)
+            exact, literal = (_cascade_trials(p, q, n, trials, side, 100 * n + i)
+                              for i, side in enumerate((False, True)))
+            assert "budget" not in literal[0]
+            case = f"{name} n={n}"
+            pvalues[f"{case} fired"] = _stage_table_p(exact[0], literal[0])
+            for record in sorted(set(exact[1]) & set(literal[1])):
+                x, y = exact[1][record], literal[1][record]
+                if min(len(x), len(y)) >= 10:
+                    pvalues[f"{case} {record}"] = spstats.ks_2samp(x, y).pvalue
+            pvalues[f"{case} samples_used"] = spstats.ks_2samp(exact[2], literal[2]).pvalue
+    worst = min(pvalues, key=pvalues.get)
+    assert pvalues[worst] * len(pvalues) >= 1e-3, f"{worst}: p {pvalues[worst]:.3g} over {len(pvalues)} tests"
