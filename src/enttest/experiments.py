@@ -350,14 +350,20 @@ def _run_trial(payload) -> dict:
     }
 
 
-# Trials run on threads, as numpy's draws and ufuncs release the GIL, but
-# only where a trial's numpy calls are long: two threads making many short
-# calls hand the GIL back and forth.  An exact-law ("grid") trial of the
-# error-grid or scaling suite is threaded from _THREAD_MIN_CELLS cells,
-# where one Generator.poisson call of null:zipf or null:dense takes about
-# 1 ms.  The benchmark's pinned cells (seed 4099) at one worker on 2 shared
-# cores, numpy 2.4.6, serial against two trial threads, 4 alternating runs
-# after a warm-up, identical results.csv:
+# Trials run on threads only where a trial's numpy calls are long: two
+# threads making many short calls hand the GIL back and forth.  Not every
+# draw lets two threads run at once.  Two threads each drawing
+# Generator.poisson over 16,384 rates got 0.88-1.12 times one thread's
+# throughput, while scalar-parameter binomial, integers and multinomial
+# draws got up to about 2 times (numpy 2.4.6, 2 cores).  So the per-cell
+# Poisson draws of null:zipf and null:dense run one at a time even on two
+# trial threads; the gain below is the rest of the trial overlapping them.
+# An exact-law ("grid") trial of the error-grid or scaling suite is
+# threaded from _THREAD_MIN_CELLS cells, where one Generator.poisson call
+# of null:zipf or null:dense takes about 1 ms.  The benchmark's pinned
+# cells (seed 4099) at one worker on 2 shared cores, numpy 2.4.6, serial
+# against two trial threads, 4 alternating runs after a warm-up, identical
+# results.csv:
 #
 #   grid, n = 2^10, 80 trials a family      0.26-0.27 s   0.38-0.49 s
 #   grid, n = 2^12                          0.47-0.76 s   0.53-0.70 s

@@ -78,7 +78,11 @@ class EetPlan:
 
     @property
     def total_nominal(self) -> int:
-        """Nominal draws over every stage, stream and amplification repetition."""
+        """Nominal draws over every stage, stream and amplification repetition.
+
+        It counts the ``mass-S`` guard's 2 x budget, which a pass whose heavy
+        set is [n] or empty does not draw, so such a verdict's
+        ``samples_used`` falls below it by that much."""
         return sum(s.budget * s.streams for s in self.stages) * amplification_reps(self.delta)
 
     @property
@@ -175,11 +179,15 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
     # trace records the chosen scale next to the log(n/eps) alternative
     trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / log_ratio(n, e_i)))
     guard_tol = cfg.c_massS_diff * e_i / log_m
-    cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, plan.budget("mass-S"))
-    gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)
-    trace.append(Stage("mass-S", gap, guard_tol, cmp_res.samples_used))
-    if cmp_res.diff_flag:
-        return "mass-S"
+    if heavy_mask.all() or not heavy_mask.any():
+        # p(S) = q(S) when S is [n] or empty: the guard draws nothing
+        trace.append(Stage("mass-S", 0.0, guard_tol, 0))
+    else:
+        cmp_res = mass_compare(sp_f, sq_f, heavy_mask, guard_tol, plan.budget("mass-S"))
+        gap = abs(cmp_res.p_mass_est - cmp_res.q_mass_est)
+        trace.append(Stage("mass-S", gap, guard_tol, cmp_res.samples_used))
+        if cmp_res.diff_flag:
+            return "mass-S"
 
     v = l2_closeness_test(sp_f, sq_f, n, e_i / log_m, 0.1, cfg)
     trace.extend(v.trace)

@@ -147,12 +147,11 @@ def _stage_table_p(a, b):
     # chi-square of the two fired-stage distributions; stages fired fewer
     # than 10 times in all are pooled, and one remaining bin is no test
     counts = Counter(a + b)
-    rare = {stage for stage, count in counts.items() if count < 10}
-    bins = sorted({("rare" if stage in rare else stage) for stage in counts})
+    pooled = [[stage if counts[stage] >= 10 else "rare" for stage in side] for side in (a, b)]
+    bins = sorted(set(pooled[0] + pooled[1]))
     if len(bins) < 2:
         return 1.0
-    table = [[sum((("rare" if s in rare else s) == name) for s in side) for name in bins] for side in (a, b)]
-    return spstats.chi2_contingency(table).pvalue
+    return spstats.chi2_contingency([[side.count(name) for name in bins] for side in pooled]).pvalue
 
 
 def test_cascade_on_exact_samplers_matches_literal_pools_in_law():

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from enttest import pipeline
 from enttest.core import (
     DiscreteDistribution,
     DomainMismatch,
@@ -286,11 +287,47 @@ class TestLightTailNull:
     def test_plan_matches_the_run(self):
         plan, verdict = self._run()
         drawn = {record.name: record.samples for record in verdict.trace}
+        heavy = next(record.statistic for record in verdict.trace if record.name == "heavy-set")
+        assert 0 < heavy < self.N  # so the mass-S guard draws
         assert {stage.name for stage in plan.stages} <= set(drawn)
         # the stages that draw fixed counts record exactly their planned draws
         for stage in plan.stages:
             if stage.name in ("heavy-set", "lowmass-mass-floor", "lowmass-mass-gap", "mass-S"):
                 assert drawn[stage.name] == stage.streams * stage.budget
+
+
+class TestMassGuardSkip:
+    # p(S) = q(S) when the heavy set S is [n] or empty, so the mass-S guard
+    # records a gap of 0 and draws nothing
+
+    def _hits_calls(self, monkeypatch):
+        calls = []
+        hits = Sampler.binomial_hits
+        monkeypatch.setattr(Sampler, "binomial_hits", lambda self, k, s: calls.append(k) or hits(self, k, s))
+        return calls
+
+    def _guard(self, verdict):
+        (record,) = [record for record in verdict.trace if record.name == "mass-S"]
+        return record
+
+    def test_whole_domain(self, monkeypatch):
+        # the eet-null golden law: uniform on 256 atoms, every atom heavy
+        calls = self._hits_calls(monkeypatch)
+        plan = make_eet_plan(256, 0.5)
+        v = run_eet(*samplers(_U256, _U256, 1), plan, rng=2)
+        assert ("heavy-set", 256.0) in [(record.name, record.statistic) for record in v.trace]
+        assert self._guard(v) == ("mass-S", 0.0, plan.cfg.c_massS_diff * plan.eps_internal / plan.log_m, 0)
+        assert calls == []
+
+    def test_empty_heavy_set(self, monkeypatch):
+        # the low-mass stages run on all of [n] and draw their coins; the
+        # guard draws nothing
+        heavy = pipeline.identify_heavy_set
+        monkeypatch.setattr(pipeline, "identify_heavy_set",
+                            lambda mix, n, eps, cfg: (np.zeros(n, dtype=bool), heavy(mix, n, eps, cfg)[1]))
+        v = run_eet(*samplers(_U256, _U256, 1), make_eet_plan(256, 0.5), rng=2)
+        assert "lowmass-mass-floor" in [record.name for record in v.trace]
+        assert self._guard(v)[1::2] == (0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +380,20 @@ GOLDEN_CASES = {
 # name -> (decision, fired_stage, samples_used, trace); traces longer than 12
 # entries are pinned by the SHA-256 of their canonical repr
 GOLDEN = {
-    "eet-null": ("accept", None, 7202175, [
+    "eet-null": ("accept", None, 4315580, [
         ("hellinger", 1.8993348932317815, 64.1248781675256),
         ("heavy-set", 256.0, 256.0),
         ("lowmass-mass-floor", 0.0, 0.0),
         ("bias-T", -11.690213683783018, 64.0),
         ("stage5-scale: log-m", 0.004707276876404423, 0.007514036671296685),
         ("mass-S", 0.0, 0.004707276876404423),
-        ("l2", -1.5153782607892462e-07, 1.107922779556589e-05),
-        ("z", 0.03219613455562151, 0.0625),
+        ("l2", -1.6966156595403913e-07, 1.107922779556589e-05),
+        ("z", 0.050325314965184643, 0.0625),
     ]),
     "eet-far": ("reject", "hellinger", 4005, [
         ("hellinger", 875.4686701846291, 64.1248781675256),
     ]),
-    "eet-null-amplified": ("accept", None, 591111201, "3012a98a008ccefc4d64499f9bbc25d3495baf030c651e35c1ea0e869ca5bc36"),
+    "eet-null-amplified": ("accept", None, 354309528, "6e9293a70b2fbd61354dfc0f1991b13ccddb745686058f2a17675375e0bb27a5"),
     "eet-far-amplified": ("reject", "hellinger", 340328, "53baf56d2d0c74fe436c1a82266c4ea67427035e8f7d96fb2b83ade52fcd9603"),
     "tv-baseline": ("reject", "tv-baseline", 143615, [
         ("tv-baseline-scale", 0.05979412680289985, 0.5),
@@ -367,7 +404,7 @@ GOLDEN = {
         ("tv-baseline-scale", 0.05979412680289985, 0.5),
         ("tv", 0.810488937112126, 64.1248781675256),
     ]),
-    "combined-cascade": ("accept", None, 4131649, [
+    "combined-cascade": ("accept", None, 2128117, [
         ("combined-branch: cascade", 4163256.0, 0.0),
         ("hellinger", 0.0, 0.0),
         ("heavy-set", 1.0, 1.0),
@@ -375,8 +412,8 @@ GOLDEN = {
         ("bias-T", 0.015228426395939087, 4.0),
         ("stage5-scale: log-m", 0.0056551415907413385, 0.022542110013890053),
         ("mass-S", 0.0, 0.0056551415907413385),
-        ("l2", 1.0192982362147007e-06, 1.5990313205666238e-05),
-        ("z", 0.03911502199375888, 0.0625),
+        ("l2", -1.9117342759998396e-06, 1.5990313205666238e-05),
+        ("z", 0.001303481021053745, 0.0625),
     ]),
     "l2-far": ("reject", "l2", 684, [
         ("l2", 0.3595032192904936, 0.045),
@@ -402,11 +439,11 @@ GOLDEN = {
 # each record's samples, for the cases pinned record by record; they sum to
 # the pinned samples_used
 GOLDEN_SAMPLES = {
-    "eet-null": [4071, 188922, 0, 67550, 0, 2888288, 2887088, 1166256],
+    "eet-null": [4071, 188922, 0, 67550, 0, 0, 2887919, 1167118],
     "eet-far": [4005],
     "tv-baseline": [0, 143615],
     "combined-tv-baseline": [0, 0, 143264],
-    "combined-cascade": [0, 0, 178, 0, 394, 0, 2001212, 2003587, 126278],
+    "combined-cascade": [0, 0, 178, 0, 394, 0, 0, 2001668, 125877],
     "l2-far": [684],
     "lowmass-budget": [1056, 5114, 29828],
     "lowmass-budget-screen": [1056, 0],
