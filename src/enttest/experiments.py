@@ -26,7 +26,6 @@ import operator
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, NamedTuple
 
@@ -260,12 +259,18 @@ _pair_lock = threading.Lock()
 def make_instance_pair(family: str, n: int, eps: float, master: int, cell: int):
     """(p, q) for a family; far instances carry exact certificates.
 
-    Built once per cell and process: trials reach a process in cell order,
-    the cache keeps one cell per core (per trial thread), and the lock
-    stops two threads building one cell.  The pair is immutable and shared.
+    Built once per cell and process.  A process runs its short trials (n
+    below ``_THREAD_MIN_CELLS``) in cell order on the calling thread, and
+    their pairs go to a one-cell cache of their own; its threaded trials
+    take cells in order from one iterator, and their pairs go to a cache
+    of one cell per core (per trial thread).  So the short trials, which
+    run while the threaded ones do, never evict a cell in flight there.
+    The lock stops two threads building one cell.  The pair is immutable
+    and shared.
     """
+    cache = _instance_pair if n >= _THREAD_MIN_CELLS else _short_instance_pair
     with _pair_lock:
-        return _instance_pair(family, n, eps, master, cell)
+        return cache(family, n, eps, master, cell)
 
 
 @functools.lru_cache(maxsize=_cpus())
@@ -274,6 +279,9 @@ def _instance_pair(family: str, n: int, eps: float, master: int, cell: int):
     if build is None:
         raise ConfigError(f"unknown flat instance family {family!r}")
     return build(n, eps, master, cell)
+
+
+_short_instance_pair = functools.lru_cache(maxsize=1)(_instance_pair.__wrapped__)
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +359,14 @@ def _run_trial(payload) -> dict:
 
 
 # Trials run on threads only where a trial's numpy calls are long: two
-# threads making many short calls hand the GIL back and forth.  Not every
-# draw lets two threads run at once.  Two threads each drawing
-# Generator.poisson over 16,384 rates got 0.88-1.12 times one thread's
-# throughput, while scalar-parameter binomial, integers and multinomial
-# draws got up to about 2 times (numpy 2.4.6, 2 cores).  So the per-cell
-# Poisson draws of null:zipf and null:dense run one at a time even on two
-# trial threads; the gain below is the rest of the trial overlapping them.
+# threads making many short calls hand the GIL back and forth.  Long array
+# draws let go of it: two threads each drawing Generator.poisson over
+# 16,384 rates used 1.5-1.9 CPU-seconds per wall-second (time.process_time
+# against wall time) and got 1.6-2.3 times one thread's throughput in 21
+# of 24 measurements (8 fresh processes, numpy 2.4.6, 2 shared cores; the
+# other 3, all in one process, read 0.95-1.00), where a pure-Python loop
+# read 1.00 every time.  So the per-cell Poisson draws of null:zipf and
+# null:dense can run side by side on two trial threads.
 # An exact-law ("grid") trial of the error-grid or scaling suite is
 # threaded from _THREAD_MIN_CELLS cells, where one Generator.poisson call
 # of null:zipf or null:dense takes about 1 ms.  The benchmark's pinned
@@ -372,6 +381,9 @@ def _run_trial(payload) -> dict:
 #   scaling, n = 2^14 to 2^16               0.66-0.76 s   0.63-0.71 s
 #
 # Below 2^14 cells the threads spent 1.5 to 2.3 times the serial CPU time.
+# Those cells' trials run on the calling thread while the helper threads
+# start on the threaded trials (``_run_trials``), so a run with both keeps
+# every core busy from its start.
 # A Bayes-net trial is threaded when ``bayesnet._small_sweep`` calls its
 # sweep small (its measurements are there).  MI-reduction trials hold
 # whole-sample pools and stay serial.
@@ -386,24 +398,26 @@ def _threaded(task) -> bool:
 
 def _run_trials(tasks, threads: int):
     """The outcomes of ``tasks``, in no set order (``_execute`` sorts them).
-    The calling thread first runs the trials ``_threaded`` rejects.  It then
-    runs the rest beside ``threads - 1`` helper threads, and each takes the
-    next task from one shared iterator, so the trials in flight sit on
-    adjacent cells and the pair cache (one cell per core) holds them.  The
-    first trial error stops the other threads from taking tasks and is
-    raised here, once they have finished their trials."""
-    if threads <= 1:
-        return [_run_trial(t) for t in tasks]
-    results = [_run_trial(t) for t in tasks if not _threaded(t)]
+    ``threads - 1`` helper threads start at once on the trials ``_threaded``
+    accepts, each taking the next task from one shared iterator.  Meanwhile
+    the calling thread runs the other trials, in task order, and then
+    takes tasks from the iterator too; so the threaded trials in flight sit
+    on adjacent cells and their pair cache (one cell per core) holds them.
+    The first trial error, on either lane, stops the other threads from
+    taking tasks and is raised here, once they have finished their trials."""
     shared = [t for t in tasks if _threaded(t)]
-    if not shared:
-        return results
+    if threads <= 1 or not shared:
+        return [_run_trial(t) for t in tasks]
     pending = iter(shared)
-    errors = []
+    results, errors = [], []
     lock = threading.Lock()
 
-    def work():
+    def work(own=()):
         try:
+            for task in own:
+                if errors:
+                    return
+                results.append(_run_trial(task))
             while True:
                 with lock:
                     task = None if errors else next(pending, None)
@@ -416,7 +430,7 @@ def _run_trials(tasks, threads: int):
     helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
-    work()
+    work([t for t in tasks if not _threaded(t)])
     for helper in helpers:
         helper.join()
     if errors:
@@ -435,6 +449,8 @@ def _execute(tasks, workers: int):
     if workers <= 1:
         results = _run_trials(tasks, threads)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a 1-worker run does not load multiprocessing
+
         size = 8 * threads
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:

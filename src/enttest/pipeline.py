@@ -167,19 +167,25 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
     else:
         trace.append(Stage("lowmass-mass-floor", 0.0, 0.0))
 
-    # stage 4: bias check, T over the heavy set against c_T sqrt(n)
-    pair = poissonized_counts(sp_f, sq_f, plan.budget("bias-T"))
-    t_stat = statistic_t(pair, heavy_mask)
+    # stage 4: bias check, T over the heavy set against c_T sqrt(n); T and
+    # Z over an empty set are 0, below their positive thresholds, so an
+    # empty S draws nothing for them
+    empty = not heavy_mask.any()
     t_thr = cfg.c_T_threshold * math.sqrt(n)
-    trace.append(Stage("bias-T", t_stat, t_thr, pair.samples_used))
-    if t_stat > t_thr:
-        return "bias-T"
+    if empty:
+        trace.append(Stage("bias-T", 0.0, t_thr, 0))
+    else:
+        pair = poissonized_counts(sp_f, sq_f, plan.budget("bias-T"))
+        t_stat = statistic_t(pair, heavy_mask)
+        trace.append(Stage("bias-T", t_stat, t_thr, pair.samples_used))
+        if t_stat > t_thr:
+            return "bias-T"
 
     # stage 5: |p(S) - q(S)| and l2 guards at the eps/log(m) scale; the
     # trace records the chosen scale next to the log(n/eps) alternative
     trace.append(Stage("stage5-scale: log-m", e_i / log_m, e_i / log_ratio(n, e_i)))
     guard_tol = cfg.c_massS_diff * e_i / log_m
-    if heavy_mask.all() or not heavy_mask.any():
+    if empty or heavy_mask.all():
         # p(S) = q(S) when S is [n] or empty: the guard draws nothing
         trace.append(Stage("mass-S", 0.0, guard_tol, 0))
     else:
@@ -195,9 +201,12 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
         return "l2"
 
     # stage 6: entropy-difference statistic Z over the heavy set
+    z_thr = cfg.c_Z_threshold * e_i
+    if empty:
+        trace.append(Stage("z", 0.0, z_thr, 0))
+        return None
     pair = poissonized_counts(sp_f, sq_f, plan.budget("z"))
     z_stat = statistic_z(pair, heavy_mask)
-    z_thr = cfg.c_Z_threshold * e_i
     trace.append(Stage("z", z_stat, z_thr, pair.samples_used))
     return "z" if abs(z_stat) > z_thr else None
 

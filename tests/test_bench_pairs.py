@@ -1,7 +1,8 @@
-"""The summary of tools/bench_pairs.py on canned runs; no benchmark runs here."""
+"""tools/bench_pairs.py: the summary on canned runs and the export of both sides; no benchmark runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -137,3 +138,26 @@ def test_recompute_rewrites_summaries_from_stored_runs(tmp_path, monkeypatch):
 def test_a_benchmark_run_needs_its_arguments():
     with pytest.raises(SystemExit):
         bench_pairs.main(["--workload", "bayesnet"])
+
+
+def test_change_side_is_an_export_of_the_working_tree(tmp_path):
+    # tracked files as they are on disk, untracked files git does not
+    # ignore, and nothing it ignores or a deleted tracked file
+    root, dest = tmp_path / "tree", tmp_path / "export"
+    (root / "src" / "pkg").mkdir(parents=True)
+    subprocess.run(["git", "init", "-q", str(root)], check=True)
+    (root / ".gitignore").write_text("__pycache__/\n*.out\n")
+    (root / "src" / "pkg" / "a.py").write_text("x = 1\n")
+    (root / "gone.py").write_text("y = 1\n")
+    subprocess.run(["git", "add", "-A"], cwd=root, check=True)
+    (root / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    (root / "new.py").write_text("z = 1\n")
+    (root / "run.out").write_text("left by a run\n")
+    (root / "src" / "pkg" / "__pycache__").mkdir()
+    (root / "src" / "pkg" / "__pycache__" / "a.pyc").write_bytes(b"\0")
+    (root / "gone.py").unlink()
+    bench_pairs.export_worktree(dest, root)
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "new.py", "src/pkg/a.py"]
+    assert (dest / "src" / "pkg" / "a.py").read_text() == "x = 2\n"
+    assert bench_pairs.src_digest(dest) == bench_pairs.src_digest(root)

@@ -177,8 +177,11 @@ class TestInstanceFamilies:
 
     def test_pair_built_once_per_cell(self, tmp_path, monkeypatch):
         # the benchmark grid's cells: on two or more cores, trial threads
-        # meet at every cell boundary, and each cell's pair is still built once
-        experiments._instance_pair.cache_clear()  # entries outlive other tests
+        # meet at every cell boundary, and the short cells run beside the
+        # threaded ones; each cell's pair is still built once
+        caches = (experiments._instance_pair, experiments._short_instance_pair)
+        for cache in caches:
+            cache.cache_clear()  # entries outlive other tests
         calls = []
         build = inst.make_correlated_pair
 
@@ -194,7 +197,7 @@ class TestInstanceFamilies:
         run_experiment(spec, workers=1)
         far_mi = [(n // 2, 2, eps) for n in spec.n_values for eps in spec.eps_values]
         assert sorted(calls) == sorted(far_mi)  # one build per far:mi cell
-        assert experiments._instance_pair.cache_info().misses == 30  # one per cell
+        assert sum(cache.cache_info().misses for cache in caches) == 30  # one per cell
 
 
 class TestReproducibility:
@@ -409,16 +412,78 @@ class TestTrialThreads:
 
     def test_small_grid_cells_run_on_the_calling_thread(self, tmp_path, monkeypatch):
         # n = 256 trials make many short numpy calls, which two threads slow
-        # down; n = 2^14 trials share the cores
+        # down; n = 2^14 trials share the cores.  The helper's first 2^14
+        # trial waits until the caller is in one too, so the caller, done
+        # with its n = 256 trials, takes a 2^14 one whatever the timing
         monkeypatch.setattr(experiments, "_cpus", lambda: 2)
-        sizes = {}
-        self._recording(monkeypatch, "grid", sizes)
+        caller, sizes, trial = threading.get_ident(), {}, experiments._TRIAL_OPS["grid"]
+        caller_in_large = threading.Event()
+
+        def recorded(payload):
+            sizes.setdefault(payload["n"], []).append(threading.get_ident())
+            if payload["n"] == 2**14:
+                if threading.get_ident() == caller:
+                    caller_in_large.set()
+                else:
+                    assert caller_in_large.wait(timeout=60)
+            return trial(payload)
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, "grid", recorded)
         spec = ExperimentSpec(kind="error_grid", n_values=[256, 2**14], eps_values=[0.3], trials=6,
                               seed=7, out_dir=str(tmp_path / "m"))
         run_experiment(spec, workers=1)
-        assert sizes[256] == [threading.get_ident()] * 30
+        assert sizes[256] == [caller] * 30
         assert len(sizes[2**14]) == 30 and len(set(sizes[2**14])) == 2
-        assert threading.get_ident() in sizes[2**14]
+        assert caller in sizes[2**14]
+
+    def _stub_trials(self, monkeypatch, short, long):
+        # grid trials whose body is ``short(payload)`` below 2^14 cells and
+        # ``long(payload)`` from there, on two trial threads
+        monkeypatch.setattr(experiments, "_cpus", lambda: 2)
+
+        def stub(payload):
+            (short if payload["n"] < 2**14 else long)(payload)
+            return Verdict("accept", None, [])
+
+        monkeypatch.setitem(experiments._TRIAL_OPS, "grid", stub)
+        return lambda n, trials: [{"op": "grid", "n": n, "cell": n, "trial": t} for t in range(trials)]
+
+    def test_short_trials_run_while_a_helper_runs_a_long_one(self, monkeypatch):
+        # the helper starts on the long trial at once and waits in it for
+        # the short one, which the caller runs meanwhile; run serially, the
+        # short trial would wait out its timeout with no long trial in flight
+        in_long, short_ran = threading.Event(), threading.Event()
+        shorts, longs = [], []
+
+        def short(payload):
+            shorts.append((threading.get_ident(), in_long.wait(timeout=10)))
+            short_ran.set()
+
+        def long(payload):
+            in_long.set()
+            longs.append((threading.get_ident(), short_ran.wait(timeout=10)))
+
+        tasks = self._stub_trials(monkeypatch, short, long)
+        assert len(experiments._execute(tasks(256, 1) + tasks(2**14, 1), workers=1)) == 2
+        assert shorts == [(threading.get_ident(), True)]
+        assert len(longs) == 1 and longs[0][0] != threading.get_ident() and longs[0][1]
+
+    def test_short_trial_error_stops_the_helpers(self, monkeypatch):
+        in_long, ran = threading.Event(), []
+
+        def short(payload):
+            assert in_long.wait(timeout=10)
+            raise RuntimeError("short trial failed")
+
+        def long(payload):
+            ran.append(payload["trial"])
+            in_long.set()
+            time.sleep(0.002)
+
+        tasks = self._stub_trials(monkeypatch, short, long)
+        with pytest.raises(RuntimeError, match="short trial failed"):
+            experiments._execute(tasks(256, 1) + tasks(2**14, 200), workers=1)
+        assert 1 <= len(ran) < 20
 
     @pytest.mark.parametrize("task, threaded", [
         ({"op": "grid", "n": 2**13}, False),
@@ -678,6 +743,24 @@ class TestCli:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_one_worker_grid_never_imports_the_process_pool(self, tmp_path):
+        # concurrent.futures.process pulls in multiprocessing, socket and
+        # logging, about 12 ms a launch; only a multi-worker run needs it
+        src = os.path.dirname(os.path.dirname(enttest.__file__))
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({"kind": "error_grid", "n_values": [64], "eps_values": [0.4], "trials": 2,
+                                    "out_dir": str(tmp_path / "out")}))
+        code = (
+            "import sys\n"
+            "from enttest.cli import main\n"
+            f"assert main(['grid', '--spec', {str(spec)!r}, '--workers', '1']) == 0\n"
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "out" / "results.csv").exists()
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         # a valid scaling spec, so the kind mismatch alone fails it

@@ -321,13 +321,24 @@ class TestMassGuardSkip:
 
     def test_empty_heavy_set(self, monkeypatch):
         # the low-mass stages run on all of [n] and draw their coins; the
-        # guard draws nothing
+        # guard draws nothing, and neither do bias-T and z, whose
+        # statistics over an empty set are 0
         heavy = pipeline.identify_heavy_set
         monkeypatch.setattr(pipeline, "identify_heavy_set",
                             lambda mix, n, eps, cfg: (np.zeros(n, dtype=bool), heavy(mix, n, eps, cfg)[1]))
-        v = run_eet(*samplers(_U256, _U256, 1), make_eet_plan(256, 0.5), rng=2)
+        counts = []
+        draw = pipeline.poissonized_counts
+        monkeypatch.setattr(pipeline, "poissonized_counts", lambda sp, sq, m: counts.append(m) or draw(sp, sq, m))
+        plan = make_eet_plan(256, 0.5)
+        v = run_eet(*samplers(_U256, _U256, 1), plan, rng=2)
+        assert v.accepted
         assert "lowmass-mass-floor" in [record.name for record in v.trace]
         assert self._guard(v)[1::2] == (0.0, 0)
+        records = {record.name: record for record in v.trace}
+        assert records["bias-T"] == ("bias-T", 0.0, plan.cfg.c_T_threshold * 16.0, 0)
+        assert records["z"] == ("z", 0.0, plan.cfg.c_Z_threshold * plan.eps_internal, 0)
+        assert counts == []
+        assert v.samples_used == sum(record.samples for record in v.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ write the record as ``BENCH_<label>.json``.
         --label bayesnet --claim peak_rss_mb --change "what changed"
 
 The parent's committed files are exported with ``git archive`` into a
-temporary directory (nothing is registered in the repository), and
-``perfbench/run.py --trace 0`` runs on that copy and on the working tree in
-turn: ten pairs of one run each, the parent first in even pairs and the
+temporary directory (nothing is registered in the repository), and the
+working tree's files (those git tracks, and untracked ones it does not
+ignore, as they are on disk) are copied beside them, so that both sides
+run from a fresh copy in the same place.  ``perfbench/run.py --trace 0``
+runs on the two copies in turn: ten pairs of one run each, the parent first in even pairs and the
 change first in odd ones, so that a drift in machine load falls on both
 sides.  Each run's values are the medians ``run.py`` reports.  Per
 end-to-end metric the record holds both sides' median and quartiles over
@@ -33,7 +35,7 @@ rewrites the summaries of the ``BENCH_*.json`` records at the repository
 root (or of the records named after ``--recompute``) from the runs they
 store, and runs nothing.
 
-Each seed's pairs carry ``src_digest``, a hash of the working tree's
+Each seed's pairs carry ``src_digest``, a hash of the change copy's
 ``src/``.  A new seed is added to an existing record only when the record
 holds the same parent and workload and every seed in it has the same
 digest; otherwise the command stops before running anything, and the
@@ -48,6 +50,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -163,8 +166,8 @@ def _numpy_config() -> dict:
         return {}
 
 
-def _git(*args) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+def _git(*args, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True, text=True).stdout.strip()
 
 
 def export(rev: str, dest: Path):
@@ -174,6 +177,16 @@ def export(rev: str, dest: Path):
         archive.seek(0)
         with tarfile.open(fileobj=archive) as tar:
             tar.extractall(dest)
+
+
+def export_worktree(dest: Path, root: Path = ROOT):
+    """The files of the working tree at ``root`` that git tracks or would
+    track (untracked and not ignored), as they are on disk, under ``dest``;
+    a tracked file deleted from the tree is left out."""
+    for name in _git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root).split("\0"):
+        if name and (root / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
 
 
 def bench(tree: Path, workload: str, seed: int) -> dict:
@@ -208,7 +221,7 @@ def record(old: dict, fields: dict, seed: int, runs, digest: str) -> dict:
     return dict(old, **fields, alternating_pairs=seeds)
 
 
-def _fields(args, parent: str, parent_tree: Path) -> dict:
+def _fields(args, parent: str, parent_tree: Path, change_tree: Path) -> dict:
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     return {
         "workload": args.workload,
@@ -221,7 +234,7 @@ def _fields(args, parent: str, parent_tree: Path) -> dict:
         "blas": blas_fields(os.environ, _numpy_config()),
         "change": args.change,
         "claim": args.claim,
-        "src_lines": {"parent": src_lines(parent_tree), "change": src_lines(ROOT)},
+        "src_lines": {"parent": src_lines(parent_tree), "change": src_lines(change_tree)},
     }
 
 
@@ -241,7 +254,7 @@ def main(argv=None):
     parser.add_argument("--change", help="one line on what the change does")
     parser.add_argument("--claim", default="", help="the metric the change claims to improve")
     parser.add_argument("--tmpdir", type=Path, default=None,
-                        help="the directory to export the parent under (default: the system's)")
+                        help="the directory to export both sides under (default: the system's)")
     args = parser.parse_args(argv)
     if args.recompute is not None:
         for path in args.recompute or sorted(ROOT.glob("BENCH_*.json")):
@@ -255,22 +268,20 @@ def main(argv=None):
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     path = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(path.read_text()) if path.exists() else {}
-    digest = src_digest(ROOT)
     with tempfile.TemporaryDirectory(dir=args.tmpdir) as tmp:
-        parent_tree = Path(tmp) / "parent"
-        export(parent, parent_tree)
-        fields = _fields(args, parent, parent_tree)
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(parent, trees["parent"])
+        export_worktree(trees["change"])
+        digest = src_digest(trees["change"])
+        fields = _fields(args, parent, trees["parent"], trees["change"])
         check_mergeable(old, fields, digest)
         runs = []
         for i in range(PAIRS):
             sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: bench(parent_tree if side == "parent" else ROOT, args.workload, args.seed)
-                    for side in sides}
+            pair = {side: bench(trees[side], args.workload, args.seed) for side in sides}
             runs.append({"parent": pair["parent"], "change": pair["change"]})
             print(f"pair {i + 1}/{PAIRS}: " + ", ".join(
                 f"{side} {pair[side].get(args.claim or 'wall_s')}" for side in ("parent", "change")), flush=True)
-        if src_digest(ROOT) != digest:
-            raise SystemExit("src/ changed while the pairs ran; nothing written")
         path.write_text(json.dumps(record(old, fields, args.seed, runs, digest), indent=1) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
     for name, s in summarize(runs).items():
