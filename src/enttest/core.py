@@ -413,9 +413,11 @@ def _alias_draw(rng, alias: np.ndarray, threshold: np.ndarray, k: int) -> np.nda
 # in 3.80 s at 2,048 and 3.69 s at 4,096 (medians of 6 alternating runs);
 # 2,048 stayed, since a `scaling` pool worker draws on one thread, where a
 # 2,048-cell level draws 1.8 times as fast from its table.  The two-thread
-# figures above now describe only trials of 2^14 cells or more: smaller
-# laws run on one thread (``experiments._THREAD_MIN_CELLS``), where the
-# table matched the per-cell draw from 16 cells a level and won from 256.
+# figures above now describe trials of 2^14 cells or more, and smaller
+# laws drawn while such a trial runs: smaller laws run on the calling
+# thread (``experiments._THREAD_MIN_CELLS``), beside the helper threads'
+# trials when a run has both.  Alone on one thread the table matched the
+# per-cell draw from 16 cells a level and won from 256.
 # The value stays until the random streams may change (moving it changes
 # which levels draw from tables).
 # _TABLE_MAX_RATE caps a table at 1,341 entries, whose ~1 ms build the

@@ -361,9 +361,9 @@ def _run_trial(payload) -> dict:
 # Trials run on threads only where a trial's numpy calls are long: two
 # threads making many short calls hand the GIL back and forth.  Long array
 # draws let go of it: two threads each drawing Generator.poisson over
-# 16,384 rates used 1.5-1.9 CPU-seconds per wall-second (time.process_time
-# against wall time) and got 1.6-2.3 times one thread's throughput in 21
-# of 24 measurements (8 fresh processes, numpy 2.4.6, 2 shared cores; the
+# 16,384 rates used 1.5-2.0 CPU-seconds per wall-second (time.process_time
+# against wall time) and got 1.6-2.3 times one thread's throughput in 24
+# of 27 measurements (9 fresh processes, numpy 2.4.6, 2 shared cores; the
 # other 3, all in one process, read 0.95-1.00), where a pure-Python loop
 # read 1.00 every time.  So the per-cell Poisson draws of null:zipf and
 # null:dense can run side by side on two trial threads.

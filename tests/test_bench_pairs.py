@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: the summary on canned runs and the export of both sides; no benchmark runs here."""
+"""tools/bench_pairs.py on canned runs and throwaway trees; no benchmark runs here."""
 
 import importlib.util
 import json

@@ -9,12 +9,12 @@ temporary directory (nothing is registered in the repository), and the
 working tree's files (those git tracks, and untracked ones it does not
 ignore, as they are on disk) are copied beside them, so that both sides
 run from a fresh copy in the same place.  ``perfbench/run.py --trace 0``
-runs on the two copies in turn: ten pairs of one run each, the parent first in even pairs and the
-change first in odd ones, so that a drift in machine load falls on both
-sides.  Each run's values are the medians ``run.py`` reports.  Per
-end-to-end metric the record holds both sides' median and quartiles over
-the pairs and ``change_lower_in``, the number of pairs whose change value
-is below its parent value.  It also holds the ``src/`` line counts, the
+runs on the two copies in turn: ten pairs of one run each, the parent
+first in even pairs and the change first in odd ones, so that a drift in
+machine load falls on both sides.  Each run's values are the medians
+``run.py`` reports.  Per end-to-end metric the record holds both sides'
+median and quartiles over the pairs and ``change_lower_in``, the number
+of pairs whose change value is below its parent value.  It also holds the ``src/`` line counts, the
 git HEAD, the numpy version, the core count, and the BLAS numpy was built
 with beside the BLAS thread variables the runs inherit
 (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``; null
