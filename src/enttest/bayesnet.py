@@ -2,10 +2,11 @@
 
 Representation with per-node conditional probability tables, ancestral
 sampling, exact joint/marginal computation on small nets, the
-subset-sweep closeness tester (local entropy-difference and Hellinger
-tests over every (d+1)-subset, fed by one shared sample multiset), its
-identity-test variant against a fully known net, and the exact
-KL-to-projection oracle used by the verification suites.
+subset-sweep closeness tester (one local vote over every (d+1)-subset,
+fed by one shared sample multiset: T, the statistic of the cascade's
+Hellinger screen, or the local entropy difference Z), its identity-test
+variant against a fully known net, and the exact KL-to-projection oracle
+used by the verification suites.
 
 The sweep draws its majority-vote blocks in groups: (k+1)/2 blocks, then
 ``_SETTLE_GROUP`` at a time.  Each group gives each stream's per-atom
@@ -212,19 +213,6 @@ _memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 # draw in _block_atom_counts, and per chunk of the sweep's scoring,
 # high-half atoms squared (or subset cells) times blocks
 _TABLE_CHUNK = 2**16
-_MAX_BLOCK_STEP = 64  # blocks per chunk of the sweep's scoring (see _block_step)
-
-
-def _small_sweep(n: int, d: int) -> bool:
-    """The thread rule of the in-degree-d sweep over n variables: width
-    d + 1 <= 3 and n <= 12, where ``experiments._threaded`` runs the trials
-    on trial threads.  There ``_block_step``'s chunk holds at least 16
-    blocks and keeps every GEMM on the calling thread (on 2 cores twice
-    that woke OpenBLAS's worker thread at n = 9 to 14, d = 2), so two
-    trials in flight do not fight OpenBLAS's threads.  The README's "Trial
-    threads" has the serial and threaded measurements.
-    """
-    return d + 1 <= 3 and n <= 12
 
 
 def _block_step(n: int, width: int) -> int:
@@ -235,15 +223,13 @@ def _block_step(n: int, width: int) -> int:
     12, d = 2.  Chunks 16 times as large saved up to 0.13 s of a 0.25-0.41 s
     call at n = 12, d = 4 and n = 16, d = 2, and cost 10-32 MB more peak RSS.
 
-    A chunk holds at most ``_MAX_BLOCK_STEP`` blocks.  At n = 8, d = 2
-    the bound above allows 146, more than the 127 blocks there are: one
-    pass over them took 0.50-0.55 ms a call and about 135 minor page
-    faults (its ~260 KB temporaries are mapped afresh on every call),
-    against 0.30-0.46 ms and under one fault in chunks of 64, and
-    0.33-0.36 ms in chunks of 32 or 48 (2 shared cores, 200 calls a
-    size, identical tables).
+    The sweep scores one draw group at a time (``_group_sizes``), and the
+    largest group is (k+1)/2 blocks: 64 at n = 8, d = 2, where this bound
+    allows 146, so no chunk there holds more than 64 blocks (scoring all
+    127 in one pass took 0.50-0.55 ms a call against 0.30-0.46 ms in
+    chunks of 64, from page faults on its ~260 KB temporaries).
     """
-    return max(1, min(_MAX_BLOCK_STEP, _TABLE_CHUNK // max(4 ** (n - n // 2), math.comb(n, width) << width)))
+    return max(1, _TABLE_CHUNK // max(4 ** (n - n // 2), math.comb(n, width) << width))
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +637,14 @@ def bn_closeness_test(
 ) -> TestVerdict:
     """Closeness test for two unknown in-degree-d nets over {0,1}^n.
 
-    One shared multiset of samples per stream feeds, for every subset T of
-    d+1 variables, a local entropy-difference test and a local Hellinger
-    test on the projected counts of the uniform mixtures; any local
-    rejection rejects the pair.  Per-subset failure probability is
-    1/(20 C(n, d+1)), met by majority vote over k sample blocks.
+    One shared multiset of samples per stream feeds, for every subset of
+    d+1 variables, one local vote on each block's projected counts of the
+    uniform mixtures: reject when T (``batch_t``, the statistic of the
+    cascade's Hellinger screen) passes ``c_T_threshold`` times its noise
+    floor, or the local entropy difference |Z| passes ``c_Z_threshold``
+    times eps1.  Any local rejection rejects the pair, recorded as
+    ``bn-eet``.  Per-subset failure probability is 1/(20 C(n, d+1)), met
+    by majority vote over k sample blocks.
 
     The blocks are drawn and scored in groups, p's group and then q's,
     and the sweep stops once the blocks drawn fix every vote the verdict
@@ -671,15 +660,9 @@ def bn_closeness_test(
 
     t_floor = math.sqrt(min(2 ** (d + 1), m_block) + 1.0)
     tau_eet = cfg.c_T_threshold * t_floor
-    tau_hell = cfg.c_hellinger_reject * t_floor
     tau_z = cfg.c_Z_threshold * eps1
     trace = [Stage("bn-shared-m", float(m), float(k_blocks)), Stage("bn-eps1", eps1, eps**2 / n)]
-    # (subset, block) statistics T and |Z|; the EET vote outranks the
-    # Hellinger one at the same subset
-    tests = [
-        ("eet", lambda t, z: (t > tau_eet) | (z > tau_z), 0, tau_eet),
-        ("hellinger", lambda t, z: t > tau_hell, 0, tau_hell),
-    ]
+    tests = [("eet", lambda t, z: (t > tau_eet) | (z > tau_z), 0, tau_eet)]
     return _sweep_verdict(
         "bn", mixes, rng, lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), tests,
         subsets, m, k_blocks, trace,

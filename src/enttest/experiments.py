@@ -384,15 +384,19 @@ def _run_trial(payload) -> dict:
 # Those cells' trials run on the calling thread while the helper threads
 # start on the threaded trials (``_run_trials``), so a run with both keeps
 # every core busy from its start.
-# A Bayes-net trial is threaded when ``bayesnet._small_sweep`` calls its
-# sweep small (its measurements are there).  MI-reduction trials hold
-# whole-sample pools and stay serial.
+# A Bayes-net trial is threaded when its sweep is small: subset width
+# d + 1 <= 3 and n <= 12.  There ``bayesnet._block_step``'s chunk holds at
+# least 16 blocks and keeps every GEMM on the calling thread (on 2 cores
+# twice that woke OpenBLAS's worker thread at n = 9 to 14, d = 2), so two
+# trials in flight do not fight OpenBLAS's threads.  The README's "Trial
+# threads" has the serial and threaded measurements.  MI-reduction trials
+# hold whole-sample pools and stay serial.
 _THREAD_MIN_CELLS = 2**14
 
 
 def _threaded(task) -> bool:
     if task["op"] == "bn":
-        return bn._small_sweep(task["n"], task["d"])
+        return task["d"] + 1 <= 3 and task["n"] <= 12
     return task["op"] == "grid" and task["n"] >= _THREAD_MIN_CELLS
 
 

@@ -157,15 +157,12 @@ def _run_eet_once(sp, sq, plan: EetPlan, rng, trace) -> str | None:
     heavy_mask, used = identify_heavy_set(mix, n, e_i, cfg)
     trace.append(Stage("heavy-set", float(heavy_mask.sum()), float(n), used))
 
-    # stage 3: low-mass cascade on the complement
-    sbar = ~heavy_mask
-    if sbar.any():
-        v = lowmass_conditional_test(sp_f, sq_f, sbar, n, e_i, cfg, rng)
-        trace.extend(v.trace)
-        if v.rejected:
-            return v.fired_stage
-    else:
-        trace.append(Stage("lowmass-mass-floor", 0.0, 0.0))
+    # stage 3: low-mass cascade on the complement (an empty one accepts
+    # before any draw)
+    v = lowmass_conditional_test(sp_f, sq_f, ~heavy_mask, n, e_i, cfg, rng)
+    trace.extend(v.trace)
+    if v.rejected:
+        return v.fired_stage
 
     # stage 4: bias check, T over the heavy set against c_T sqrt(n); T and
     # Z over an empty set are 0, below their positive thresholds, so an

@@ -354,9 +354,6 @@ GOLDEN = {
     ("closeness-null", "dense"): (True, None, 192745, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "dense"): (
         False, "bn-eet:0,1,6", 192975, _SHARED + [("bn-eet:0,1,6", 1911.7829550889642, 12.0)]),
-    ("closeness-far-hellinger", "dense"): (
-        False, "bn-hellinger:0,1,2", 193835,
-        _SHARED + [("bn-hellinger:0,1,2", 40.9460246662835, 12.0)]),
     ("identity-null", "dense"): (True, None, 48769, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "dense"): (
         False, "bn-id-chi:0,1,6", 48467, _ID_SHARED + [("bn-id-chi:0,1,6", 4029.8161170503495, 12.0)]),
@@ -369,9 +366,6 @@ GOLDEN = {
     ("closeness-null", "streaming"): (True, None, 192522, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "streaming"): (
         False, "bn-eet:0,1,6", 193421, _SHARED + [("bn-eet:0,1,6", 1934.8248753776184, 12.0)]),
-    ("closeness-far-hellinger", "streaming"): (
-        False, "bn-hellinger:0,1,2", 192488,
-        _SHARED + [("bn-hellinger:0,1,2", 38.750347695181006, 12.0)]),
     ("identity-null", "streaming"): (True, None, 48306, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "streaming"): (
         False, "bn-id-chi:0,1,6", 48311, _ID_SHARED + [("bn-id-chi:0,1,6", 3996.1984816278155, 12.0)]),
@@ -385,10 +379,9 @@ GOLDEN = {
 
 
 def _golden_verdict(case):
-    # the Hellinger vote only fires once the EET thresholds are raised, and
-    # the entropy vote once the chi threshold is raised or its own lowered
-    # (then both vote on the same subset, and the entropy vote is reported)
-    hellinger_only = replace(DEFAULT_CONFIG, c_T_threshold=50.0, c_Z_threshold=50.0)
+    # the entropy vote only fires once the chi threshold is raised or its
+    # own lowered (then both vote on the same subset, and the entropy vote
+    # is reported)
     entropy_only = replace(DEFAULT_CONFIG, c_T_threshold=1e6)
     both = replace(DEFAULT_CONFIG, c_Z_threshold=0.2)
     null = random_bayesnet(8, 2, np.random.default_rng(100))
@@ -398,7 +391,6 @@ def _golden_verdict(case):
         return bn_identity_test(BnSampler(null, 3), null, 8, 2, 0.3, rng=0)
     seed, cfg = {
         "closeness-far": (10, DEFAULT_CONFIG),
-        "closeness-far-hellinger": (1, hellinger_only),
         "identity-far": (10, DEFAULT_CONFIG),
         "identity-far-entropy": (2, entropy_only),
         "identity-far-both": (10, both),
@@ -423,6 +415,21 @@ class TestGoldenVerdicts:
         assert [record[:3] for record in v.trace] == trace
         # the shared multiset carries every sample; the other records note choices
         assert [record.samples for record in v.trace] == [samples] + [0] * (len(trace) - 1)
+
+    def test_hellinger_constant_leaves_the_sweep_alone(self):
+        # c_hellinger_reject sets only the cascade's Hellinger screen: with
+        # raised T and Z thresholds, the far pair's sweep is the same whether
+        # it sits below, at or above c_T_threshold
+        base, far, _ = make_far_net_pair(8, 2, 0.3, np.random.default_rng(201))
+        raised = replace(DEFAULT_CONFIG, c_T_threshold=50.0, c_Z_threshold=50.0)
+        verdicts = {
+            (v.accepted, v.fired_stage, v.samples_used, tuple(v.trace))
+            for v in (
+                bn_closeness_test(BnSampler(base, 1), BnSampler(far, 2), 8, 2, 0.3,
+                                  cfg=replace(raised, c_hellinger_reject=c), rng=1)
+                for c in (0.5, 4.0, 50.0))
+        }
+        assert len(verdicts) == 1
 
 
 class TestBlockedSubsetCounts:
@@ -525,18 +532,6 @@ class TestBlockedSubsetCounts:
             cells = self._cells(atom_bits, sub)
             ref = [np.bincount(cells, weights=col, minlength=2**width) for col in draw]
             assert counts[s].tobytes() == np.array(ref).tobytes()
-
-    def test_n8_chunks_equal_one_pass(self):
-        # n = 8, d = 2 has 127 blocks, which the cell bound alone would
-        # score in one pass; chunks of at most 64 give the same tables
-        n, width = 8, 3
-        k, step = bayesnet._sweep_blocks(n, width - 1), bayesnet._block_step(n, width)
-        assert (k, step) == (127, 64)
-        draw = np.random.default_rng(12).poisson(170_000 / k / 2**n, size=(k, 2**n))
-        per_atom = np.ascontiguousarray(draw.T, dtype=np.int32)
-        chunks = [bayesnet._block_tables(per_atom, n, width, slice(b, b + step)) for b in range(0, k, step)]
-        assert len(chunks) == 2
-        assert np.concatenate(chunks, axis=1).tobytes() == bayesnet._marginal_counts(per_atom, n, width).tobytes()
 
     @staticmethod
     def _sparse_reference(joint, m, k, rng):

@@ -15,7 +15,6 @@ import time
 import pytest
 
 import enttest
-from enttest import bayesnet as bn
 from enttest import experiments
 from enttest import instances as inst
 from enttest.cli import main as cli_main
@@ -520,8 +519,7 @@ class TestTrialThreads:
 
     @pytest.mark.parametrize("n, d, small", [(12, 2, True), (8, 2, True), (13, 2, False), (12, 3, False),
                                              (8, 3, False)])
-    def test_one_size_rule_for_chunks_and_threads(self, n, d, small):
-        assert bn._small_sweep(n, d) == small
+    def test_small_bayesnet_sweeps_are_threaded(self, n, d, small):
         assert experiments._threaded({"op": "bn", "n": n, "d": d}) == small
 
     @pytest.mark.parametrize("n, d", [(13, 2), (16, 1), (9, 3), (12, 3), (10, 4), (8, 3), (8, 4)])
