@@ -533,6 +533,18 @@ class TestBlockedSubsetCounts:
             ref = [np.bincount(cells, weights=col, minlength=2**width) for col in draw]
             assert counts[s].tobytes() == np.array(ref).tobytes()
 
+    def test_no_group_passes_64_blocks_where_the_bound_allows_more(self):
+        # the sweep scores one draw group at a time, so a chunk holds
+        # min(group, step) blocks; wherever the cell bound allows more than
+        # 64 blocks, every group holds at most 64, so no chunk grows past
+        # the 64-block temporaries measured at n = 8, d = 2
+        assert (bayesnet._sweep_blocks(8, 2), bayesnet._block_step(8, 3)) == (127, 146)
+        assert max(bayesnet._group_sizes(127)) == 64
+        for n in range(2, 25):
+            for d in range(1, n):
+                if bayesnet._block_step(n, d + 1) > 64:
+                    assert max(bayesnet._group_sizes(bayesnet._sweep_blocks(n, d))) <= 64, (n, d)
+
     @staticmethod
     def _sparse_reference(joint, m, k, rng):
         # each atom's Poi(m p_a) samples, then one uniform block label each

@@ -319,6 +319,18 @@ class TestMassGuardSkip:
         assert self._guard(v) == ("mass-S", 0.0, plan.cfg.c_massS_diff * plan.eps_internal / plan.log_m, 0)
         assert calls == []
 
+    def test_whole_domain_low_mass_record(self, monkeypatch):
+        # the low-mass complement is empty: the cascade hands it to
+        # lowmass_conditional_test, whose accept record it keeps as is
+        masks = []
+        lowmass = pipeline.lowmass_conditional_test
+        monkeypatch.setattr(pipeline, "lowmass_conditional_test",
+                            lambda sp, sq, sbar, *args: masks.append(sbar) or lowmass(sp, sq, sbar, *args))
+        v = run_eet(*samplers(_U256, _U256, 1), make_eet_plan(256, 0.5), rng=2)
+        assert [mask.any() for mask in masks] == [False]
+        low = [record for record in v.trace if record.name.startswith("lowmass")]
+        assert low == [("lowmass-mass-floor", 0.0, 0.0, 0)]
+
     def test_empty_heavy_set(self, monkeypatch):
         # the low-mass stages run on all of [n] and draw their coins; the
         # guard draws nothing, and neither do bias-T and z, whose

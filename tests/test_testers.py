@@ -433,6 +433,16 @@ class TestLowmassConditional:
         assert v.accepted
         assert v.trace[0][0] == "lowmass-mass-floor"
 
+    def test_empty_complement_accepts_before_any_draw(self):
+        p = DiscreteDistribution([0.5, 0.5, 0.0, 0.0])
+        sp, sq = samplers(p, p, 1)
+        states = [s._rng.bit_generator.state for s in (sp, sq)]
+        v = lowmass_conditional_test(sp, sq, np.zeros(4, dtype=bool), 4, 0.2, rng=2)
+        assert v.accepted
+        assert v.trace == [("lowmass-mass-floor", 0.0, 0.0, 0)]
+        # neither stream drew
+        assert [s._rng.bit_generator.state for s in (sp, sq)] == states
+
     def test_one_sided_mass_rejects(self):
         p = DiscreteDistribution([0.7, 0.3, 0.0])
         q = DiscreteDistribution([1.0, 0.0, 0.0])
