@@ -25,7 +25,7 @@ atoms in half: the low n//2 variables and the high ones each get a small
 cached one-hot map onto their own j-subsets, and every (d+1)-subset with
 j low variables comes from two contractions, one per half.
 ``joint_marginal`` is the exact one-subset oracle of the projection and
-telescoping checks.
+telescoping checks: a sum over the joint's ``(2,)*n`` view.
 
 CPT layout: for node i with sorted parent tuple (p_0 < p_1 < ...), entry
 ``cpt[i][mask]`` is P(X_i = 1 | parents), where bit j of ``mask`` carries
@@ -171,7 +171,17 @@ def joint_marginal(joint: np.ndarray, subset, n: int) -> np.ndarray:
     """
     if joint.size != 2**n:
         raise ValueError(f"joint has {joint.size} entries, not 2^{n}")
-    return np.bincount(_atom_cells(n, tuple(sorted(subset))), joint, minlength=2 ** len(subset))
+    return _view_marginal(joint.reshape((2,) * n), subset).ravel()
+
+
+def _view_marginal(view: np.ndarray, subset, keepdims: bool = False) -> np.ndarray:
+    """Sum the ``(2,)*n`` view of a joint, variable i on axis n-1-i, over
+    the variables outside ``subset``; ``keepdims`` keeps their axes, so the
+    marginal broadcasts against the view."""
+    n = view.ndim
+    if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
+        raise ValueError(f"subset {tuple(subset)} must hold distinct variables in [0, {n})")
+    return view.sum(axis=tuple(n - 1 - i for i in range(n) if i not in subset), keepdims=keepdims)
 
 
 def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndarray:
@@ -184,29 +194,6 @@ def _subset_cells(atoms: np.ndarray, subsets: np.ndarray, width: int) -> np.ndar
         # the j-th smallest variable is at least j
         cells |= (atoms >> (subsets[:, j, None] - j)) & (1 << j)
     return cells
-
-
-def _atom_cells(n: int, subset: tuple) -> np.ndarray:
-    """Cell of each of the 2^n atoms on one sorted ``subset`` (read-only);
-    ``ValueError`` when a variable is out of ``[0, n)`` or repeated.  Up to
-    n = 12 the cells are memoized (at most 512 tables, 16 MB): the exact
-    checks of every Bayes-net suite look up the same few hundred tables
-    thousands of times."""
-    if n <= 12:
-        return _memo_atom_cells(n, subset)
-    return _build_atom_cells(n, subset)
-
-
-def _build_atom_cells(n: int, subset: tuple) -> np.ndarray:
-    if len(set(subset)) != len(subset) or any(not 0 <= v < n for v in subset):
-        raise ValueError(f"subset {subset} must hold distinct variables in [0, {n})")
-    atoms = np.arange(2**n, dtype=np.int64)
-    cells = _subset_cells(atoms, np.array([subset], dtype=np.int64), len(subset))[0]
-    cells.setflags(write=False)
-    return cells
-
-
-_memo_atom_cells = functools.lru_cache(maxsize=512)(_build_atom_cells)
 
 
 # One chunk of tabulation work: atom-block cells per bincount or Poisson
@@ -595,13 +582,14 @@ def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blo
     Each group draws each of the ``mixes`` streams' next blocks of the
     shared multiset in turn from ``rng``; ``score`` turns a chunk of their
     tables into two (subset, block) statistics, and each of ``tests``,
-    ``(kind, rule, index, threshold)`` in priority order, votes with
+    ``(kind, rule, record, threshold)`` in priority order, votes with
     ``rule(*statistics)`` per block.  A reject names the first rejecting
-    subset in sweep order and records its statistic ``index``'s middle
-    value over the g drawn blocks (``np.partition`` at g // 2, the median
-    when g is odd, without ``np.median``'s ``numpy.ma`` import); an accept
-    records the sweep.  ``trace``'s first record notes
-    the shared multiset and gets the samples drawn.
+    subset in sweep order and records the middle value over its g drawn
+    blocks (``np.partition`` at g // 2, without ``np.median``'s ``numpy.ma``
+    import) of ``record(*statistics)``, which passes ``threshold`` where
+    ``rule`` votes; more than half of those blocks voted, so the record
+    reads above its threshold.  An accept records the sweep.  ``trace``'s
+    first record notes the shared multiset and gets the samples drawn.
     """
     n, width = mixes[0].n, len(subsets[0])
     drawn = []  # each group's statistics and samples
@@ -619,9 +607,9 @@ def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blo
         trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
         return TestVerdict("accept", None, trace)
     s, i = fired
-    kind, _, index, tau = tests[i]
+    kind, _, record, tau = tests[i]
     stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
-    stat = np.concatenate([stats[index][s] for stats, _ in drawn])
+    stat = np.concatenate([record(*(x[s] for x in stats)) for stats, _ in drawn])
     trace.append(Stage(stage, float(np.partition(stat, blocks // 2)[blocks // 2]), tau))
     return TestVerdict("reject", stage, trace)
 
@@ -643,8 +631,9 @@ def bn_closeness_test(
     cascade's Hellinger screen) passes ``c_T_threshold`` times its noise
     floor, or the local entropy difference |Z| passes ``c_Z_threshold``
     times eps1.  Any local rejection rejects the pair, recorded as
-    ``bn-eet``.  Per-subset failure probability is 1/(20 C(n, d+1)), met
-    by majority vote over k sample blocks.
+    ``bn-eet`` with max(T / its threshold, |Z| / its threshold) against 1.
+    Per-subset failure probability is 1/(20 C(n, d+1)), met by majority
+    vote over k sample blocks.
 
     The blocks are drawn and scored in groups, p's group and then q's,
     and the sweep stops once the blocks drawn fix every vote the verdict
@@ -662,7 +651,8 @@ def bn_closeness_test(
     tau_eet = cfg.c_T_threshold * t_floor
     tau_z = cfg.c_Z_threshold * eps1
     trace = [Stage("bn-shared-m", float(m), float(k_blocks)), Stage("bn-eps1", eps1, eps**2 / n)]
-    tests = [("eet", lambda t, z: (t > tau_eet) | (z > tau_z), 0, tau_eet)]
+    tests = [("eet", lambda t, z: (t > tau_eet) | (z > tau_z),
+              lambda t, z: np.maximum(t / tau_eet, z / tau_z), 1.0)]
     return _sweep_verdict(
         "bn", mixes, rng, lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), tests,
         subsets, m, k_blocks, trace,
@@ -718,8 +708,8 @@ def bn_identity_test(
         return np.abs(_miller_madow(x, h_q) - h_q), chi.sum(axis=-1)
 
     tests = [
-        ("entropy", lambda gap, chi: gap > tau_ent, 0, tau_ent),
-        ("chi", lambda gap, chi: chi > tau_chi, 1, tau_chi),
+        ("entropy", lambda gap, chi: gap > tau_ent, lambda gap, chi: gap, tau_ent),
+        ("chi", lambda gap, chi: chi > tau_chi, lambda gap, chi: chi, tau_chi),
     ]
     return _sweep_verdict("bn-id", [mix_p], rng, score, tests, subsets, m, k_blocks, trace)
 
@@ -755,15 +745,15 @@ def projection_joint(p, structure) -> np.ndarray:
     along the DAG's parent sets.  ``structure`` is a parent-set list or a
     BayesNet whose structure is borrowed."""
     joint, n = _as_joint(p)
-    out = np.ones(2**n)
+    view = joint.reshape((2,) * n)
+    out = np.ones(view.shape)
     for pa, fam in _families(structure, n):
-        num = joint_marginal(joint, fam, n)[_atom_cells(n, fam)]
-        den = joint_marginal(joint, pa, n)[_atom_cells(n, pa)]
+        num = _view_marginal(view, fam, keepdims=True)
+        den = _view_marginal(view, pa, keepdims=True)
         # parent configs never seen under p: any valid conditional works,
         # and p-null atoms never enter the KL sum
-        cond = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
-        out *= cond
-    return out
+        out *= np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.5)
+    return out.ravel()
 
 
 def bn_kl_to_projection(p, structure) -> float:

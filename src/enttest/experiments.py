@@ -33,29 +33,28 @@ import numpy as np
 
 from .core import DiscreteDistribution, Sampler, entropy, divergences, lambda_term, mass_floor_mix, triangle_discrepancy
 from .poisson import (
-    CountPair,
     batch_t,
     batch_z,
     exact_expected_z,
     expected_t_closed_form,
     factorial_moment_check,
-    statistic_l2,
-    statistic_t,
     z_bias_bound,
 )
 from .testers import (
     DEFAULT_CONFIG,
     ConfigError,
     ThresholdConfig,
-    _t_noise_floor,
     hellinger_budget,
+    hellinger_closeness_test,
     l2_budget,
+    l2_closeness_test,
     load_config,
     save_config,
     tv_budget,
+    tv_closeness_test,
 )
 from .pipeline import (
-    combined_budgets,
+    combined_branch,
     make_eet_plan,
     run_eet,
     run_eet_combined,
@@ -335,8 +334,7 @@ def _reduction_trial(payload):
     n, eps = payload["n"], payload["eps"]
     # a null family's pair has no mutual information; a far one's log 2
     pair = inst.make_correlated_pair(n // 2, 2, 0.0 if FAMILIES[payload["family"]].null else math.log(2.0))
-    eet_budget, base_budget = combined_budgets(n, eps, 0.1, cfg)
-    per_stream = min(eet_budget, base_budget) // 2 + 1
+    per_stream = combined_branch(n, eps, 0.1, cfg)[1] // 2 + 1
     t = int(per_stream + 10 * math.sqrt(per_stream) + 200)
     sp, sq = inst.mi_reduction_stream_samplers(pair, t, child[0])
     return run_eet_combined(sp, sq, n, eps, 0.1, cfg, np.random.default_rng(child[1]))
@@ -534,9 +532,7 @@ def run_scaling(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
     rows, violations = [], []
     budgets, expected_branch = {}, {}
     for n in spec.n_values:
-        eet_total, base_total = combined_budgets(n, eps, 0.1, cfg)
-        budgets[n] = min(eet_total, base_total)
-        expected_branch[n] = "tv-baseline" if n > 1 and base_total <= eet_total else "cascade"
+        expected_branch[n], budgets[n], _ = combined_branch(n, eps, 0.1, cfg)
         rows.append(Row("scaling", "combined", n, eps, 0, "budget:nominal",
                         0, 0.0, 0.0, float(budgets[n]), spec.seed))
     for cell, cell_stats in zip(cells, stats):
@@ -765,14 +761,17 @@ def run_oracle_suite(spec: ExperimentSpec, cfg: ThresholdConfig, workers: int):
 # ---------------------------------------------------------------------------
 
 
-def _paired_bump(n: int, c: float) -> DiscreteDistribution:
+def _paired_bump(n: int, c: float):
+    """(the uniform law scaled by 1 + c and 1 - c on alternate cells, uniform)."""
     v = np.full(n, 1.0 / n)
     v[0::2] *= 1.0 + c
     v[1::2] *= 1.0 - c
-    return DiscreteDistribution(v)
+    return DiscreteDistribution(v), DiscreteDistribution.uniform(n)
 
 
-def _concentrated_pair(n: int, e: float):
+def _concentrated_pair(n: int, eps: float):
+    """Two laws on cells 0 and 1 at squared l2 distance eps^2: 1/2 +- e, e = eps / (2 sqrt 2)."""
+    e = eps / (2.0 * math.sqrt(2.0))
     a = np.zeros(n)
     b = np.zeros(n)
     a[0], a[1] = 0.5 + e, 0.5 - e
@@ -780,40 +779,43 @@ def _concentrated_pair(n: int, e: float):
     return DiscreteDistribution(a), DiscreteDistribution(b)
 
 
+class _Calibrated(NamedTuple):
+    """One primitive tester under calibration: its test, the config field of
+    its threshold constant, the constant to land on when the feasible window
+    allows it, and its far calibration pair at (n, eps)."""
+
+    test: Callable
+    field: str
+    c_pref: float
+    far_pair: Callable
+
+
+# in SeedSequence tag order 1, 2, 3; the preferred landing points sit inside
+# the feasible window, large enough that per-stage false fires stay well
+# under the cascade's union budget
+_CALIBRATED = {
+    "hellinger": _Calibrated(hellinger_closeness_test, "c_hellinger_reject", 4.0,
+                             lambda n, e: _paired_bump(n, math.sqrt(max(2.0 * e - e**2, 0.0)))),
+    "tv": _Calibrated(tv_closeness_test, "c_T_threshold", 4.0, _paired_bump),
+    "l2": _Calibrated(l2_closeness_test, "c_l2_threshold", 0.5, _concentrated_pair),
+}
+
+
 def _tester_statistics(tester: str, n: int, eps_cal: float, cfg: ThresholdConfig,
                        trials: int, rng) -> tuple[np.ndarray, np.ndarray, float]:
-    """(null statistics, far statistics, threshold unit) for one tester."""
+    """(null statistics, far statistics, threshold unit) for one tester, read
+    from its own one-vote records (delta = 0.1): the unit is the record's
+    threshold over the tester's threshold constant in ``cfg``."""
+    test, field_name, _, far_pair = _CALIBRATED[tester]
+
+    def records(p, q):
+        sp, sq = Sampler(p, rng), Sampler(q, rng)  # both draw from ``rng``
+        return [test(sp, sq, n, eps_cal, 0.1, cfg).trace[0] for _ in range(trials)]
+
     uniform = DiscreteDistribution.uniform(n)
-    if tester == "hellinger":
-        budget = hellinger_budget(n, eps_cal, cfg)
-        c_bump = math.sqrt(max(2.0 * eps_cal - eps_cal**2, 0.0))
-        far_p, far_q = _paired_bump(n, c_bump), uniform
-    elif tester == "tv":
-        budget = tv_budget(n, eps_cal, cfg)
-        far_p, far_q = _paired_bump(n, eps_cal), uniform
-    elif tester == "l2":
-        budget = l2_budget(eps_cal, cfg)
-        far_p, far_q = _concentrated_pair(n, eps_cal / (2.0 * math.sqrt(2.0)))
-    else:
-        raise ValueError(tester)
-    # the T testers' threshold unit is their own noise floor
-    unit = eps_cal**2 if tester == "l2" else _t_noise_floor(n, budget)
-
-    def stats_for(p, q):
-        out = np.empty(trials)
-        for t in range(trials):
-            x = rng.poisson(budget * p.probs)
-            y = rng.poisson(budget * q.probs)
-            pair = CountPair(x_counts=x, y_counts=y, m_nominal=budget)
-            if tester == "l2":
-                out[t] = statistic_l2(pair) / budget**2
-            else:
-                out[t] = statistic_t(pair)
-        return out
-
-    null_stats = stats_for(uniform, uniform)
-    far_stats = stats_for(far_p, far_q)
-    return null_stats, far_stats, unit
+    null, far = records(uniform, uniform), records(*far_pair(n, eps_cal))
+    unit = null[0].threshold / getattr(cfg, field_name)
+    return np.array([r.statistic for r in null]), np.array([r.statistic for r in far]), unit
 
 
 _MULT_CAP = 64.0  # calibrate's largest sample multiplier
@@ -832,26 +834,17 @@ def calibrate(spec: ExperimentSpec):
     trials = spec.trials
     eps_cal = spec.eps_values[0]
     n_values = spec.n_values
-    field_for = {"hellinger": "c_hellinger_reject", "tv": "c_T_threshold", "l2": "c_l2_threshold"}
-    tester_tag = {"hellinger": 1, "tv": 2, "l2": 3}
-    # preferred landing points inside the feasible window: large enough that
-    # per-stage false fires stay well under the cascade's union budget
-    c_pref = {"hellinger": 4.0, "tv": 4.0, "l2": 0.5}
     rows = []
     provenance = []
     cfg = DEFAULT_CONFIG
-    for tester in ("hellinger", "tv", "l2"):
-        mult_key = f"mult_{tester}"
+    for tag, (tester, calibrated) in enumerate(_CALIBRATED.items(), start=1):
+        mult_key, c_pref = f"mult_{tester}", calibrated.c_pref
         for mult in (2.0**k for k in range(int(_MULT_CAP).bit_length())):  # 1, 2, 4, ... <= _MULT_CAP
             work = replace(cfg, **{mult_key: mult})
             lo_bounds, hi_bounds, stats_cache = [], [], []
             for idx, n in enumerate(n_values):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([spec.seed, tester_tag[tester], idx])
-                )
-                null_stats, far_stats, unit = _tester_statistics(
-                    tester, n, eps_cal, work, trials, rng
-                )
+                rng = np.random.default_rng(np.random.SeedSequence([spec.seed, tag, idx]))
+                null_stats, far_stats, unit = _tester_statistics(tester, n, eps_cal, work, trials, rng)
                 stats_cache.append((n, null_stats, far_stats, unit))
                 # smallest c accepting >= 90% of nulls / largest c rejecting
                 # >= 90% of the far family, in threshold units
@@ -864,10 +857,10 @@ def calibrate(spec: ExperimentSpec):
             # feasible: land on the preferred constant when the window
             # allows it, the geometric midpoint otherwise; keep widening
             # the window while the preferred point is still above it
-            if c_pref[tester] > c_hi and mult * 2.0 <= _MULT_CAP:
+            if c_pref > c_hi and mult * 2.0 <= _MULT_CAP:
                 continue
-            c_star = min(max(c_pref[tester], c_lo), c_hi)
-            if c_pref[tester] > c_hi:
+            c_star = min(max(c_pref, c_lo), c_hi)
+            if c_pref > c_hi:
                 c_star = math.sqrt(c_lo * c_hi)
             ok = True
             for n, null_stats, far_stats, unit in stats_cache:
@@ -883,9 +876,9 @@ def calibrate(spec: ExperimentSpec):
             raise CalibrationFailed(
                 f"{tester}: no threshold met the 90/90 targets within multiplier cap {_MULT_CAP:g}"
             )
-        cfg = replace(cfg, **{field_for[tester]: c_star, mult_key: mult})
+        cfg = replace(cfg, **{calibrated.field: c_star, mult_key: mult})
         provenance.append(
-            f"{field_for[tester]} = {c_star!r} at {mult_key} = {mult:g} "
+            f"{calibrated.field} = {c_star!r} at {mult_key} = {mult:g} "
             f"(null>=90%, far>=90% on n in {n_values}, eps={eps_cal}, {trials} trials)"
         )
     return cfg, provenance, rows

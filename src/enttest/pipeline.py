@@ -289,20 +289,28 @@ def combined_budgets(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfi
     return make_eet_plan(n, eps, delta, cfg).total_nominal, tv_baseline_budget(n, eps, delta, cfg)
 
 
+def combined_branch(n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG) -> tuple[str, int, int]:
+    """(branch, its nominal total, the other branch's) of :func:`run_eet_combined`:
+    ``"tv-baseline"`` when its total is at most the cascade's (and n > 1),
+    else ``"cascade"``."""
+    eet_total, base_total = combined_budgets(n, eps, delta, cfg)
+    if n > 1 and base_total <= eet_total:
+        return "tv-baseline", base_total, eet_total
+    return "cascade", eet_total, base_total
+
+
 def run_eet_combined(sp, sq, n: int, eps: float, delta: float = 0.1, cfg: ThresholdConfig = DEFAULT_CONFIG, rng=None) -> TestVerdict:
-    """Run whichever of the cascade and the TV baseline is nominally cheaper.
+    """Run whichever of the cascade and the TV baseline is nominally cheaper
+    (:func:`combined_branch`).
 
     The leading trace record notes both nominal budgets (the chosen branch's
     as its statistic) and draws no samples.
     """
     rng = np.random.default_rng(rng)
-    plan = make_eet_plan(n, eps, delta, cfg)
-    eet_total, base_total = plan.total_nominal, tv_baseline_budget(n, eps, delta, cfg)
-    if n > 1 and base_total <= eet_total:
+    branch, total, other = combined_branch(n, eps, delta, cfg)
+    if branch == "tv-baseline":
         verdict = run_eet_tv_baseline(sp, sq, n, eps, delta, cfg)
-        branch = Stage("combined-branch: tv-baseline", float(base_total), float(eet_total))
     else:
-        verdict = run_eet(sp, sq, plan, rng)
-        branch = Stage("combined-branch: cascade", float(eet_total), float(base_total))
-    verdict.trace.insert(0, branch)
+        verdict = run_eet(sp, sq, make_eet_plan(n, eps, delta, cfg), rng)
+    verdict.trace.insert(0, Stage(f"combined-branch: {branch}", float(total), float(other)))
     return verdict

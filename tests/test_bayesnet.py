@@ -347,13 +347,16 @@ class TestIdentityTester:
 # settle only after all 127 blocks.  On the dense path the identity test's
 # per-cell draws are the blocks of one whole draw, so that case keeps its
 # earlier statistic; streamed groups are fresh multisets, and there it
-# fires on 3,5,7 instead of 3,5,6.
+# fires on 3,5,7 instead of 3,5,6.  The closeness-far records were re-pinned
+# when a bn-eet record began to carry max(T / tau_T, |Z| / tau_Z) against 1
+# instead of T against tau_T: T decides there, and 159.3 and 161.2 are its
+# earlier 1911.8 and 1934.8 over tau_T = 12.
 _SHARED = [("bn-shared-m", 170427.0, 127.0), ("bn-eps1", 0.5560620396340937, 0.01125)]
 _ID_SHARED = [("bn-id-shared-m", 85360.0, 127.0), ("bn-id-eps1", 0.7102812960045428, 0.01125)]
 GOLDEN = {
     ("closeness-null", "dense"): (True, None, 192745, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "dense"): (
-        False, "bn-eet:0,1,6", 192975, _SHARED + [("bn-eet:0,1,6", 1911.7829550889642, 12.0)]),
+        False, "bn-eet:0,1,6", 192975, _SHARED + [("bn-eet:0,1,6", 159.3152462574137, 1.0)]),
     ("identity-null", "dense"): (True, None, 48769, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "dense"): (
         False, "bn-id-chi:0,1,6", 48467, _ID_SHARED + [("bn-id-chi:0,1,6", 4029.8161170503495, 12.0)]),
@@ -365,7 +368,7 @@ GOLDEN = {
         _ID_SHARED + [("bn-id-entropy:0,1,6", 0.3123668466674916, 0.14205625920090856)]),
     ("closeness-null", "streaming"): (True, None, 192522, _SHARED + [("bn-sweep", 56.0, 0.0)]),
     ("closeness-far", "streaming"): (
-        False, "bn-eet:0,1,6", 193421, _SHARED + [("bn-eet:0,1,6", 1934.8248753776184, 12.0)]),
+        False, "bn-eet:0,1,6", 193421, _SHARED + [("bn-eet:0,1,6", 161.2354062814682, 1.0)]),
     ("identity-null", "streaming"): (True, None, 48306, _ID_SHARED + [("bn-id-sweep", 56.0, 0.0)]),
     ("identity-far", "streaming"): (
         False, "bn-id-chi:0,1,6", 48311, _ID_SHARED + [("bn-id-chi:0,1,6", 3996.1984816278155, 12.0)]),
@@ -415,6 +418,18 @@ class TestGoldenVerdicts:
         assert [record[:3] for record in v.trace] == trace
         # the shared multiset carries every sample; the other records note choices
         assert [record.samples for record in v.trace] == [samples] + [0] * (len(trace) - 1)
+
+    @pytest.mark.parametrize("path", ["dense", "streaming"])
+    def test_entropy_fired_record_reads_above_its_threshold(self, path, monkeypatch):
+        # with T unable to vote the block votes fire on |Z|, and the record
+        # carries the statistic that decided, not T against its threshold
+        if path == "streaming":
+            monkeypatch.setattr(bayesnet, "_DENSE_ATOM_CELLS", 0)
+        base, far, _ = make_far_net_pair(8, 2, 0.3, np.random.default_rng(10))
+        cfg = replace(DEFAULT_CONFIG, c_T_threshold=1e6, c_Z_threshold=0.3)
+        v = bn_closeness_test(BnSampler(base, 1), BnSampler(far, 2), 8, 2, 0.3, cfg=cfg, rng=10)
+        assert v.rejected and v.fired_stage.startswith("bn-eet:")
+        assert v.trace[-1].statistic > v.trace[-1].threshold
 
     def test_hellinger_constant_leaves_the_sweep_alone(self):
         # c_hellinger_reject sets only the cascade's Hellinger screen: with

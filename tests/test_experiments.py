@@ -12,10 +12,11 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import enttest
-from enttest import experiments
+from enttest import experiments, testers
 from enttest import instances as inst
 from enttest.cli import main as cli_main
 from enttest.experiments import (
@@ -618,6 +619,19 @@ class TestCalibration:
         cfg2, prov2, _ = calibrate(spec)
         assert cfg1 == cfg2
         assert prov1 == prov2
+
+    def test_statistics_read_from_the_tester(self, monkeypatch):
+        # calibration reads the TV tester's own records: doubling its noise
+        # floor doubles the threshold unit and leaves the statistics alone
+        def stats():
+            return experiments._tester_statistics("tv", 256, 0.1, DEFAULT_CONFIG, 20, np.random.default_rng(3))
+
+        null, far, unit = stats()
+        floor = testers._t_noise_floor
+        monkeypatch.setattr(testers, "_t_noise_floor", lambda n, s: 2.0 * floor(n, s))
+        null2, far2, unit2 = stats()
+        assert unit2 == 2.0 * unit
+        assert np.array_equal(null2, null) and np.array_equal(far2, far)
 
     def test_calibrate_kind_writes_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1754600000")
