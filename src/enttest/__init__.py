@@ -13,8 +13,6 @@ from .core import (
     Divergences,
     DistributionError,
     DomainMismatch,
-    FairMixSampler,
-    MassFloorSampler,
     ParameterOutOfRange,
     Sampler,
     StreamSampler,

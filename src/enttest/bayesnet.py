@@ -558,6 +558,15 @@ def _sweep_blocks(n: int, d: int) -> int:
     return amplification_reps(1.0 / (20.0 * math.comb(n, d + 1)))
 
 
+def largest_sweep_draw(n: int, d: int, eps: float) -> float:
+    """The largest Poisson rate a closeness or identity sweep at (n, d,
+    eps) gives numpy in one draw: the first group's share m g / k of the
+    larger of the two multisets, g the first of ``_group_sizes``."""
+    k_blocks = _sweep_blocks(n, d)
+    m = max(bn_budget(n, d, eps), bn_identity_budget(n, d, eps))
+    return m * next(_group_sizes(k_blocks)) / k_blocks
+
+
 def _sweep_setup(n: int, d: int, eps: float, budget, dims, what: str):
     """Check a sweep's inputs (``dims`` must equal n), then size it:
     ``(subsets, m, k_blocks, m_block, weight, eps1)`` for a shared multiset
@@ -582,14 +591,14 @@ def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blo
     Each group draws each of the ``mixes`` streams' next blocks of the
     shared multiset in turn from ``rng``; ``score`` turns a chunk of their
     tables into two (subset, block) statistics, and each of ``tests``,
-    ``(kind, rule, record, threshold)`` in priority order, votes with
-    ``rule(*statistics)`` per block.  A reject names the first rejecting
-    subset in sweep order and records the middle value over its g drawn
-    blocks (``np.partition`` at g // 2, without ``np.median``'s ``numpy.ma``
-    import) of ``record(*statistics)``, which passes ``threshold`` where
-    ``rule`` votes; more than half of those blocks voted, so the record
-    reads above its threshold.  An accept records the sweep.  ``trace``'s
-    first record notes the shared multiset and gets the samples drawn.
+    ``(kind, record, threshold)`` in priority order, votes per block where
+    ``record(*statistics) > threshold``.  A reject names the first
+    rejecting subset in sweep order and records the middle value over its
+    g drawn blocks (``np.partition`` at g // 2, without ``np.median``'s
+    ``numpy.ma`` import) of ``record(*statistics)``; more than half of
+    those blocks voted, so the record reads above its threshold.  An
+    accept records the sweep.  ``trace``'s first record notes the shared
+    multiset and gets the samples drawn.
     """
     n, width = mixes[0].n, len(subsets[0])
     drawn = []  # each group's statistics and samples
@@ -599,7 +608,7 @@ def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blo
             counts = [_blocked_subset_counts(mix, m, k_blocks, g, width, rng) for mix in mixes]
             stats = _sweep_scores(score, [c for c, _ in counts], n, width, g)
             drawn.append((stats, sum(samples for _, samples in counts)))
-            yield np.stack([rule(*stats) for _, rule, _, _ in tests], axis=-1)
+            yield np.stack([record(*stats) > tau for _, record, tau in tests], axis=-1)
 
     fired, blocks = _settle(groups(), k_blocks)
     trace[0] = trace[0]._replace(samples=sum(samples for _, samples in drawn))
@@ -607,7 +616,7 @@ def _sweep_verdict(prefix: str, mixes, rng, score, tests, subsets, m: int, k_blo
         trace.append(Stage(f"{prefix}-sweep", float(len(subsets)), 0.0))
         return TestVerdict("accept", None, trace)
     s, i = fired
-    kind, _, record, tau = tests[i]
+    kind, record, tau = tests[i]
     stage = f"{prefix}-{kind}:{','.join(map(str, subsets[s]))}"
     stat = np.concatenate([record(*(x[s] for x in stats)) for stats, _ in drawn])
     trace.append(Stage(stage, float(np.partition(stat, blocks // 2)[blocks // 2]), tau))
@@ -651,8 +660,7 @@ def bn_closeness_test(
     tau_eet = cfg.c_T_threshold * t_floor
     tau_z = cfg.c_Z_threshold * eps1
     trace = [Stage("bn-shared-m", float(m), float(k_blocks)), Stage("bn-eps1", eps1, eps**2 / n)]
-    tests = [("eet", lambda t, z: (t > tau_eet) | (z > tau_z),
-              lambda t, z: np.maximum(t / tau_eet, z / tau_z), 1.0)]
+    tests = [("eet", lambda t, z: np.maximum(t / tau_eet, z / tau_z), 1.0)]
     return _sweep_verdict(
         "bn", mixes, rng, lambda x, y: (batch_t(x, y), np.abs(batch_z(x, y, m_block))), tests,
         subsets, m, k_blocks, trace,
@@ -708,8 +716,8 @@ def bn_identity_test(
         return np.abs(_miller_madow(x, h_q) - h_q), chi.sum(axis=-1)
 
     tests = [
-        ("entropy", lambda gap, chi: gap > tau_ent, lambda gap, chi: gap, tau_ent),
-        ("chi", lambda gap, chi: chi > tau_chi, lambda gap, chi: chi, tau_chi),
+        ("entropy", lambda gap, chi: gap, tau_ent),
+        ("chi", lambda gap, chi: chi, tau_chi),
     ]
     return _sweep_verdict("bn-id", [mix_p], rng, score, tests, subsets, m, k_blocks, trace)
 

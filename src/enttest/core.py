@@ -704,113 +704,73 @@ def _as_mask(index_set, n: int) -> np.ndarray:
     return mask
 
 
-def _coin_mix(rng, k: int, heads: float, draw_heads, draw_tails) -> np.ndarray:
-    """k draws, each from ``draw_heads`` with probability ``heads`` and
-    from ``draw_tails`` otherwise: one coin per draw, then both sources."""
-    k = _draw_count(k)
-    from_heads = rng.random(k) < heads
-    out = np.empty(k, dtype=np.int64)
-    n_heads = int(from_heads.sum())
-    out[from_heads] = draw_heads(n_heads)
-    out[~from_heads] = draw_tails(k - n_heads)
-    return out
+class MixtureStream(SampleStream):
+    """Stream of a two-source mixture built per draw: each of k draws flips
+    a coin that picks ``draw_heads`` with probability ``p_heads`` and
+    ``draw_tails`` otherwise.  The k coins come first, then the heads
+    draws, then the tails draws.  Build it through :func:`mix_sample` or
+    :func:`fair_mix`, which mix exact-law samplers exactly instead."""
 
-
-class MassFloorSampler(SampleStream):
-    """Stream from ``(1-eta) * base + eta * uniform`` built per-draw.
-
-    One output sample costs at most one base sample, matching the
-    simulation argument for the mass floor.  Build it through
-    :func:`mix_sample`, which floors an exact-law base exactly instead.
-    """
-
-    def __init__(self, base, eps: float, rng_seed):
-        self.base = base
-        self.eta = mass_floor_eta(base.n, eps)
-        self._rng = np.random.default_rng(rng_seed)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
+    def __init__(self, n: int, p_heads: float, draw_heads, draw_tails, rng):
+        self.n = n
+        self.p_heads = p_heads
+        self.draw_heads = draw_heads
+        self.draw_tails = draw_tails
+        self._rng = rng
 
     def draw(self, k: int) -> np.ndarray:
-        uniform = lambda count: self._rng.integers(0, self.n, size=count)
-        return _coin_mix(self._rng, k, self.eta, uniform, self.base.draw)
+        k = _draw_count(k)
+        from_heads = self._rng.random(k) < self.p_heads
+        out = np.empty(k, dtype=np.int64)
+        n_heads = int(from_heads.sum())
+        out[from_heads] = self.draw_heads(n_heads)
+        out[~from_heads] = self.draw_tails(k - n_heads)
+        return out
 
 
 def mix_sample(base_sampler, eps: float, rng_seed=0) -> SampleStream:
     """Mass-floored sampler whose law is ``mass_floor_mix`` of the base's.
 
     An exact-law :class:`Sampler` base gives a :class:`Sampler` over the
-    exact mixture; any other stream gives the per-draw
-    :class:`MassFloorSampler` view over it.
+    exact mixture.  Any other stream gives a :class:`MixtureStream` whose
+    heads are uniform draws with probability ``mass_floor_eta``, so one
+    floored sample costs at most one base sample.
     """
     if isinstance(base_sampler, Sampler):
         seed = np.random.default_rng(rng_seed).integers(0, 2**63 - 1)
         return Sampler(mass_floor_mix(base_sampler.distribution, eps), seed)
-    return MassFloorSampler(base_sampler, eps, rng_seed)
-
-
-class FairMixSampler(SampleStream):
-    """Stream from the mixture (p + q)/2: each draw flips a fair coin
-    between one p-sample and one q-sample.  Build it through :func:`fair_mix`."""
-
-    def __init__(self, sp, sq, rng_seed):
-        if sp.n != sq.n:
-            raise DomainMismatch(f"domain sizes differ: {sp.n} vs {sq.n}")
-        self.sp = sp
-        self.sq = sq
-        self._rng = np.random.default_rng(rng_seed)
-
-    @property
-    def n(self) -> int:
-        return self.sp.n
-
-    def draw(self, k: int) -> np.ndarray:
-        return _coin_mix(self._rng, k, 0.5, self.sp.draw, self.sq.draw)
+    n, rng = base_sampler.n, np.random.default_rng(rng_seed)
+    uniform = functools.partial(rng.integers, 0, n)  # uniform(k): k uniform draws on [0, n)
+    return MixtureStream(n, mass_floor_eta(n, eps), uniform, base_sampler.draw, rng)
 
 
 def fair_mix(sp, sq, rng_seed=0) -> SampleStream:
     """Sampler of the mixture (p + q)/2: a :class:`Sampler` of the exact
-    mixture when both sides are exact-law samplers, else a :class:`FairMixSampler`."""
+    mixture when both sides are exact-law samplers, else a
+    :class:`MixtureStream` that flips a fair coin per draw and spends one
+    sample of the chosen side."""
+    _check_same_domain(sp, sq)
     if isinstance(sp, Sampler) and isinstance(sq, Sampler):
-        _check_same_domain(sp.distribution, sq.distribution)
         return Sampler(_unchecked(0.5 * (sp.probs + sq.probs)), rng_seed)
-    return FairMixSampler(sp, sq, rng_seed)
+    return MixtureStream(sp.n, 0.5, sp.draw, sq.draw, np.random.default_rng(rng_seed))
 
 
 def conditional_rejection_sample(sampler, support, count: int, budget: int):
-    """Draw ``count`` samples from the conditional distribution on ``support``.
+    """Draw ``count`` samples from the conditional distribution on
+    ``support``: raw draws of ``sampler``, kept when they fall in it.
 
-    Returns ``(samples, consumed)`` where ``consumed`` is the number of raw
-    draws spent; raises :class:`BudgetExhausted` if the budget (or a sample
+    Each chunk draws as many raw samples as accepts are still needed, so
+    the loop stops at the count-th accept, and ``consumed``, the raw draws
+    spent, follows count + NegBin(count, support mass) for i.i.d. draws.
+    Returns ``(samples, consumed)``, ``samples`` indices into the original
+    domain; raises :class:`BudgetExhausted` if the budget (or a sample
     pool) runs out first, carrying the raw draws this call spent.
-    ``samples`` are indices into the original domain.
     """
-    count = int(count)
-    budget = int(budget)
     mask = _as_mask(support, sampler.n)
-    if count <= 0:
-        return np.empty(0, dtype=np.int64), 0
-
-    if isinstance(sampler, Sampler):
-        # exact-law shortcut: raw draws to reach `count` accepts is
-        # count + NegBin(count, mass); accepted draws are conditional i.i.d.
-        try:
-            consumed = sampler.negative_binomial_consumed(count, mask)
-        except BudgetExhausted:
-            raise BudgetExhausted(budget)
-        if consumed > budget:
-            raise BudgetExhausted(budget)
-        child = sampler.conditional_sampler(mask)
-        return np.flatnonzero(mask)[child.draw(count)], consumed
-
-    # generic path: literal chunked rejection on the sample stream
-    collected = []
-    got = 0
-    consumed = 0
-    while got < count:
-        chunk = min(max(2 * (count - got), 64), budget - consumed)
+    need, budget, consumed = int(count), int(budget), 0
+    collected = [np.empty(0, dtype=np.int64)]
+    while need > 0:
+        chunk = min(need, budget - consumed)
         if chunk <= 0:
             raise BudgetExhausted(consumed)
         try:
@@ -818,12 +778,9 @@ def conditional_rejection_sample(sampler, support, count: int, budget: int):
         except BudgetExhausted:
             raise BudgetExhausted(consumed, "sample pool exhausted") from None
         consumed += chunk
-        acc = raw[mask[raw]]
-        if acc.size:
-            collected.append(acc)
-            got += acc.size
-    samples = np.concatenate(collected)[:count]
-    return samples, consumed
+        collected.append(raw[mask[raw]])
+        need -= collected[-1].size
+    return np.concatenate(collected), consumed
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ class ExperimentSpec:
     def validate(self):
         if self.kind not in SUITES:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for name in ("n_values", "eps_values", "d_values"):
+            if not isinstance(getattr(self, name), list):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         self.seed = _as_integer(self.seed, "seed")
         self.trials = _as_integer(self.trials, "trials")
         if self.seed < 0:
@@ -125,7 +128,12 @@ class ExperimentSpec:
     @staticmethod
     def from_json(path) -> "ExperimentSpec":
         with open(path) as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"spec file is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"a spec file holds one JSON object, not {type(data).__name__}")
         unknown = set(data) - set(ExperimentSpec.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
@@ -956,7 +964,8 @@ _MAX_DRAW = 9.2e18  # numpy's Poisson rates stop near 9.22e18, binomial sizes at
 
 def _check_draws(spec: ExperimentSpec, cfg: ThresholdConfig):
     """``ConfigError`` for a cell one of whose draws numpy cannot make: a
-    stage's per-stream budget, or a Bayes-net block's, reaches ``_MAX_DRAW``."""
+    stage's per-stream budget, or a Bayes-net sweep's first draw group,
+    reaches ``_MAX_DRAW``."""
     if spec.kind == "oracle_suite":  # its cells are fixed
         return
     top = replace(DEFAULT_CONFIG, mult_hellinger=_MULT_CAP, mult_tv=_MULT_CAP, mult_l2=_MULT_CAP)
@@ -965,7 +974,7 @@ def _check_draws(spec: ExperimentSpec, cfg: ThresholdConfig):
             for d in spec.d_values or [0]:
                 try:
                     if spec.kind == "bayesnet":
-                        draw = max(bn.bn_budget(n, d, eps), bn.bn_identity_budget(n, d, eps)) / bn._sweep_blocks(n, d)
+                        draw = bn.largest_sweep_draw(n, d, eps)
                     elif spec.kind == "calibrate":  # each multiplier may double up to the cap
                         draw = max(hellinger_budget(n, eps, top), tv_budget(n, eps, top), l2_budget(eps, top))
                     else:

@@ -314,8 +314,10 @@ class _RejectionBackedSampler:
 
     Implements the count-level sampler interface on the conditional domain
     while charging every raw draw against a shared budget; raises
-    :class:`BudgetExhausted` when the cap is hit.  Raw-draw consumption
-    follows the exact law of sequential rejection sampling.
+    :class:`BudgetExhausted` when the cap is hit.  The raw draws charged
+    for w accepts follow w + NegBin(w, mass): an exact-law base draws them
+    as one negative binomial and its counts from its conditional child
+    sampler, any other base runs :func:`conditional_rejection_sample`.
     """
 
     def __init__(self, base, support_mask, raw_cap: int, rng_seed):

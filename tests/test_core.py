@@ -16,8 +16,7 @@ from enttest.core import (
     DiscreteDistribution,
     DistributionError,
     DomainMismatch,
-    FairMixSampler,
-    MassFloorSampler,
+    MixtureStream,
     ParameterOutOfRange,
     Sampler,
     StreamSampler,
@@ -551,11 +550,11 @@ class TestMixSampler:
         assert np.array_equal(a, b)
 
     def test_stream_backed_counts(self):
-        # a mass-floor wrapper over a pool-backed sampler has no exact
+        # a mass floor over a pool-backed sampler has no exact
         # distribution and must stream its counts
         pool = StreamSampler(np.zeros(200_000, dtype=np.int64), 2, rng_seed=5)
-        ms = MassFloorSampler(pool, 0.2, rng_seed=6)
-        assert ms.distribution is None
+        ms = mix_sample(pool, 0.2, rng_seed=6)
+        assert type(ms) is MixtureStream and ms.distribution is None
         counts = ms.poisson_counts(50_000)
         eta = mass_floor_eta(2, 0.2)
         assert abs(counts[1] / counts.sum() - eta / 2) < 0.005
@@ -563,7 +562,7 @@ class TestMixSampler:
     def test_fair_mix(self):
         sp = Sampler(DiscreteDistribution.point_mass(2, 0), 1)
         sq = Sampler(DiscreteDistribution.point_mass(2, 1), 2)
-        mix = FairMixSampler(sp, sq, 3)
+        mix = MixtureStream(2, 0.5, sp.draw, sq.draw, np.random.default_rng(3))
         counts = mix.multinomial_counts(10**5)
         assert abs(counts[0] / 1e5 - 0.5) < 0.01
 
@@ -573,8 +572,8 @@ class TestMixSampler:
         assert isinstance(mix, Sampler)
         assert mix.distribution == DiscreteDistribution(0.5 * (sp.probs + sq.probs))
         for other in (_pool(12, 4), mix_sample(_pool(12, 5), 0.2, rng_seed=6)):
-            assert type(fair_mix(sp, other, 7)) is FairMixSampler
-            assert type(fair_mix(other, sq, 7)) is FairMixSampler
+            assert type(fair_mix(sp, other, 7)) is MixtureStream
+            assert type(fair_mix(other, sq, 7)) is MixtureStream
         with pytest.raises(DomainMismatch):
             fair_mix(sp, _exact(13, 8), 9)
 
@@ -587,7 +586,7 @@ class TestMixSampler:
         sp, sq = (Sampler(DiscreteDistribution.random_dense(n, rng), seed) for seed in (2, 3))
         r = 0.5 * (sp.probs + sq.probs)
         lam, p0 = k * r, (1 - r) ** k
-        for mix in (fair_mix(sp, sq, 4), FairMixSampler(sp, sq, 5)):
+        for mix in (fair_mix(sp, sq, 4), MixtureStream(n, 0.5, sp.draw, sq.draw, np.random.default_rng(5))):
             sums = np.zeros(n)
             zeros = np.zeros(n)
             for _ in range(draws):
@@ -656,14 +655,15 @@ class TestConditionalRejectionSampling:
         assert consumed >= 500
 
     def test_pool_running_dry_reports_draws_of_this_call(self):
-        # nothing in the pool is accepted, so the loop draws 64-sample chunks
-        # until the 192 samples left after the first 8 cannot fill one more
+        # nothing in the pool is accepted, so the loop draws chunks of the
+        # 10 accepts still needed until the 2 samples left of the 192 after
+        # the first 8 cannot fill one more
         pool = StreamSampler(np.zeros(200, dtype=np.int64), 4, rng_seed=1)
         pool.draw(8)
         with pytest.raises(BudgetExhausted) as exc:
             conditional_rejection_sample(pool, np.array([1]), 10, 10**6)
-        assert exc.value.consumed == 192
-        assert pool.remaining == 0
+        assert exc.value.consumed == 190
+        assert pool.remaining == 2
 
 
 class TestStreamSampler:
@@ -702,7 +702,7 @@ SAMPLER_KINDS = {
     "mix-over-sampler": lambda n: mix_sample(_exact(n, 1), 0.2, rng_seed=2),
     "mix-over-stream": lambda n: mix_sample(_pool(n, 3), 0.2, rng_seed=4),
     "stream": lambda n: _pool(n, 5),
-    "fair-mix": lambda n: FairMixSampler(_exact(n, 6), _pool(n, 7), 8),
+    "fair-mix": lambda n: fair_mix(_exact(n, 6), _pool(n, 7), 8),
 }
 
 
@@ -735,7 +735,7 @@ class TestSamplerProtocol:
         floored = mix_sample(base, 0.2, rng_seed=2)
         assert isinstance(floored, Sampler)
         assert floored.distribution == mass_floor_mix(base.distribution, 0.2)
-        # an exact-law floor has the rejection sampler's exact-law path
+        # the rejection loop draws from it as from any stream
         samples, consumed = conditional_rejection_sample(floored, np.arange(12) >= 6, 50, 10**6)
         assert samples.size == 50 and consumed >= 50 and samples.min() >= 6
 

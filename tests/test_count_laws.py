@@ -7,7 +7,9 @@ law.  The Bayes-net sweep's grouped dense block counts, drawn from the
 exact mixture joint, and its streamed blocks of literal ``bn_sample``
 rows give the same laws of the per-(subset, block) statistics.  The
 whole cascade on exact-law samplers and on pools of literal draws gives
-the same laws of its verdicts, stage statistics and samples used."""
+the same laws of its verdicts, stage statistics and samples used.  The raw
+draws the literal rejection loop charges on a pool follow the law the
+exact-law side draws in one step, count + NegBin(count, mass)."""
 
 import math
 from collections import Counter
@@ -21,7 +23,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from enttest import bayesnet, core
-from enttest.core import DiscreteDistribution, SampleStream, Sampler, StreamSampler
+from enttest.core import DiscreteDistribution, SampleStream, Sampler, StreamSampler, conditional_rejection_sample
 from enttest.instances import make_entropy_gap_pair
 from enttest.pipeline import make_eet_plan, run_eet
 from enttest.poisson import batch_t, batch_z
@@ -60,6 +62,30 @@ def test_direct_and_literal_counts_agree_in_law(case):
             assert abs(counts.sum() - total) <= 6 * math.sqrt(total) + 3
         if rate > 0:
             assert spstats.ks_2samp(level[0].ravel(), level[1].ravel()).pvalue > 1e-6
+
+
+# Two-sample KS per support mass below 1, each at 1e-3 / 2, so under equal
+# laws the two cases together fail with probability at most 1e-3 (ties in
+# the raw counts only make KS conservative).  The seeds are fixed.  At full
+# support every draw is accepted, and both sides charge exactly count.
+@pytest.mark.parametrize("cells, count", [(2, 50), (1, 20), (8, 30)], ids=["mass-1/4", "mass-1/8", "full-support"])
+def test_rejection_loop_charges_the_negative_binomial_law(cells, count):
+    # uniform law on 8 cells, support the first `cells` of them: the loop's
+    # raw draws on one pool of literal draws, call after call, against
+    # count + NegBin(count, mass) drawn by the exact-law sampler
+    calls, d = 2000, DiscreteDistribution.uniform(8)
+    support = np.arange(8) < cells
+    exact = Sampler(d, 1)
+    want = [exact.negative_binomial_consumed(count, support) for _ in range(calls)]
+    pool = StreamSampler(Sampler(d, 2).draw(3 * calls * count * 8 // cells), 8)
+    got = []
+    for _ in range(calls):
+        samples, consumed = conditional_rejection_sample(pool, support, count, 10**9)
+        assert samples.size == count and samples.max() < cells
+        got.append(consumed)
+    assert spstats.ks_2samp(want, got).pvalue >= 1e-3 / 2
+    if cells == 8:
+        assert got == want == [count] * calls
 
 
 def _sweep_statistics(mixes, q_joint, m, k, sweeps, rng):

@@ -703,19 +703,27 @@ class TestCli:
             {"kind": "error_grid", "n_values": [64], "eps_values": [1e-7]},
             {"kind": "scaling", "n_values": [16, 64], "eps_values": [1e-300]},
             {"kind": "bayesnet", "n_values": [8], "eps_values": [1e-6], "d_values": [2]},
+            # a block's rate m/k passes the guard, but the sweep's first
+            # group draws (k+1)/2 blocks at once, about m/2
+            {"kind": "bayesnet", "n_values": [24], "eps_values": [1.2e-4], "d_values": [2]},
             {"kind": "calibrate", "n_values": [64], "eps_values": [1e-10]},
             {"kind": "calibrate", "eps_values": [1e-10]},  # at its default n
             # calibrate's far families once failed as odd-n distributions
             {"kind": "calibrate", "n_values": [1], "eps_values": [0.5]},
             # calibrate once froze its constants at the first eps and dropped the rest
             {"kind": "calibrate", "n_values": [64], "eps_values": [0.3, 0.2]},
+            # a scalar grid once raised a TypeError from inside validate
+            {"kind": "error_grid", "n_values": 64, "eps_values": [0.3]},
+            {"kind": "error_grid", "n_values": [64], "eps_values": 0.3},
+            {"kind": "bayesnet", "n_values": [8], "eps_values": [0.3], "d_values": 2},
         ],
         ids=["eps-1.5", "eps-abc", "grid-eps-0.6", "eps-nan", "eps-bool", "eps-0",
              "n-64.7", "d-2.5", "d-0", "d-n", "bn-grids", "bn-two-d", "bn-n-25",
              "grid-n-2", "grid-n-odd", "scaling-n-1", "bn-eps-1",
              "bn-far-n3", "bn-far-n2", "bn-far-n4",
-             "grid-eps-tiny", "scaling-eps-tiny", "bn-eps-tiny", "cal-eps-tiny", "cal-default-n-eps-tiny",
-             "cal-n-odd", "cal-two-eps"],
+             "grid-eps-tiny", "scaling-eps-tiny", "bn-eps-tiny", "bn-first-group-tiny",
+             "cal-eps-tiny", "cal-default-n-eps-tiny", "cal-n-odd", "cal-two-eps",
+             "n-scalar", "eps-scalar", "d-scalar"],
     )
     def test_bad_grid_value_exits_one(self, spec, tmp_path, capsys):
         out = tmp_path / "out"
@@ -726,6 +734,15 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("text", ["[]", "64", '{"kind": "error_grid",'], ids=["list", "number", "not-json"])
+    def test_non_object_spec_file_exits_one(self, text, tmp_path, capsys):
+        # a spec file that is not one JSON object once ended in a traceback
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert cli_main(["grid", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_bayesnet_degree_six_runs(self, tmp_path, capsys):
         # d = 6 once ended in a traceback from the exact checks' n = 6 net,

@@ -15,10 +15,10 @@ from enttest import pipeline
 from enttest.core import (
     DiscreteDistribution,
     DomainMismatch,
-    MassFloorSampler,
     Sampler,
     StreamSampler,
     entropy,
+    mix_sample,
 )
 from enttest.instances import make_correlated_pair, make_entropy_gap_pair
 from enttest.pipeline import (
@@ -368,12 +368,12 @@ _SKEW64 = DiscreteDistribution([0.5, 0.3, 0.2] + [0.0] * 61)
 def _lowmass_on_pools(pool_size):
     # two stream pools behind mass floors: every count-level draw consumes
     # pool samples, so the conditional TV stage runs the literal rejection
-    # loop; 17,100 samples run dry in its second chunk, 100,000 do not, and
-    # 2,000 run dry before it, in the stage (iii) mass comparison
+    # loop; 16,000 samples run dry in that loop, 100,000 do not, and 2,000
+    # run dry before it, in the stage (iii) mass comparison
     n, eps = 64, 0.3
     draws = np.random.default_rng(5).integers(0, n, size=(2, 100_000))[:, :pool_size]
     sp, sq = (
-        MassFloorSampler(StreamSampler(draws[i], n, rng_seed=i + 1), eps, 10 + i) for i in (0, 1)
+        mix_sample(StreamSampler(draws[i], n, rng_seed=i + 1), eps, 10 + i) for i in (0, 1)
     )
     return lowmass_conditional_test(sp, sq, np.arange(n) >= n // 2, n, eps, rng=3)
 
@@ -394,7 +394,7 @@ GOLDEN_CASES = {
     "l2-null-amplified": lambda: l2_closeness_test(
         *samplers(_SKEW64, _SKEW64, 10), 64, 0.3, delta=0.01
     ),
-    "lowmass-budget": lambda: _lowmass_on_pools(17_100),
+    "lowmass-budget": lambda: _lowmass_on_pools(16_000),
     "lowmass-budget-screen": lambda: _lowmass_on_pools(2_000),
     "lowmass-cond-tv": lambda: _lowmass_on_pools(100_000),
 }
@@ -441,19 +441,19 @@ GOLDEN = {
         ("l2", 0.3595032192904936, 0.045),
     ]),
     "l2-null-amplified": ("accept", None, 59138, "4ea92c362f4ebc90e358953141d727f295490aa4ea746c0a95e28617655c0843"),
-    "lowmass-budget": ("reject", "lowmass-budget", 35998, [
+    "lowmass-budget": ("reject", "lowmass-budget", 19143, [
         ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
         ("lowmass-mass-gap", 0.006257332811888894, 0.05594034340711472),
-        ("lowmass-budget", 29828.0, 234384.0),
+        ("lowmass-budget", 12973.0, 234384.0),
     ]),
     "lowmass-budget-screen": ("reject", "lowmass-budget", 1056, [
         ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
         ("lowmass-budget", 502.0, 0.0),
     ]),
-    "lowmass-cond-tv": ("accept", None, 36062, [
+    "lowmass-cond-tv": ("accept", None, 35939, [
         ("lowmass-mass-floor", 0.5018939393939394, 0.08391051511067207),
         ("lowmass-mass-gap", 0.006257332811888894, 0.05594034340711472),
-        ("lowmass-cond-tv", -6.827727866814778, 22.978250586152114),
+        ("lowmass-cond-tv", -4.799699636839991, 22.978250586152114),
     ]),
 }
 
@@ -467,9 +467,9 @@ GOLDEN_SAMPLES = {
     "combined-tv-baseline": [0, 0, 143264],
     "combined-cascade": [0, 0, 178, 0, 394, 0, 0, 2001668, 125877],
     "l2-far": [684],
-    "lowmass-budget": [1056, 5114, 29828],
+    "lowmass-budget": [1056, 5114, 12973],
     "lowmass-budget-screen": [1056, 0],
-    "lowmass-cond-tv": [1056, 5114, 29892],
+    "lowmass-cond-tv": [1056, 5114, 29769],
 }
 
 
